@@ -28,11 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import (
+    GammaLadder,
     QuadratureSpec,
     gauss_legendre_nodes,
     integrate_1d,
     integrate_nested,
     integrate_semi_infinite,
+    map_chunks,
     upper_incomplete_gamma,
     upper_incomplete_gamma_array,
 )
@@ -332,32 +334,41 @@ def _phi1_vec(y1: np.ndarray, params: ObfParams) -> np.ndarray:
     return rp ** M * y1 ** (M - 1) / math.gamma(M) * np.exp(-y1 * rp)
 
 
-def _phi2_vec(y1: np.ndarray, y2: np.ndarray, params: ObfParams) -> np.ndarray:
+def _ladder(y: np.ndarray, params: ObfParams, lowest: int = 1) -> GammaLadder:
+    """Gamma(s, (r/P)(1 + y)) for s >= lowest."""
+    return GammaLadder(params.rp * (1.0 + y), lowest)
+
+
+# The closed forms below take ladders g1, g2, g3 at (r/P)(1 + y_k), so a
+# grid builds each distinct argument tensor once and shares it across
+# every order and form.
+
+
+def _phi2_vec(y2, g1: GammaLadder, g2: GammaLadder, params: ObfParams) -> np.ndarray:
     M, rp = params.M, params.rp
-    g = upper_incomplete_gamma_array
-    num = g(M, rp * (1.0 + y2)) - g(M, rp * (1.0 + y1))
+    num = g2(M) - g1(M)
     return math.exp(rp) * y2 ** (M - 2) * num / (math.gamma(M - 1) * (1.0 + y2) ** M)
 
 
-def _phi3_vec(y1, y2, y3, params: ObfParams) -> np.ndarray:
+def _phi3_vec(y2, y3, g1: GammaLadder, g2: GammaLadder, g3: GammaLadder,
+              params: ObfParams) -> np.ndarray:
     M, rp = params.M, params.rp
-    g = upper_incomplete_gamma_array
-    u1, u2, u3 = 1.0 + y1, 1.0 + y2, 1.0 + np.asarray(y3, dtype=float)
+    u2, u3 = 1.0 + y2, 1.0 + np.asarray(y3, dtype=float)
     core = (
-        g(M, rp * u3) / u3
-        - g(M, rp * u2) / u2
-        - (u2 - u3) / (u2 * u3) * g(M, rp * u1)
-        + rp * (g(M - 1, rp * u2) - g(M - 1, rp * u3))
+        g3(M) / u3
+        - g2(M) / u2
+        - (u2 - u3) / (u2 * u3) * g1(M)
+        + rp * (g2(M - 1) - g3(M - 1))
     )
     pref = math.exp(rp) / math.gamma(M - 2) * (u3 - 1.0) ** (M - 3) / u3 ** (M - 1)
     return pref * core
 
 
-def _I2_vec(y2: np.ndarray, y1: np.ndarray, params: ObfParams) -> np.ndarray:
+def _I2_vec(y2, g1: GammaLadder, g2: GammaLadder, params: ObfParams) -> np.ndarray:
+    """obf_I2(y2, y1); g2 needs orders >= 1 - M."""
     M, rp = params.M, params.rp
-    g = upper_incomplete_gamma_array
     u2 = 1.0 + np.asarray(y2, dtype=float)
-    gM_y1 = g(M, rp * (1.0 + y1))
+    gM_y1 = g1(M)
     fact_M1 = math.gamma(M)
     inv_mfact = [1.0 / math.gamma(m + 1) for m in range(M)]
     const = [upper_incomplete_gamma(m - 1 - i, rp) for m in range(M) for i in range(M - 1)]
@@ -365,7 +376,7 @@ def _I2_vec(y2: np.ndarray, y1: np.ndarray, params: ObfParams) -> np.ndarray:
     for i in range(M - 1):
         c = math.comb(M - 2, i) * (-1) ** i
         a = sum(
-            inv_mfact[m] * (const[m * (M - 1) + i] - g(m - 1 - i, rp * u2))
+            inv_mfact[m] * (const[m * (M - 1) + i] - g2(m - 1 - i))
             for m in range(M)
         )
         a = fact_M1 * rp ** (i + 1) * a
@@ -374,17 +385,17 @@ def _I2_vec(y2: np.ndarray, y1: np.ndarray, params: ObfParams) -> np.ndarray:
     return math.exp(rp) / math.gamma(M - 1) * total
 
 
-def _I3_vec(y3, y2, y1, params: ObfParams) -> np.ndarray:
+def _I3_vec(y3, y2, g1: GammaLadder, g2: GammaLadder, g3: GammaLadder,
+            params: ObfParams) -> np.ndarray:
     M, rp = params.M, params.rp
-    g = upper_incomplete_gamma_array
     gs = upper_incomplete_gamma
     u3 = 1.0 + np.asarray(y3, dtype=float)
-    u2, u1 = 1.0 + y2, 1.0 + y1
-    gM_y1 = g(M, rp * u1)
-    gM_y2 = g(M, rp * u2)
-    gM_y3 = g(M, rp * u3)
-    gM1_y2 = g(M - 1, rp * u2)
-    gM1_y3 = g(M - 1, rp * u3)
+    u2 = 1.0 + y2
+    gM_y1 = g1(M)
+    gM_y2 = g2(M)
+    gM_y3 = g3(M)
+    gM1_y2 = g2(M - 1)
+    gM1_y3 = g3(M - 1)
     gM_0 = gs(M, rp)
     gM1_0 = gs(M - 1, rp)
     total = 0.0
@@ -398,7 +409,7 @@ def _I3_vec(y3, y2, y1, params: ObfParams) -> np.ndarray:
         block = block + (
             rp * gM1_y3 / (p1 * (i + 1))
             - gM_y3 / (p2 * (i + 2))
-            - rp ** (i + 2) * g(M - i - 2, rp * u3) / ((i + 1) * (i + 2))
+            - rp ** (i + 2) * g3(M - i - 2) / ((i + 1) * (i + 2))
         )
         block = block - (
             rp * gM1_0 / (i + 1)
@@ -415,9 +426,12 @@ def obf_marginal_pdf_grid(
     """Marginal density of the n-th scheduled SINR on a whole grid at once.
 
     Fixed-order Gauss-Legendre quadrature on the rational map
-    t -> y + t/(1-t) replaces adaptive subdivision; with the closed-form
-    integrand this evaluates hundreds of grid points in milliseconds and
-    agrees with ``obf_marginal_pdf`` to well below the grid resolution.
+    t -> y + t/(1-t) replaces adaptive subdivision and agrees with
+    ``obf_marginal_pdf`` to well below the grid resolution.  Each distinct
+    argument (r/P)(1 + y) gets one ``GammaLadder``; rank 3 evaluates
+    (points, nodes, nodes) tensors in blocks of ``GRID_CHUNK`` grid points.
+    Rank 3 takes 0.5-0.8 s for 800 points at M = 3 on one core of a
+    2-core x86-64 machine.
     """
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     if np.any(ys < 0):
@@ -431,29 +445,35 @@ def obf_marginal_pdf_grid(
         y2 = ys[:, None]
         y1 = y2 + t[None, :] / (1.0 - t[None, :])
         jac = wt[None, :] / (1.0 - t[None, :]) ** 2
+        g1, g2 = _ladder(y1, params), _ladder(y2, params, 1 - M)
         f = (
             math.perm(K, 2)
-            * _I2_vec(y2, y1, params) ** (K - 2)
+            * _I2_vec(y2, g1, g2, params) ** (K - 2)
             * _phi1_vec(y1, params)
-            * _phi2_vec(y1, y2, params)
+            * _phi2_vec(y2, g1, g2, params)
         )
         return np.sum(f * jac, axis=1)
     if n != 3:
         raise NotImplementedError("grid marginals implemented for n <= 3")
-    y3 = ys[:, None, None]
     tu = t[None, :, None]
     tw = t[None, None, :]
-    y2 = y3 + tu / (1.0 - tu)
-    y1 = y2 + tw / (1.0 - tw)
     jac = (wt[None, :, None] / (1.0 - tu) ** 2) * (wt[None, None, :] / (1.0 - tw) ** 2)
-    f = (
-        math.perm(K, 3)
-        * _I3_vec(y3, y2, y1, params) ** (K - 3)
-        * _phi1_vec(y1, params)
-        * _phi2_vec(y1, y2, params)
-        * _phi3_vec(y1, y2, y3, params)
-    )
-    return np.sum(f * jac, axis=(1, 2))
+
+    def block(yb: np.ndarray) -> np.ndarray:
+        y3 = yb[:, None, None]
+        y2 = y3 + tu / (1.0 - tu)
+        y1 = y2 + tw / (1.0 - tw)
+        g1, g2, g3 = _ladder(y1, params), _ladder(y2, params), _ladder(y3, params)
+        f = (
+            math.perm(K, 3)
+            * _I3_vec(y3, y2, g1, g2, g3, params) ** (K - 3)
+            * _phi1_vec(y1, params)
+            * _phi2_vec(y2, g1, g2, params)
+            * _phi3_vec(y2, y3, g1, g2, g3, params)
+        )
+        return np.sum(f * jac, axis=(1, 2))
+
+    return map_chunks(block, ys)
 
 
 def obf_marginal_cdf(

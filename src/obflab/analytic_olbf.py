@@ -32,12 +32,13 @@ from itertools import combinations
 import numpy as np
 
 from .numerics import (
+    GammaLadder,
     QuadratureSpec,
     gauss_legendre_nodes,
     integrate_1d,
     integrate_nested,
+    map_chunks,
     upper_incomplete_gamma,
-    upper_incomplete_gamma_array,
 )
 
 __all__ = [
@@ -546,10 +547,18 @@ def _gamma_ratio_arg(om: np.ndarray, params: OlbfParams) -> np.ndarray:
     return params.mp / np.maximum(om, 1e-300)
 
 
-def _xi2_vec(t2: np.ndarray, t1: np.ndarray, params: OlbfParams) -> np.ndarray:
+def _ladder(om: np.ndarray, params: OlbfParams, lowest: int = 1) -> GammaLadder:
+    """Gamma(s, mp/(1 - t)) for s >= lowest, given om = 1 - t."""
+    return GammaLadder(_gamma_ratio_arg(om, params), lowest)
+
+
+# The closed forms below take ladders g1 at mp/(1 - t1), g2 at mp/(1 - t2),
+# g3 at mp/(1 - t3) and gx3 at mp/(1 - x - t3), so a grid builds each
+# distinct argument tensor once and shares it across every order and form.
+
+
+def _xi2_vec(t2, g1: GammaLadder, g2: GammaLadder, params: OlbfParams) -> np.ndarray:
     M, mp = params.M, params.mp
-    g = upper_incomplete_gamma_array
-    gM_t1 = {i: g(M - i, _gamma_ratio_arg(1.0 - t1, params)) for i in range(M - 1)}
     total = 0.0
     for i in range(M - 1):
         total = total + (
@@ -557,88 +566,103 @@ def _xi2_vec(t2: np.ndarray, t1: np.ndarray, params: OlbfParams) -> np.ndarray:
             * (-1) ** i
             * mp ** i
             * (1.0 - t2) ** (M - 2 - i)
-            * (g(M - i, _gamma_ratio_arg(1.0 - t2, params)) - gM_t1[i])
+            * (g2(M - i) - g1(M - i))
         )
     return math.exp(mp) / math.gamma(M - 1) * total
 
 
-def _eta_vec(x, t1, t3, params: OlbfParams) -> np.ndarray:
+def _eta_vec(oxt3, t3, g1: GammaLadder, g3: GammaLadder, gx3: GammaLadder,
+             params: OlbfParams) -> np.ndarray:
+    """olbf_eta(x, t1, t3) given oxt3 = 1 - x - t3; g3, gx3 need orders >= 2 - M."""
     M, mp = params.M, params.mp
-    g = upper_incomplete_gamma_array
-    arg_t1 = _gamma_ratio_arg(1.0 - np.asarray(t1, dtype=float), params)
-    arg_t3 = _gamma_ratio_arg(1.0 - np.asarray(t3, dtype=float), params)
-    arg_xt3 = _gamma_ratio_arg(1.0 - np.asarray(x, dtype=float) - t3, params)
     total = 0.0
     for i in range(M - 2):
         c = math.comb(M - 3, i) * (-1) ** i * mp ** i
-        a = -g(M - i, arg_t1) * (
-            (1.0 - t3) ** (M - i - 2) - np.maximum(1.0 - x - t3, 0.0) ** (M - i - 2)
+        a = -g1(M - i) * (
+            (1.0 - t3) ** (M - i - 2) - np.maximum(oxt3, 0.0) ** (M - i - 2)
         ) / (M - i - 2)
         inner = 0.0
         for j in range(M - i):
-            inner = inner + (
-                g(i + j + 2 - M, arg_t3) - g(i + j + 2 - M, arg_xt3)
-            ) / math.gamma(j + 1)
+            inner = inner + (g3(i + j + 2 - M) - gx3(i + j + 2 - M)) / math.gamma(j + 1)
         total = total + c * (a + math.gamma(M - i) * mp ** (M - i - 2) * inner)
     return math.exp(mp) / math.gamma(M - 2) * total
 
 
-def _F_z1_vec(t1: np.ndarray, params: OlbfParams) -> np.ndarray:
+def _F_z1_vec(g1: GammaLadder, params: OlbfParams) -> np.ndarray:
     M, mp = params.M, params.mp
-    g = upper_incomplete_gamma_array
     gs = upper_incomplete_gamma
-    arg = _gamma_ratio_arg(1.0 - t1, params)
     total = 0.0
     for i in range(M):
-        total = total + math.comb(M - 1, i) * (-1) ** i * mp ** i * (
-            gs(M - i, mp) - g(M - i, arg)
-        )
+        total = total + math.comb(M - 1, i) * (-1) ** i * mp ** i * (gs(M - i, mp) - g1(M - i))
     return math.exp(mp) / math.gamma(M) * total
 
 
-def _F_z2_vec(t1, t2, params: OlbfParams) -> np.ndarray:
+def _F_z2_vec(t2, g1: GammaLadder, g2: GammaLadder, params: OlbfParams) -> np.ndarray:
+    """_F_z2(t1, t2); g2 needs orders >= 1 - M."""
     M, mp = params.M, params.mp
-    g = upper_incomplete_gamma_array
     gs = upper_incomplete_gamma
-    arg1 = _gamma_ratio_arg(1.0 - np.asarray(t1, dtype=float), params)
-    arg2 = _gamma_ratio_arg(1.0 - np.asarray(t2, dtype=float), params)
-    t2 = np.asarray(t2, dtype=float)
     total = 0.0
     for i in range(M - 1):
         c = math.comb(M - 2, i) * (-1) ** i * mp ** i
-        a = -g(M - i, arg1) * (1.0 - (1.0 - t2) ** (M - i - 1)) / (M - i - 1)
+        a = -g1(M - i) * (1.0 - (1.0 - t2) ** (M - i - 1)) / (M - i - 1)
         inner = 0.0
         for j in range(M - i):
-            inner = inner + (gs(i + j + 1 - M, mp) - g(i + j + 1 - M, arg2)) / math.gamma(
-                j + 1
-            )
+            inner = inner + (gs(i + j + 1 - M, mp) - g2(i + j + 1 - M)) / math.gamma(j + 1)
         total = total + c * (a + math.gamma(M - i) * mp ** (M - i - 1) * inner)
     return math.exp(mp) / math.gamma(M - 1) * total
 
 
-def _F_z3_head_vec(t1, t2, t3, params: OlbfParams) -> np.ndarray:
+def _F_z3_head_vec(t2, t3, o23, g1: GammaLadder, g2: GammaLadder, g3: GammaLadder,
+                   g23: GammaLadder, params: OlbfParams) -> np.ndarray:
+    """_F_z3_head(t1, t2, t3) given o23 = 1 - t2 - t3 and g23 at mp/o23."""
     M, mp = params.M, params.mp
-    g = upper_incomplete_gamma_array
     gs = upper_incomplete_gamma
-    arg1 = _gamma_ratio_arg(1.0 - np.asarray(t1, dtype=float), params)
-    arg2 = _gamma_ratio_arg(1.0 - np.asarray(t2, dtype=float), params)
-    arg3 = _gamma_ratio_arg(1.0 - np.asarray(t3, dtype=float), params)
-    arg23 = _gamma_ratio_arg(1.0 - t2 - t3, params)
     total = 0.0
     for i in range(M):
         c = math.comb(M - 1, i) * (-1) ** i * mp ** i
         p2 = (1.0 - t2) ** (M - i - 1)
         p3 = (1.0 - t3) ** (M - i - 1)
-        p23 = np.maximum(1.0 - t2 - t3, 0.0) ** (M - i - 1)
+        p23 = np.maximum(o23, 0.0) ** (M - i - 1)
         block = (
             gs(M - i, mp)
-            - p2 * g(M - i, arg2)
-            - p3 * g(M - i, arg3)
-            + p23 * g(M - i, arg23)
-            - (1.0 - p2 - p3 + p23) * g(M - i, arg1)
+            - p2 * g2(M - i)
+            - p3 * g3(M - i)
+            + p23 * g23(M - i)
+            - (1.0 - p2 - p3 + p23) * g1(M - i)
         )
         total = total + c * block
     return math.exp(mp) / math.gamma(M) * total
+
+
+def _head_segment(s, t1, g1, gs, base, w, ww, params: OlbfParams) -> np.ndarray:
+    """t_2-integral over [0, t_1 - s], the branch t_1 >= t_2 + s."""
+    M, K = params.M, params.K
+    t2 = (t1 - s) * w
+    o23 = 1.0 - t2 - s
+    g2 = _ladder(1.0 - t2, params)
+    g23 = _ladder(o23, params, 2 - M)
+    F = np.clip(_F_z3_head_vec(t2, s, o23, g1, g2, gs, g23, params), 0.0, None)
+    f = F ** (K - 3) * base * _xi2_vec(t2, g1, g2, params) * _eta_vec(
+        o23, s, g1, gs, g23, params
+    )
+    return np.sum(f * (t1 - s) * ww, axis=2, keepdims=True)
+
+
+def _split_segment(s, t1, g1, gs, base, w, ww, params: OlbfParams) -> np.ndarray:
+    """t_2-integral over [t_1 - s, t_1], the branch t_1 < t_2 + s."""
+    M, K = params.M, params.K
+    t2 = (t1 - s) + s * w
+    g2 = _ladder(1.0 - t2, params, 1 - M)
+    F = np.clip(
+        _F_z2_vec(t2, g1, g2, params) + _F_z2_vec(s, g1, gs, params) - _F_z1_vec(g1, params),
+        0.0,
+        None,
+    )
+    # eta at x = t_1 - s, where 1 - x - s = 1 - t_1
+    f = F ** (K - 3) * base * _xi2_vec(t2, g1, g2, params) * _eta_vec(
+        1.0 - t1, s, g1, gs, g1, params
+    )
+    return np.sum(f * s * ww, axis=2, keepdims=True)
 
 
 def olbf_marginal_pdf_t_grid(
@@ -648,56 +672,49 @@ def olbf_marginal_pdf_t_grid(
 
     Fixed-order Gauss-Legendre quadrature over the free variables with
     the t_2 integral split at the branch point, evaluating the closed
-    forms vectorised over grid x node tensors.
+    forms vectorised over grid x node tensors.  Each distinct argument
+    mp/(1 - t) gets one ``GammaLadder``; rank 3 is built in blocks of
+    ``GRID_CHUNK`` grid points to bound the (points, nodes, nodes) tensors.
     """
     ss = np.atleast_1d(np.asarray(ss, dtype=float))
     if np.any((ss < 0) | (ss > 1)):
         raise ValueError("grid points must lie in [0, 1]")
-    K = params.K
+    M, K = params.M, params.K
     if n == 1:
-        F = np.clip(_F_z1_vec(ss, params), 0.0, None)
+        F = np.clip(_F_z1_vec(_ladder(1.0 - ss, params), params), 0.0, None)
         return K * F ** (K - 1) * _z1_pdf_vec(ss, params)
     u, wu = gauss_legendre_nodes(nodes, 0.0, 1.0)
     if n == 2:
         s = ss[:, None]
         t1 = s + (1.0 - s) * u[None, :]
         jac = (1.0 - s) * wu[None, :]
-        F = np.clip(_F_z2_vec(t1, s, params), 0.0, None)
+        g1 = _ladder(1.0 - t1, params)
+        gs = _ladder(1.0 - s, params, 1 - M)
+        F = np.clip(_F_z2_vec(s, g1, gs, params), 0.0, None)
         f = (
             math.perm(K, 2)
             * F ** (K - 2)
             * _z1_pdf_vec(t1, params)
-            * _xi2_vec(s, t1, params)
+            * _xi2_vec(s, g1, gs, params)
         )
         return np.sum(f * jac, axis=1)
     if n != 3:
         raise NotImplementedError("grid marginals implemented for n <= 3")
-    s = ss[:, None, None]
-    t1 = s + (1.0 - s) * u[None, :, None]
-    jac1 = (1.0 - s) * wu[None, :, None]
     w = u[None, None, :]
     ww = wu[None, None, :]
-    out = np.zeros(ss.shape + (1, 1))
-    # head segment: t_2 in [0, t_1 - s], branch t_1 >= t_2 + s
-    t2 = (t1 - s) * w
-    F = np.clip(_F_z3_head_vec(t1, t2, s, params), 0.0, None)
-    f = F ** (K - 3) * _z1_pdf_vec(t1, params) * _xi2_vec(t2, t1, params) * _eta_vec(
-        t2, t1, s, params
-    )
-    head = np.sum(f * (t1 - s) * ww, axis=2, keepdims=True)
-    # split segment: t_2 in [t_1 - s, t_1], branch t_1 < t_2 + s
-    t2 = (t1 - s) + s * w
-    F = np.clip(
-        _F_z2_vec(t1, t2, params) + _F_z2_vec(t1, s, params) - _F_z1_vec(t1, params),
-        0.0,
-        None,
-    )
-    f = F ** (K - 3) * _z1_pdf_vec(t1, params) * _xi2_vec(t2, t1, params) * _eta_vec(
-        t1 - s, t1, s, params
-    )
-    split = np.sum(f * s * ww, axis=2, keepdims=True)
-    out = math.perm(K, 3) * np.sum((head + split) * jac1, axis=1, keepdims=False)
-    return out[:, 0]
+
+    def block(sb: np.ndarray) -> np.ndarray:
+        s = sb[:, None, None]
+        t1 = s + (1.0 - s) * u[None, :, None]
+        jac1 = (1.0 - s) * wu[None, :, None]
+        g1 = _ladder(1.0 - t1, params, 2 - M)
+        gs = _ladder(1.0 - s, params, 1 - M)
+        base = _z1_pdf_vec(t1, params)
+        seg = _head_segment(s, t1, g1, gs, base, w, ww, params)
+        seg = seg + _split_segment(s, t1, g1, gs, base, w, ww, params)
+        return math.perm(K, 3) * np.sum(seg * jac1, axis=1)[:, 0]
+
+    return map_chunks(block, ss)
 
 
 def olbf_marginal_pdf_sinr_grid(

@@ -2,8 +2,12 @@
 
 The analytic SINR distributions are built almost entirely out of upper
 incomplete gamma functions of integer order (positive and non-positive)
-and low-dimensional adaptive quadrature.  Everything here is a pure
-function of its arguments.
+and low-dimensional adaptive quadrature.  The closed forms evaluate many
+orders of Gamma(s, x) at the same argument tensor, so the vectorised
+route is a ``GammaLadder``: built once per argument array, it shares one
+exponential and at most one special-function anchor per element across
+every order it is asked for.  Everything here is a pure function of its
+arguments; a ladder memoises only within itself.
 """
 
 from __future__ import annotations
@@ -14,14 +18,17 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 __all__ = [
     "QuadratureSpec",
     "QuadratureError",
     "exp_integral_e1",
     "upper_incomplete_gamma",
+    "GammaLadder",
     "upper_incomplete_gamma_array",
+    "GRID_CHUNK",
+    "map_chunks",
     "integrate_1d",
     "integrate_semi_infinite",
     "integrate_nested",
@@ -29,6 +36,20 @@ __all__ = [
 ]
 
 _EULER_GAMMA = 0.5772156649015328606
+
+# Non-positive orders descend from E1 at or below this argument and climb
+# from x^s E_{1-s}(x) above it.  Against a quadrature oracle over
+# s in -5..0, x in [1e-3, 600] the worst relative error was 3e-13 with the
+# switch at 0.5, 2e-14 at 1 and 2e-15 at 2.5 or 3.
+_LADDER_SPLIT = 2.5
+
+# e^-x below the smallest normal double (x > 708.39) is flushed to zero:
+# the sums would start from a subnormal with few or no significant bits.
+_EXP_FLOOR = np.finfo(float).tiny
+
+# Grid points per block when a marginal grid is built on (points, nodes,
+# nodes) tensors; bounds the memory of the rank-3 grids.
+GRID_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -119,8 +140,9 @@ def upper_incomplete_gamma(s: int, x: float) -> float:
     Gamma(s, x) = (s-1)! e^-x sum_{i<s} x^i / i!, evaluated in log space
     so large x or s cannot overflow the intermediate terms.  Non-positive
     order descends the recurrence Gamma(s, x) = (Gamma(s+1, x) - x^s e^-x)/s
-    from the anchor Gamma(0, x) = E1(x); each step divides by s, so the
-    relative error stays bounded on the way down.
+    from Gamma(0, x) = E1(x) for x <= 2.5.  Each step down subtracts two
+    terms of nearly equal size once x exceeds |s|, losing about log10(x)
+    digits, so larger x uses Gamma(s, x) = x^s E_{1-s}(x) directly.
     """
     s = int(s)
     if x < 0 or (x <= 0 and s <= 0):
@@ -143,6 +165,8 @@ def upper_incomplete_gamma(s: int, x: float) -> float:
             return 0.0
         acc = math.fsum(math.exp(v - m) for v in logs)
         return math.exp(m) * acc
+    if x > _LADDER_SPLIT:
+        return x ** s * float(special.expn(1 - s, x))
     g = exp_integral_e1(x)  # Gamma(0, x)
     order = 0
     log_x = math.log(x)
@@ -152,28 +176,104 @@ def upper_incomplete_gamma(s: int, x: float) -> float:
     return g
 
 
+class GammaLadder:
+    """Gamma(s, x) of every integer order s over one argument array x.
+
+    The constructor computes e^-x once; each order is computed on its first
+    request and memoised, so a closed form that needs several orders at the
+    same argument pays for one exponential.  Positive orders are the finite
+    sum Gamma(s, x) = (s-1)! sum_{i<s} term_i with term_0 = e^-x and
+    term_i = term_{i-1} x / i; every term stays below 1, so nothing
+    overflows.  Orders ``lowest``..0 are computed together on the first
+    request for any of them, from one special-function anchor per element:
+    E1(x) and the downward recurrence where x <= 2.5, x^lowest
+    E_{1-lowest}(x) and the upward recurrence Gamma(s+1, x) =
+    s Gamma(s, x) + x^s e^-x above it.  Both directions keep the relative
+    error near machine precision on their side of the switch.
+
+    Where e^-x underflows the normal range (x > 708.39, including inf) every
+    order is exactly 0.  Returned arrays are shared with the memo: do not
+    modify them in place.
+    """
+
+    def __init__(self, x, lowest: int = 1):
+        x = np.asarray(x, dtype=float)
+        lowest = int(lowest)
+        if np.any(x < 0) or (lowest <= 0 and np.any(x <= 0)):
+            raise ValueError("x must be positive (nonnegative for s >= 1)")
+        if not np.all(np.isfinite(x)):
+            x = np.minimum(x, np.finfo(float).max)  # keeps 0 * inf out of the terms
+        ex = np.empty(x.shape)
+        with np.errstate(under="ignore"):
+            np.exp(-x, out=ex)
+        np.putmask(ex, ex < _EXP_FLOOR, 0.0)
+        self.x = x
+        self.lowest = lowest
+        self._exp = ex
+        self._memo = {1: ex}
+        self._top, self._term, self._sum = 1, ex, ex
+
+    def __call__(self, s: int) -> np.ndarray:
+        s = int(s)
+        if s not in self._memo:
+            if s >= 1:
+                self._climb(s)
+            elif s >= self.lowest:
+                self._non_positive()
+            else:
+                raise ValueError(f"order {s} is below this ladder's lowest order {self.lowest}")
+        return self._memo[s]
+
+    def _climb(self, s: int) -> None:
+        """Extend the finite sums up to order s."""
+        while self._top < s:
+            self._term = self._term * self.x / self._top
+            self._sum = self._sum + self._term
+            self._top += 1
+            fact = math.factorial(self._top - 1)
+            self._memo[self._top] = self._sum if fact == 1 else fact * self._sum
+
+    def _non_positive(self) -> None:
+        low = self.lowest
+        x, ex = self.x, self._exp
+        out = {s: np.zeros(x.shape) for s in range(low, 1)}
+        near = x <= _LADDER_SPLIT
+        far = ~near & (ex > 0.0)
+        with np.errstate(under="ignore"):
+            xn = x[near]
+            p = ex[near]
+            g = special.exp1(xn)
+            out[0][near] = g
+            for s in range(-1, low - 1, -1):
+                p = p / xn  # x^s e^-x
+                g = (g - p) / s
+                out[s][near] = g
+            xf = x[far]
+            p = xf ** low
+            g = p * special.expn(1 - low, xf)
+            p = p * ex[far]  # x^low e^-x
+            out[low][far] = g
+            for s in range(low, 0):
+                g = s * g + p
+                p = p * xf
+                out[s + 1][far] = g
+        self._memo.update(out)
+
+
 def upper_incomplete_gamma_array(s: int, x: np.ndarray) -> np.ndarray:
     """Vectorised Gamma(s, x) for integer s over an array of x > 0.
 
-    Positive order delegates to the regularised routine in scipy; the
-    non-positive orders descend the same recurrence as the scalar
-    version, anchored at Gamma(0, x) = E1(x).
+    A one-shot use of ``GammaLadder``; build the ladder directly when
+    several orders are needed at the same argument.
     """
-    from scipy import special
-
     s = int(s)
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0) or (s <= 0 and np.any(x <= 0)):
-        raise ValueError("x must be positive (nonnegative for s >= 1)")
-    if s >= 1:
-        return special.gammaincc(s, x) * math.gamma(s)
-    g = special.exp1(x)
-    order = 0
-    log_x = np.log(x)
-    while order > s:
-        order -= 1
-        g = (g - np.exp(order * log_x - x)) / order
-    return g
+    return GammaLadder(x, lowest=min(s, 1))(s)
+
+
+def map_chunks(fn: Callable[[np.ndarray], np.ndarray], points: np.ndarray) -> np.ndarray:
+    """fn over consecutive blocks of at most GRID_CHUNK points, concatenated."""
+    starts = range(0, max(len(points), 1), GRID_CHUNK)
+    return np.concatenate([fn(points[i:i + GRID_CHUNK]) for i in starts])
 
 
 def integrate_1d(

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate, special
 
 from obflab.numerics import (
+    GammaLadder,
     QuadratureError,
     QuadratureSpec,
     exp_integral_e1,
@@ -80,9 +82,62 @@ def test_upper_gamma_array_matches_scalar():
     for s in (-4, -1, 0, 1, 3, 6):
         got = upper_incomplete_gamma_array(s, x)
         want = np.array([upper_incomplete_gamma(s, v) for v in x])
-        # large x with negative order loses a digit to cancellation in
-        # the downward recurrence; both routes agree to ~1e-10
-        assert np.allclose(got, want, rtol=1e-9, atol=0.0)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def _scaled_gamma_oracle(s: int, x: float) -> float:
+    """e^x Gamma(s, x) = int_x^inf e^-(t-x) t^(s-1) dt, clear of underflow.
+
+    Split at t = 2x so quad resolves the peak of t^(s-1) at small x.
+    """
+    def f(t):
+        return math.exp(x - t) * t ** (s - 1)
+
+    head, _ = integrate.quad(f, x, 2.0 * x, epsabs=0.0, epsrel=1e-13, limit=400)
+    tail, _ = integrate.quad(f, 2.0 * x, np.inf, epsabs=0.0, epsrel=1e-13, limit=400)
+    return head + tail
+
+
+def test_ladder_nonpositive_orders_vs_oracle():
+    # both sides of the switch between the downward and upward recurrences,
+    # and large x, where a downward-only recurrence loses log10(x) digits a step
+    x = np.geomspace(1e-3, 600.0, 61)
+    ladder = GammaLadder(x, lowest=-5)
+    for s in range(-5, 1):
+        want = np.array([_scaled_gamma_oracle(s, v) for v in x])
+        got = ladder(s) * np.exp(x)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0), s
+        scalar = np.array([upper_incomplete_gamma(s, v) for v in x]) * np.exp(x)
+        assert np.allclose(scalar, want, rtol=1e-12, atol=0.0), s
+
+
+def test_ladder_positive_orders_match_regularised_gamma():
+    x = np.geomspace(1e-3, 700.0, 200)
+    ladder = GammaLadder(x)
+    for s in range(1, 9):
+        want = special.gammaincc(s, x) * math.gamma(s)  # itself off by 1e-13 near x = 600
+        assert np.allclose(ladder(s), want, rtol=1e-12, atol=0.0), s
+
+
+def test_ladder_edge_values():
+    x = np.array([745.0, 1e300, np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in range(-4, 7):
+            got = GammaLadder(x, lowest=min(s, 1))(s)
+            assert np.all(got == 0.0), (s, got)
+        zero = GammaLadder(np.zeros(3))
+        for s in range(1, 7):
+            assert np.all(zero(s) == math.factorial(s - 1)), s
+
+
+def test_ladder_order_below_lowest_and_domain():
+    with pytest.raises(ValueError):
+        GammaLadder(np.array([1.0]), lowest=-1)(-2)
+    with pytest.raises(ValueError):
+        GammaLadder(np.array([0.0, 1.0]), lowest=0)
+    with pytest.raises(ValueError):
+        GammaLadder(np.array([-1.0]))
 
 
 def test_integrate_1d_known_value():
