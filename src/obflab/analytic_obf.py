@@ -13,8 +13,14 @@ The chain of results implemented here:
 
   where phi_k integrates the unordered density over the candidacy region
   of step k and I_n = int_0^{y_n} phi_n;
-* phi_1, phi_2, phi_3 and I_3 have closed forms in upper incomplete
-  gamma functions; higher orders fall back to nested quadrature.
+* phi_1, phi_2, phi_3, I_2 and I_3 have closed forms in upper incomplete
+  gamma functions, and I_1 is a regularised lower incomplete gamma;
+  higher orders fall back to nested quadrature.
+
+Each closed form has one body.  It reads Gamma(s, x) only through a
+callable it is passed, so the grid evaluators feed it ``GammaLadder``s
+over whole argument tensors and the scalar API (``obf_phi``, ``obf_I2``,
+``obf_I3``, ``obf_selection_cdf``) feeds it one point at a time.
 
 Marginals and the average sum rate are obtained by integrating the joint
 density numerically.
@@ -24,8 +30,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
+from scipy import special
 
 from .numerics import (
     GammaLadder,
@@ -36,7 +44,6 @@ from .numerics import (
     integrate_semi_infinite,
     map_chunks,
     upper_incomplete_gamma,
-    upper_incomplete_gamma_array,
 )
 
 __all__ = [
@@ -152,6 +159,102 @@ def _check_ordered(ys) -> np.ndarray:
     return ys
 
 
+def _I1(y, params: ObfParams):
+    """I_1(y) = Pr(v_1 <= y) = P(M, (r/P) y), the regularised lower incomplete gamma."""
+    return special.gammainc(params.M, params.rp * y)
+
+
+def _ladder(y: np.ndarray, params: ObfParams, lowest: int = 1) -> GammaLadder:
+    """Gamma(s, (r/P)(1 + y)) for s >= lowest."""
+    return GammaLadder(params.rp * (1.0 + y), lowest)
+
+
+def _point(y: float, params: ObfParams) -> Callable[[int], float]:
+    """Gamma(s, (r/P)(1 + y)) at a single y, for any integer s."""
+    x = params.rp * (1.0 + y)
+    return lambda s: upper_incomplete_gamma(s, x)
+
+
+# Each closed form below has one body, shared by the grids and the scalar
+# API.  It reads its incomplete gammas only as g_k(s) = Gamma(s, x_k) with
+# x_k = (r/P)(1 + y_k): a grid passes ``_ladder``s, so it builds each
+# distinct argument tensor once and shares it across every order and form;
+# the scalar API passes ``_point``s over the cached scalar routine.
+
+
+def _phi2(y2, g1, g2, params: ObfParams) -> np.ndarray:
+    M, rp = params.M, params.rp
+    num = g2(M) - g1(M)
+    return math.exp(rp) * y2 ** (M - 2) * num / (math.gamma(M - 1) * (1.0 + y2) ** M)
+
+
+def _phi3(y2, y3, g1, g2, g3, params: ObfParams) -> np.ndarray:
+    M, rp = params.M, params.rp
+    u2, u3 = 1.0 + y2, 1.0 + y3
+    core = (
+        g3(M) / u3
+        - g2(M) / u2
+        - (u2 - u3) / (u2 * u3) * g1(M)
+        + rp * (g2(M - 1) - g3(M - 1))
+    )
+    pref = math.exp(rp) / math.gamma(M - 2) * (u3 - 1.0) ** (M - 3) / u3 ** (M - 1)
+    return pref * core
+
+
+def _I2(y2, g1, g2, params: ObfParams) -> np.ndarray:
+    """obf_I2(y2, y1); g2 needs orders >= 1 - M."""
+    M, rp = params.M, params.rp
+    u2 = 1.0 + y2
+    gM_y1 = g1(M)
+    fact_M1 = math.gamma(M)
+    inv_mfact = [1.0 / math.gamma(m + 1) for m in range(M)]
+    const = [upper_incomplete_gamma(m - 1 - i, rp) for m in range(M) for i in range(M - 1)]
+    total = 0.0
+    for i in range(M - 1):
+        c = math.comb(M - 2, i) * (-1) ** i
+        a = sum(
+            inv_mfact[m] * (const[m * (M - 1) + i] - g2(m - 1 - i))
+            for m in range(M)
+        )
+        a = fact_M1 * rp ** (i + 1) * a
+        b = gM_y1 * (1.0 - u2 ** (-(i + 1))) / (i + 1)
+        total = total + c * (a - b)
+    return math.exp(rp) / math.gamma(M - 1) * total
+
+
+def _I3(y3, y2, g1, g2, g3, params: ObfParams) -> np.ndarray:
+    M, rp = params.M, params.rp
+    gs = upper_incomplete_gamma
+    u3, u2 = 1.0 + y3, 1.0 + y2
+    gM_y1 = g1(M)
+    gM_y2 = g2(M)
+    gM_y3 = g3(M)
+    gM1_y2 = g2(M - 1)
+    gM1_y3 = g3(M - 1)
+    gM_0 = gs(M, rp)
+    gM1_0 = gs(M - 1, rp)
+    total = 0.0
+    for i in range(M - 2):
+        c = math.comb(M - 3, i) * (-1) ** i
+        p1 = u3 ** (i + 1)
+        p2 = u3 ** (i + 2)
+        a1 = (p1 - 1.0) / (p1 * (i + 1))
+        a2 = (p2 - 1.0) / (p2 * (i + 2))
+        block = a1 * (rp * gM1_y2 + (gM_y1 - gM_y2) / u2) - a2 * gM_y1
+        block = block + (
+            rp * gM1_y3 / (p1 * (i + 1))
+            - gM_y3 / (p2 * (i + 2))
+            - rp ** (i + 2) * g3(M - i - 2) / ((i + 1) * (i + 2))
+        )
+        block = block - (
+            rp * gM1_0 / (i + 1)
+            - gM_0 / (i + 2)
+            - rp ** (i + 2) * gs(M - i - 2, rp) / ((i + 1) * (i + 2))
+        )
+        total = total + c * block
+    return math.exp(rp) / math.gamma(M - 2) * total
+
+
 def obf_phi(n: int, ys, params: ObfParams, spec: QuadratureSpec = _DEFAULT_SPEC) -> float:
     """phi_n evaluated at ys = (y_1, ..., y_n), y_1 >= ... >= y_n >= 0.
 
@@ -170,20 +273,12 @@ def obf_phi(n: int, ys, params: ObfParams, spec: QuadratureSpec = _DEFAULT_SPEC)
 
     if n == 2:
         y1, y2 = ys
-        num = upper_incomplete_gamma(M, rp * (1.0 + y2)) - upper_incomplete_gamma(M, rp * (1.0 + y1))
-        return math.exp(rp) * y2 ** (M - 2) * num / (math.gamma(M - 1) * (1.0 + y2) ** M)
+        return float(_phi2(y2, _point(y1, params), _point(y2, params), params))
 
     if n == 3:
-        y1, y2, y3 = ys
-        g = upper_incomplete_gamma
-        core = (
-            g(M, rp * (1.0 + y3)) / (1.0 + y3)
-            - g(M, rp * (1.0 + y2)) / (1.0 + y2)
-            - (y2 - y3) / ((1.0 + y2) * (1.0 + y3)) * g(M, rp * (1.0 + y1))
-            + rp * (g(M - 1, rp * (1.0 + y2)) - g(M - 1, rp * (1.0 + y3)))
-        )
-        pref = math.exp(rp) / math.gamma(M - 2) * y3 ** (M - 3) / (1.0 + y3) ** (M - 1)
-        return pref * core
+        g1, g2, g3 = (_point(y, params) for y in ys)
+        y2, y3 = ys[1:]
+        return float(_phi3(y2, y3, g1, g2, g3, params))
 
     if n > 4:
         raise NotImplementedError("quadrature fallback supports n <= 4")
@@ -208,54 +303,15 @@ def obf_I2(y2: float, y1: float, params: ObfParams) -> float:
     """
     if not (y1 >= y2 >= 0):
         raise ValueError("need y1 >= y2 >= 0")
-    M, rp = params.M, params.rp
-    g = upper_incomplete_gamma
-    u1, u2 = 1.0 + y1, 1.0 + y2
-    gM_y1 = g(M, rp * u1)
-    fact_M1 = math.gamma(M)  # (M-1)!
-    inv_mfact = [1.0 / math.gamma(m + 1) for m in range(M)]
-    terms = []
-    for i in range(M - 1):
-        c = math.comb(M - 2, i) * (-1) ** i
-        a = fact_M1 * rp ** (i + 1) * math.fsum(
-            inv_mfact[m] * (g(m - 1 - i, rp) - g(m - 1 - i, rp * u2))
-            for m in range(M)
-        )
-        b = gM_y1 * (1.0 - u2 ** (-(i + 1))) / (i + 1)
-        terms.append(c * (a - b))
-    return math.exp(rp) / math.gamma(M - 1) * math.fsum(terms)
+    return float(_I2(y2, _point(y1, params), _point(y2, params), params))
 
 
 def obf_I3(y3: float, y2: float, y1: float, params: ObfParams) -> float:
     """Closed form of int_0^{y3} phi_3(alpha, y2, y1) d alpha."""
     if not (y1 >= y2 >= y3 >= 0):
         raise ValueError("need y1 >= y2 >= y3 >= 0")
-    M, rp = params.M, params.rp
-    g = upper_incomplete_gamma
-    u3, u2, u1 = 1.0 + y3, 1.0 + y2, 1.0 + y1
-    gM_y1 = g(M, rp * u1)
-    gM_y2 = g(M, rp * u2)
-    gM_y3 = g(M, rp * u3)
-    gM1_y2 = g(M - 1, rp * u2)
-    gM1_y3 = g(M - 1, rp * u3)
-    gM_0 = g(M, rp)
-    gM1_0 = g(M - 1, rp)
-    terms = []
-    for i in range(M - 2):
-        c = math.comb(M - 3, i) * (-1) ** i
-        a1 = (u3 ** (i + 1) - 1.0) / (u3 ** (i + 1) * (i + 1))
-        a2 = (u3 ** (i + 2) - 1.0) / (u3 ** (i + 2) * (i + 2))
-        block = a1 * (rp * gM1_y2 + (gM_y1 - gM_y2) / u2) - a2 * gM_y1
-        block += (
-            rp * gM1_y3 / (u3 ** (i + 1) * (i + 1))
-            - gM_y3 / (u3 ** (i + 2) * (i + 2))
-            - rp ** (i + 2) * g(M - i - 2, rp * u3) / ((i + 1) * (i + 2))
-        )
-        block -= rp * gM1_0 / (i + 1) - gM_0 / (i + 2) - rp ** (i + 2) * g(M - i - 2, rp) / (
-            (i + 1) * (i + 2)
-        )
-        terms.append(c * block)
-    return math.exp(rp) / math.gamma(M - 2) * math.fsum(terms)
+    g1, g2, g3 = (_point(y, params) for y in (y1, y2, y3))
+    return float(_I3(y3, y2, g1, g2, g3, params))
 
 
 def obf_selection_cdf(
@@ -265,14 +321,13 @@ def obf_selection_cdf(
 
     This is the joint CDF of one unscheduled user's candidacy SINRs
     evaluated at the scheduled values; it enters the joint density with
-    exponent K-n.  n=1 and n=3 are closed form, the rest quadrature.
+    exponent K-n.  n <= 3 are closed form, n = 4 quadrature.
     """
     ys = _check_ordered(ys)
     if len(ys) != n:
         raise ValueError("len(ys) must equal n")
-    M, rp = params.M, params.rp
     if n == 1:
-        return 1.0 - upper_incomplete_gamma(M, rp * ys[0]) / math.gamma(M)
+        return float(_I1(ys[0], params))
     if n == 2:
         return obf_I2(ys[1], ys[0], params)
     if n == 3:
@@ -334,92 +389,6 @@ def _phi1_vec(y1: np.ndarray, params: ObfParams) -> np.ndarray:
     return rp ** M * y1 ** (M - 1) / math.gamma(M) * np.exp(-y1 * rp)
 
 
-def _ladder(y: np.ndarray, params: ObfParams, lowest: int = 1) -> GammaLadder:
-    """Gamma(s, (r/P)(1 + y)) for s >= lowest."""
-    return GammaLadder(params.rp * (1.0 + y), lowest)
-
-
-# The closed forms below take ladders g1, g2, g3 at (r/P)(1 + y_k), so a
-# grid builds each distinct argument tensor once and shares it across
-# every order and form.
-
-
-def _phi2_vec(y2, g1: GammaLadder, g2: GammaLadder, params: ObfParams) -> np.ndarray:
-    M, rp = params.M, params.rp
-    num = g2(M) - g1(M)
-    return math.exp(rp) * y2 ** (M - 2) * num / (math.gamma(M - 1) * (1.0 + y2) ** M)
-
-
-def _phi3_vec(y2, y3, g1: GammaLadder, g2: GammaLadder, g3: GammaLadder,
-              params: ObfParams) -> np.ndarray:
-    M, rp = params.M, params.rp
-    u2, u3 = 1.0 + y2, 1.0 + np.asarray(y3, dtype=float)
-    core = (
-        g3(M) / u3
-        - g2(M) / u2
-        - (u2 - u3) / (u2 * u3) * g1(M)
-        + rp * (g2(M - 1) - g3(M - 1))
-    )
-    pref = math.exp(rp) / math.gamma(M - 2) * (u3 - 1.0) ** (M - 3) / u3 ** (M - 1)
-    return pref * core
-
-
-def _I2_vec(y2, g1: GammaLadder, g2: GammaLadder, params: ObfParams) -> np.ndarray:
-    """obf_I2(y2, y1); g2 needs orders >= 1 - M."""
-    M, rp = params.M, params.rp
-    u2 = 1.0 + np.asarray(y2, dtype=float)
-    gM_y1 = g1(M)
-    fact_M1 = math.gamma(M)
-    inv_mfact = [1.0 / math.gamma(m + 1) for m in range(M)]
-    const = [upper_incomplete_gamma(m - 1 - i, rp) for m in range(M) for i in range(M - 1)]
-    total = 0.0
-    for i in range(M - 1):
-        c = math.comb(M - 2, i) * (-1) ** i
-        a = sum(
-            inv_mfact[m] * (const[m * (M - 1) + i] - g2(m - 1 - i))
-            for m in range(M)
-        )
-        a = fact_M1 * rp ** (i + 1) * a
-        b = gM_y1 * (1.0 - u2 ** (-(i + 1))) / (i + 1)
-        total = total + c * (a - b)
-    return math.exp(rp) / math.gamma(M - 1) * total
-
-
-def _I3_vec(y3, y2, g1: GammaLadder, g2: GammaLadder, g3: GammaLadder,
-            params: ObfParams) -> np.ndarray:
-    M, rp = params.M, params.rp
-    gs = upper_incomplete_gamma
-    u3 = 1.0 + np.asarray(y3, dtype=float)
-    u2 = 1.0 + y2
-    gM_y1 = g1(M)
-    gM_y2 = g2(M)
-    gM_y3 = g3(M)
-    gM1_y2 = g2(M - 1)
-    gM1_y3 = g3(M - 1)
-    gM_0 = gs(M, rp)
-    gM1_0 = gs(M - 1, rp)
-    total = 0.0
-    for i in range(M - 2):
-        c = math.comb(M - 3, i) * (-1) ** i
-        p1 = u3 ** (i + 1)
-        p2 = u3 ** (i + 2)
-        a1 = (p1 - 1.0) / (p1 * (i + 1))
-        a2 = (p2 - 1.0) / (p2 * (i + 2))
-        block = a1 * (rp * gM1_y2 + (gM_y1 - gM_y2) / u2) - a2 * gM_y1
-        block = block + (
-            rp * gM1_y3 / (p1 * (i + 1))
-            - gM_y3 / (p2 * (i + 2))
-            - rp ** (i + 2) * g3(M - i - 2) / ((i + 1) * (i + 2))
-        )
-        block = block - (
-            rp * gM1_0 / (i + 1)
-            - gM_0 / (i + 2)
-            - rp ** (i + 2) * gs(M - i - 2, rp) / ((i + 1) * (i + 2))
-        )
-        total = total + c * block
-    return math.exp(rp) / math.gamma(M - 2) * total
-
-
 def obf_marginal_pdf_grid(
     n: int, ys, params: ObfParams, nodes: int = 96
 ) -> np.ndarray:
@@ -438,8 +407,7 @@ def obf_marginal_pdf_grid(
         raise ValueError("grid points must be nonnegative")
     M, K = params.M, params.K
     if n == 1:
-        F1 = 1.0 - upper_incomplete_gamma_array(M, params.rp * np.maximum(ys, 1e-300)) / math.gamma(M)
-        return K * F1 ** (K - 1) * _phi1_vec(ys, params)
+        return K * _I1(ys, params) ** (K - 1) * _phi1_vec(ys, params)
     t, wt = gauss_legendre_nodes(nodes, 0.0, 1.0)
     if n == 2:
         y2 = ys[:, None]
@@ -448,9 +416,9 @@ def obf_marginal_pdf_grid(
         g1, g2 = _ladder(y1, params), _ladder(y2, params, 1 - M)
         f = (
             math.perm(K, 2)
-            * _I2_vec(y2, g1, g2, params) ** (K - 2)
+            * _I2(y2, g1, g2, params) ** (K - 2)
             * _phi1_vec(y1, params)
-            * _phi2_vec(y2, g1, g2, params)
+            * _phi2(y2, g1, g2, params)
         )
         return np.sum(f * jac, axis=1)
     if n != 3:
@@ -466,10 +434,10 @@ def obf_marginal_pdf_grid(
         g1, g2, g3 = _ladder(y1, params), _ladder(y2, params), _ladder(y3, params)
         f = (
             math.perm(K, 3)
-            * _I3_vec(y3, y2, g1, g2, g3, params) ** (K - 3)
+            * _I3(y3, y2, g1, g2, g3, params) ** (K - 3)
             * _phi1_vec(y1, params)
-            * _phi2_vec(y2, g1, g2, params)
-            * _phi3_vec(y2, y3, g1, g2, g3, params)
+            * _phi2(y2, g1, g2, params)
+            * _phi3(y2, y3, g1, g2, g3, params)
         )
         return np.sum(f * jac, axis=(1, 2))
 

@@ -16,9 +16,16 @@ unordered density over the candidacy region of step k.
 F_n is piecewise.  On the "head" branch t_1 >= t_2 + ... + t_n it is an
 integral over z_1 of a closed-form cross-section; on the complementary
 branch it expands by inclusion-exclusion into head-branch CDFs of lower
-order.  Orders n <= 3 are fully closed form; the generic recursion
-(``olbf_cdf_z`` with method="recursive") covers any n and doubles as an
-independent cross-check of the closed forms.
+order.  Orders n <= 3 are fully closed form (F_1 is a regularised lower
+incomplete gamma); the generic recursion (``olbf_cdf_z`` with
+method="recursive") covers any n and doubles as an independent
+cross-check of the closed forms.
+
+Each closed form (xi_2, eta, F_1, F_2 and the head branch of F_3) has one
+body.  It reads Gamma(s, x) only through a callable it is passed, so the
+grid evaluators feed it ``GammaLadder``s over whole argument tensors and
+the scalar API (``olbf_xi``, ``olbf_eta``, ``olbf_cdf_z``) feeds it one
+point at a time.
 
 Actual SINRs are recovered through y = t/(1-t).
 """
@@ -28,8 +35,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Callable
 
 import numpy as np
+from scipy import special
 
 from .numerics import (
     GammaLadder,
@@ -171,34 +180,119 @@ def _z1_pdf(t1: float, params: OlbfParams) -> float:
     )
 
 
+def _gamma_ratio_arg(om: np.ndarray, params: OlbfParams) -> np.ndarray:
+    """mp / (1 - t) with the singular endpoint mapped to a huge argument, where Gamma = 0."""
+    return params.mp / np.maximum(om, 1e-300)
+
+
+def _ladder(om: np.ndarray, params: OlbfParams, lowest: int = 1) -> GammaLadder:
+    """Gamma(s, mp/(1 - t)) for s >= lowest, given om = 1 - t."""
+    return GammaLadder(_gamma_ratio_arg(om, params), lowest)
+
+
+def _point(om: float, params: OlbfParams) -> Callable[[int], float]:
+    """Gamma(s, mp/(1 - t)) for any integer s at a single t, given om = 1 - t."""
+    x = float(_gamma_ratio_arg(om, params))
+    return lambda s: upper_incomplete_gamma(s, x)
+
+
+# Each closed form below has one body, shared by the grids and the scalar
+# API.  It reads its incomplete gammas only through callables s -> Gamma(s, x):
+# g1 at mp/(1 - t1), g2 at mp/(1 - t2), g3 at mp/(1 - t3), gx3 at
+# mp/(1 - x - t3) and g23 at mp/(1 - t2 - t3).  A grid passes ``_ladder``s,
+# so it builds each distinct argument tensor once and shares it across
+# every order and form; the scalar API passes ``_point``s over the cached
+# scalar routine.
+
+
+def _F_z1(t1, params: OlbfParams):
+    """Pr(z_1 <= t_1) = P(M, mp t_1/(1 - t_1)), the regularised lower incomplete gamma.
+
+    t_1 = 1 gives 1.
+    """
+    t1 = np.asarray(t1, dtype=float)
+    with np.errstate(divide="ignore"):
+        return special.gammainc(params.M, params.mp * t1 / (1.0 - t1))
+
+
+def _xi2(t2, g1, g2, params: OlbfParams) -> np.ndarray:
+    M, mp = params.M, params.mp
+    total = 0.0
+    for i in range(M - 1):
+        total = total + (
+            math.comb(M - 2, i)
+            * (-1) ** i
+            * mp ** i
+            * (1.0 - t2) ** (M - 2 - i)
+            * (g2(M - i) - g1(M - i))
+        )
+    return math.exp(mp) / math.gamma(M - 1) * total
+
+
+def _eta(oxt3, t3, g1, g3, gx3, params: OlbfParams) -> np.ndarray:
+    """olbf_eta(x, t1, t3) given oxt3 = 1 - x - t3; g3, gx3 need orders >= 2 - M."""
+    M, mp = params.M, params.mp
+    total = 0.0
+    for i in range(M - 2):
+        c = math.comb(M - 3, i) * (-1) ** i * mp ** i
+        a = -g1(M - i) * (
+            (1.0 - t3) ** (M - i - 2) - np.maximum(oxt3, 0.0) ** (M - i - 2)
+        ) / (M - i - 2)
+        inner = 0.0
+        for j in range(M - i):
+            inner = inner + (g3(i + j + 2 - M) - gx3(i + j + 2 - M)) / math.gamma(j + 1)
+        total = total + c * (a + math.gamma(M - i) * mp ** (M - i - 2) * inner)
+    return math.exp(mp) / math.gamma(M - 2) * total
+
+
+def _F_z2(t2, g1, g2, params: OlbfParams) -> np.ndarray:
+    """z-CDF at order 2 at (t1, t2); g2 needs orders >= 1 - M."""
+    M, mp = params.M, params.mp
+    gs = upper_incomplete_gamma
+    total = 0.0
+    for i in range(M - 1):
+        c = math.comb(M - 2, i) * (-1) ** i * mp ** i
+        a = -g1(M - i) * (1.0 - (1.0 - t2) ** (M - i - 1)) / (M - i - 1)
+        inner = 0.0
+        for j in range(M - i):
+            inner = inner + (gs(i + j + 1 - M, mp) - g2(i + j + 1 - M)) / math.gamma(j + 1)
+        total = total + c * (a + math.gamma(M - i) * mp ** (M - i - 1) * inner)
+    return math.exp(mp) / math.gamma(M - 1) * total
+
+
+def _F_z3_head(t2, t3, o23, g1, g2, g3, g23, params: OlbfParams) -> np.ndarray:
+    """z-CDF at order 3 on the branch t1 >= t2 + t3, given o23 = 1 - t2 - t3."""
+    M, mp = params.M, params.mp
+    gs = upper_incomplete_gamma
+    total = 0.0
+    for i in range(M):
+        c = math.comb(M - 1, i) * (-1) ** i * mp ** i
+        p2 = (1.0 - t2) ** (M - i - 1)
+        p3 = (1.0 - t3) ** (M - i - 1)
+        p23 = np.maximum(o23, 0.0) ** (M - i - 1)
+        block = (
+            gs(M - i, mp)
+            - p2 * g2(M - i)
+            - p3 * g3(M - i)
+            + p23 * g23(M - i)
+            - (1.0 - p2 - p3 + p23) * g1(M - i)
+        )
+        total = total + c * block
+    return math.exp(mp) / math.gamma(M) * total
+
+
 def olbf_eta(x: float, t1: float, t3: float, params: OlbfParams) -> float:
     """Closed form of int_0^x int_{z2+t3}^{t1} f(z1, z2, z3=t3) dz1 dz2.
 
     Requires M >= 3 and x + t3 <= t1 <= 1.
     """
-    M, mp = params.M, params.mp
-    if M < 3:
+    if params.M < 3:
         raise ValueError("third-order candidacy needs M >= 3")
     if x < 0 or x + t3 > t1 + 1e-12:
         raise ValueError("need 0 <= x and x + t3 <= t1")
-    g = upper_incomplete_gamma
-    terms = []
-    for i in range(M - 2):
-        c = math.comb(M - 3, i) * (-1) ** i * mp ** i
-        a = -(g(M - i, mp / (1.0 - t1)) if t1 < 1.0 else 0.0) * (
-            (1.0 - t3) ** (M - i - 2) - (1.0 - x - t3) ** (M - i - 2)
-        ) / (M - i - 2)
-        inner = math.fsum(
-            (
-                g(i + j + 2 - M, mp / (1.0 - t3))
-                - (g(i + j + 2 - M, mp / (1.0 - x - t3)) if x + t3 < 1.0 else 0.0)
-            )
-            / math.gamma(j + 1)
-            for j in range(M - i)
-        )
-        b = math.gamma(M - i) * mp ** (M - i - 2) * inner
-        terms.append(c * (a + b))
-    return math.exp(mp) / math.gamma(M - 2) * math.fsum(terms)
+    oxt3 = 1.0 - x - t3
+    g1, g3, gx3 = (_point(om, params) for om in (1.0 - t1, 1.0 - t3, oxt3))
+    return float(_eta(oxt3, t3, g1, g3, gx3, params))
 
 
 def olbf_xi(k: int, ts, params: OlbfParams, spec: QuadratureSpec = _DEFAULT_SPEC) -> float:
@@ -213,26 +307,13 @@ def olbf_xi(k: int, ts, params: OlbfParams, spec: QuadratureSpec = _DEFAULT_SPEC
         raise ValueError("need len(ts) == k and 1 <= k <= M")
     if np.any(ts < 0) or np.any(ts[1:] > ts[0]) or ts[0] > 1.0:
         raise ValueError("need 0 <= t_i <= t_1 <= 1")
-    M, mp = params.M, params.mp
 
     if k == 1:
         return _z1_pdf(ts[0], params)
 
     if k == 2:
         t1, t2 = ts
-        g = upper_incomplete_gamma
-        total = math.fsum(
-            math.comb(M - 2, i)
-            * (-1) ** i
-            * mp ** i
-            * (1.0 - t2) ** (M - 2 - i)
-            * (
-                g(M - i, mp / (1.0 - t2))
-                - (g(M - i, mp / (1.0 - t1)) if t1 < 1.0 else 0.0)
-            )
-            for i in range(M - 1)
-        )
-        return math.exp(mp) / math.gamma(M - 1) * total
+        return float(_xi2(t2, _point(1.0 - t1, params), _point(1.0 - t2, params), params))
 
     if k == 3:
         t1, t2, t3 = ts
@@ -254,60 +335,6 @@ def olbf_xi(k: int, ts, params: OlbfParams, spec: QuadratureSpec = _DEFAULT_SPEC
             spec,
         )
     raise NotImplementedError("candidacy integrals implemented for k <= 4")
-
-
-def _F_z1(t1: float, params: OlbfParams) -> float:
-    M, mp = params.M, params.mp
-    g = upper_incomplete_gamma
-    total = math.fsum(
-        math.comb(M - 1, i)
-        * (-1) ** i
-        * mp ** i
-        * (g(M - i, mp) - (g(M - i, mp / (1.0 - t1)) if t1 < 1.0 else 0.0))
-        for i in range(M)
-    )
-    return math.exp(mp) / math.gamma(M) * total
-
-
-def _F_z2(t1: float, t2: float, params: OlbfParams) -> float:
-    M, mp = params.M, params.mp
-    g = upper_incomplete_gamma
-    terms = []
-    for i in range(M - 1):
-        c = math.comb(M - 2, i) * (-1) ** i * mp ** i
-        a = -(g(M - i, mp / (1.0 - t1)) if t1 < 1.0 else 0.0) * (
-            1.0 - (1.0 - t2) ** (M - i - 1)
-        ) / (M - i - 1)
-        inner = math.fsum(
-            (g(i + j + 1 - M, mp) - g(i + j + 1 - M, mp / (1.0 - t2)))
-            / math.gamma(j + 1)
-            for j in range(M - i)
-        )
-        b = math.gamma(M - i) * mp ** (M - i - 1) * inner
-        terms.append(c * (a + b))
-    return math.exp(mp) / math.gamma(M - 1) * math.fsum(terms)
-
-
-def _F_z3_head(t1: float, t2: float, t3: float, params: OlbfParams) -> float:
-    """Closed form of the z-CDF at order 3 on the branch t1 >= t2 + t3."""
-    M, mp = params.M, params.mp
-    g = upper_incomplete_gamma
-    gM_t1 = [g(M - i, mp / (1.0 - t1)) if t1 < 1.0 else 0.0 for i in range(M)]
-    terms = []
-    for i in range(M):
-        c = math.comb(M - 1, i) * (-1) ** i * mp ** i
-        p2 = (1.0 - t2) ** (M - i - 1)
-        p3 = (1.0 - t3) ** (M - i - 1)
-        p23 = (1.0 - t2 - t3) ** (M - i - 1)
-        block = (
-            g(M - i, mp)
-            - p2 * g(M - i, mp / (1.0 - t2))
-            - p3 * g(M - i, mp / (1.0 - t3))
-            + (p23 * g(M - i, mp / (1.0 - t2 - t3)) if t2 + t3 < 1.0 else 0.0)
-            - (1.0 - p2 - p3 + p23) * gM_t1[i]
-        )
-        terms.append(c * block)
-    return math.exp(mp) / math.gamma(M) * math.fsum(terms)
 
 
 def _cross_section(z1: float, tails, params: OlbfParams) -> float:
@@ -404,16 +431,20 @@ def olbf_cdf_z(
     tails = [float(t) for t in ts[1:]]
 
     if n == 1:
-        return _F_z1(t1, params)
+        return float(_F_z1(t1, params))
     if n == 2:
         # z_2 <= z_1 always holds, so the CDF has a single analytic piece
         if method == "recursive":
             return _cdf_head_recursive(t1, tails, params, spec)
-        return _F_z2(t1, tails[0], params)
+        t2 = tails[0]
+        return float(_F_z2(t2, _point(1.0 - t1, params), _point(1.0 - t2, params), params))
 
     if t1 >= math.fsum(tails):
         if method == "closed" and n == 3:
-            return _F_z3_head(t1, tails[0], tails[1], params)
+            t2, t3 = tails
+            o23 = 1.0 - t2 - t3
+            g1, g2, g3, g23 = (_point(om, params) for om in (1.0 - t1, 1.0 - t2, 1.0 - t3, o23))
+            return float(_F_z3_head(t2, t3, o23, g1, g2, g3, g23, params))
         return _cdf_head_recursive(t1, tails, params, spec)
     # complementary branch: expand over proper subsets of the tails
     acc = 0.0
@@ -542,98 +573,6 @@ def _z1_pdf_vec(t1: np.ndarray, params: OlbfParams) -> np.ndarray:
     return np.exp(-mp * t1 / om) * mp ** M / om ** (M + 1) * t1 ** (M - 1) / math.gamma(M)
 
 
-def _gamma_ratio_arg(om: np.ndarray, params: OlbfParams) -> np.ndarray:
-    """mp / (1 - t) with the singular endpoint mapped to a huge argument."""
-    return params.mp / np.maximum(om, 1e-300)
-
-
-def _ladder(om: np.ndarray, params: OlbfParams, lowest: int = 1) -> GammaLadder:
-    """Gamma(s, mp/(1 - t)) for s >= lowest, given om = 1 - t."""
-    return GammaLadder(_gamma_ratio_arg(om, params), lowest)
-
-
-# The closed forms below take ladders g1 at mp/(1 - t1), g2 at mp/(1 - t2),
-# g3 at mp/(1 - t3) and gx3 at mp/(1 - x - t3), so a grid builds each
-# distinct argument tensor once and shares it across every order and form.
-
-
-def _xi2_vec(t2, g1: GammaLadder, g2: GammaLadder, params: OlbfParams) -> np.ndarray:
-    M, mp = params.M, params.mp
-    total = 0.0
-    for i in range(M - 1):
-        total = total + (
-            math.comb(M - 2, i)
-            * (-1) ** i
-            * mp ** i
-            * (1.0 - t2) ** (M - 2 - i)
-            * (g2(M - i) - g1(M - i))
-        )
-    return math.exp(mp) / math.gamma(M - 1) * total
-
-
-def _eta_vec(oxt3, t3, g1: GammaLadder, g3: GammaLadder, gx3: GammaLadder,
-             params: OlbfParams) -> np.ndarray:
-    """olbf_eta(x, t1, t3) given oxt3 = 1 - x - t3; g3, gx3 need orders >= 2 - M."""
-    M, mp = params.M, params.mp
-    total = 0.0
-    for i in range(M - 2):
-        c = math.comb(M - 3, i) * (-1) ** i * mp ** i
-        a = -g1(M - i) * (
-            (1.0 - t3) ** (M - i - 2) - np.maximum(oxt3, 0.0) ** (M - i - 2)
-        ) / (M - i - 2)
-        inner = 0.0
-        for j in range(M - i):
-            inner = inner + (g3(i + j + 2 - M) - gx3(i + j + 2 - M)) / math.gamma(j + 1)
-        total = total + c * (a + math.gamma(M - i) * mp ** (M - i - 2) * inner)
-    return math.exp(mp) / math.gamma(M - 2) * total
-
-
-def _F_z1_vec(g1: GammaLadder, params: OlbfParams) -> np.ndarray:
-    M, mp = params.M, params.mp
-    gs = upper_incomplete_gamma
-    total = 0.0
-    for i in range(M):
-        total = total + math.comb(M - 1, i) * (-1) ** i * mp ** i * (gs(M - i, mp) - g1(M - i))
-    return math.exp(mp) / math.gamma(M) * total
-
-
-def _F_z2_vec(t2, g1: GammaLadder, g2: GammaLadder, params: OlbfParams) -> np.ndarray:
-    """_F_z2(t1, t2); g2 needs orders >= 1 - M."""
-    M, mp = params.M, params.mp
-    gs = upper_incomplete_gamma
-    total = 0.0
-    for i in range(M - 1):
-        c = math.comb(M - 2, i) * (-1) ** i * mp ** i
-        a = -g1(M - i) * (1.0 - (1.0 - t2) ** (M - i - 1)) / (M - i - 1)
-        inner = 0.0
-        for j in range(M - i):
-            inner = inner + (gs(i + j + 1 - M, mp) - g2(i + j + 1 - M)) / math.gamma(j + 1)
-        total = total + c * (a + math.gamma(M - i) * mp ** (M - i - 1) * inner)
-    return math.exp(mp) / math.gamma(M - 1) * total
-
-
-def _F_z3_head_vec(t2, t3, o23, g1: GammaLadder, g2: GammaLadder, g3: GammaLadder,
-                   g23: GammaLadder, params: OlbfParams) -> np.ndarray:
-    """_F_z3_head(t1, t2, t3) given o23 = 1 - t2 - t3 and g23 at mp/o23."""
-    M, mp = params.M, params.mp
-    gs = upper_incomplete_gamma
-    total = 0.0
-    for i in range(M):
-        c = math.comb(M - 1, i) * (-1) ** i * mp ** i
-        p2 = (1.0 - t2) ** (M - i - 1)
-        p3 = (1.0 - t3) ** (M - i - 1)
-        p23 = np.maximum(o23, 0.0) ** (M - i - 1)
-        block = (
-            gs(M - i, mp)
-            - p2 * g2(M - i)
-            - p3 * g3(M - i)
-            + p23 * g23(M - i)
-            - (1.0 - p2 - p3 + p23) * g1(M - i)
-        )
-        total = total + c * block
-    return math.exp(mp) / math.gamma(M) * total
-
-
 def _head_segment(s, t1, g1, gs, base, w, ww, params: OlbfParams) -> np.ndarray:
     """t_2-integral over [0, t_1 - s], the branch t_1 >= t_2 + s."""
     M, K = params.M, params.K
@@ -641,8 +580,8 @@ def _head_segment(s, t1, g1, gs, base, w, ww, params: OlbfParams) -> np.ndarray:
     o23 = 1.0 - t2 - s
     g2 = _ladder(1.0 - t2, params)
     g23 = _ladder(o23, params, 2 - M)
-    F = np.clip(_F_z3_head_vec(t2, s, o23, g1, g2, gs, g23, params), 0.0, None)
-    f = F ** (K - 3) * base * _xi2_vec(t2, g1, g2, params) * _eta_vec(
+    F = np.clip(_F_z3_head(t2, s, o23, g1, g2, gs, g23, params), 0.0, None)
+    f = F ** (K - 3) * base * _xi2(t2, g1, g2, params) * _eta(
         o23, s, g1, gs, g23, params
     )
     return np.sum(f * (t1 - s) * ww, axis=2, keepdims=True)
@@ -654,12 +593,12 @@ def _split_segment(s, t1, g1, gs, base, w, ww, params: OlbfParams) -> np.ndarray
     t2 = (t1 - s) + s * w
     g2 = _ladder(1.0 - t2, params, 1 - M)
     F = np.clip(
-        _F_z2_vec(t2, g1, g2, params) + _F_z2_vec(s, g1, gs, params) - _F_z1_vec(g1, params),
+        _F_z2(t2, g1, g2, params) + _F_z2(s, g1, gs, params) - _F_z1(t1, params),
         0.0,
         None,
     )
     # eta at x = t_1 - s, where 1 - x - s = 1 - t_1
-    f = F ** (K - 3) * base * _xi2_vec(t2, g1, g2, params) * _eta_vec(
+    f = F ** (K - 3) * base * _xi2(t2, g1, g2, params) * _eta(
         1.0 - t1, s, g1, gs, g1, params
     )
     return np.sum(f * s * ww, axis=2, keepdims=True)
@@ -681,7 +620,7 @@ def olbf_marginal_pdf_t_grid(
         raise ValueError("grid points must lie in [0, 1]")
     M, K = params.M, params.K
     if n == 1:
-        F = np.clip(_F_z1_vec(_ladder(1.0 - ss, params), params), 0.0, None)
+        F = _F_z1(ss, params)
         return K * F ** (K - 1) * _z1_pdf_vec(ss, params)
     u, wu = gauss_legendre_nodes(nodes, 0.0, 1.0)
     if n == 2:
@@ -690,12 +629,12 @@ def olbf_marginal_pdf_t_grid(
         jac = (1.0 - s) * wu[None, :]
         g1 = _ladder(1.0 - t1, params)
         gs = _ladder(1.0 - s, params, 1 - M)
-        F = np.clip(_F_z2_vec(s, g1, gs, params), 0.0, None)
+        F = np.clip(_F_z2(s, g1, gs, params), 0.0, None)
         f = (
             math.perm(K, 2)
             * F ** (K - 2)
             * _z1_pdf_vec(t1, params)
-            * _xi2_vec(s, g1, gs, params)
+            * _xi2(s, g1, gs, params)
         )
         return np.sum(f * jac, axis=1)
     if n != 3:

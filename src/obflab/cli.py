@@ -22,8 +22,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +36,7 @@ from .montecarlo import (
     SCHEMES,
     ExperimentConfig,
     ExperimentReport,
+    _build_report,
     attach_analysis,
     run_experiment,
 )
@@ -56,18 +56,13 @@ class RunManifest:
     """Provenance record embedded in every artifact.
 
     ``content_hash`` is a SHA-256 over the canonical JSON of the config
-    echo, so identical inputs hash identically on any platform.  The
-    timestamp is carried on the object for logging but excluded from the
-    serialised form so artifacts stay reproducible byte for byte.
+    echo, so identical inputs hash identically on any platform.
     """
 
     command: str
     config: dict
     seed: int
     version: str = ""
-    timestamp: str = field(
-        default_factory=lambda: datetime.now(timezone.utc).isoformat()
-    )
 
     @property
     def content_hash(self) -> str:
@@ -132,23 +127,7 @@ def read_report_csv(path: Path) -> tuple[dict, ExperimentReport]:
         seed=manifest["seed"],
         force_r=cfg.get("force_r"),
     )
-    from .montecarlo import EmpiricalDistribution
-
-    mean = math.fsum(rates) / trials
-    var = (
-        math.fsum((x - mean) ** 2 for x in rates) / (trials - 1) if trials > 1 else 0.0
-    )
-    report = ExperimentReport(
-        config=config,
-        users=users,
-        sinrs=sinrs,
-        sum_rates=rates,
-        per_user=tuple(EmpiricalDistribution(np.sort(sinrs[:, j])) for j in range(r)),
-        mean_sum_rate=mean,
-        stderr_sum_rate=math.sqrt(var / trials),
-        runtime_seconds=0.0,
-    )
-    return manifest, report
+    return manifest, _build_report(config, users, sinrs, rates)
 
 
 def _write_summary(report: ExperimentReport, path: Path, manifest: RunManifest,

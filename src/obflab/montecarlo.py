@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from scipy import special
 
 from . import batch as _batch
 from . import schedulers as _sched
@@ -205,6 +206,14 @@ def run_experiment(config: ExperimentConfig, threads: Optional[int] = None) -> E
         c, i = divmod(t, CHUNK)
         _audit_trial(config, results[c][0][i], users[t], sinrs[t])
 
+    report = _build_report(config, users, sinrs, rates)
+    report.runtime_seconds = time.perf_counter() - t0
+    return report
+
+
+def _build_report(config: ExperimentConfig, users: np.ndarray, sinrs: np.ndarray,
+                  rates: np.ndarray) -> ExperimentReport:
+    """Report with the sum-rate mean, its standard error and the per-rank samples."""
     mean = math.fsum(rates) / rates.size
     if rates.size > 1:
         var = math.fsum((x - mean) ** 2 for x in rates) / (rates.size - 1)
@@ -220,7 +229,7 @@ def run_experiment(config: ExperimentConfig, threads: Optional[int] = None) -> E
         per_user=per_user,
         mean_sum_rate=mean,
         stderr_sum_rate=stderr,
-        runtime_seconds=time.perf_counter() - t0,
+        runtime_seconds=0.0,
     )
 
 
@@ -248,13 +257,15 @@ def mean_sum_rate_mc(config: ExperimentConfig, threads: Optional[int] = None) ->
 
 
 def _max_norm_cdf(M: int, K: int, noise: float) -> Callable:
-    """Exact CDF of the first scheduled SINR (scaled maximum of K norms)."""
-    from .numerics import upper_incomplete_gamma_array
+    """Exact CDF of the first scheduled SINR (scaled maximum of K norms).
+
+    One user's norm stays below y with probability P(M, noise * y), the
+    regularised lower incomplete gamma.
+    """
 
     def cdf(y):
         y = np.maximum(np.asarray(y, dtype=float), 0.0)
-        base = 1.0 - upper_incomplete_gamma_array(M, noise * np.maximum(y, 1e-300)) / math.gamma(M)
-        return base ** K
+        return special.gammainc(M, noise * y) ** K
 
     return cdf
 
