@@ -91,6 +91,11 @@ class OlbfParams:
             raise ValueError("P must be positive")
 
     @property
+    def r(self) -> int:
+        """Beams served: OLBF always uses all M."""
+        return self.M
+
+    @property
     def mp(self) -> float:
         """Inverse per-beam SNR M/P."""
         return self.M / self.P
@@ -568,8 +573,9 @@ def olbf_marginal_pdf_t(
 
 
 def _z1_pdf_vec(t1: np.ndarray, params: OlbfParams) -> np.ndarray:
+    """``_z1_pdf`` on arrays; 1 - t_1 is taken as inf at t_1 = 1, giving the limit 0."""
     M, mp = params.M, params.mp
-    om = 1.0 - t1
+    om = np.where(t1 < 1.0, 1.0 - t1, np.inf)
     return np.exp(-mp * t1 / om) * mp ** M / om ** (M + 1) * t1 ** (M - 1) / math.gamma(M)
 
 

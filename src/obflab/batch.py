@@ -4,6 +4,8 @@ Each kernel processes a whole batch of channel draws (B, K, M) at once
 and reproduces, trial for trial, what the single-channel schedulers in
 ``schedulers`` compute.  The greedy loops run over scheduling steps
 (at most M of them); everything across trials and users is numpy.
+Every kernel returns (users, sinrs, rates) of shapes (B, r), (B, r) and
+(B,), rates in nats; random selection records no users (all 0).
 """
 
 from __future__ import annotations
@@ -183,7 +185,11 @@ def _random_distinct(rng: np.random.Generator, B: int, K: int, count: int) -> np
     return np.argsort(u, axis=1)[:, :count]
 
 
-def batch_random_obf(H: np.ndarray, P: float, r: int, rng: np.random.Generator) -> np.ndarray:
+def _unindexed(vs: np.ndarray):
+    return np.zeros(vs.shape, dtype=np.int64), vs, np.sum(np.log1p(vs), axis=1)
+
+
+def batch_random_obf(H: np.ndarray, P: float, r: int, rng: np.random.Generator):
     """Unordered candidacy SINR vectors (B, r) under random OBF selection."""
     B, K, M = H.shape
     picks = _random_distinct(rng, B, K, r)
@@ -208,10 +214,10 @@ def batch_random_obf(H: np.ndarray, P: float, r: int, rng: np.random.Generator) 
         interf = interf + comp[:, n - 2]
         p2 = np.clip(1.0 - interf, 0.0, 1.0)
         vs[:, n - 1] = g * p2 / (g * (1.0 - p2) + noise)
-    return vs
+    return _unindexed(vs)
 
 
-def batch_random_olbf(H: np.ndarray, P: float, rng: np.random.Generator) -> np.ndarray:
+def batch_random_olbf(H: np.ndarray, P: float, rng: np.random.Generator):
     """Unordered candidacy SINR vectors (B, M) under random OLBF selection."""
     B, K, M = H.shape
     picks = _random_distinct(rng, B, K, 2)
@@ -226,4 +232,4 @@ def batch_random_olbf(H: np.ndarray, P: float, rng: np.random.Generator) -> np.n
     vs = np.empty((B, M))
     vs[:, 0] = g * P / M
     vs[:, 1:] = g[:, None] * q2 / (g[:, None] * (1.0 - q2) + noise)
-    return vs
+    return _unindexed(vs)

@@ -28,11 +28,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analytic_obf import ObfParams, obf_marginal_pdf_grid, obf_mean_sum_rate
-from .analytic_olbf import OlbfParams, olbf_marginal_pdf_sinr_grid, olbf_mean_sum_rate
 from .channel import SystemParams
-from .grids import obf_sinr_grid, olbf_sinr_grid
 from .montecarlo import (
+    MAX_ANALYTIC_RANK,
+    SCHEME_TABLE,
     SCHEMES,
     ExperimentConfig,
     ExperimentReport,
@@ -49,6 +48,10 @@ __all__ = [
 ]
 
 LN2 = math.log(2.0)
+
+ANALYTIC_SCHEMES = {"obf": "adaptive-obf", "olbf": "olbf"}  # `analytic --scheme` names
+FIG4_SCHEMES = ("adaptive-obf", "olbf", "zfs")
+FIG5_SCHEMES = ("zfdp", "adaptive-obf", "olbf")
 
 
 @dataclass(frozen=True)
@@ -169,9 +172,9 @@ def _config_echo(args, p_linear: float, r: int) -> dict:
         "snr_db": args.snr_db,
         "p_linear": p_linear,
         "r": r,
-        "force_r": getattr(args, "force_r", None),
-        "trials": getattr(args, "trials", None),
-        "bits": bool(getattr(args, "bits", False)),
+        "force_r": args.force_r,
+        "trials": args.trials,
+        "bits": args.bits,
     }
 
 
@@ -218,17 +221,14 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 def cmd_analytic(args) -> int:
     p_linear = 10.0 ** (args.snr_db / 10.0)
+    analytic = SCHEME_TABLE[ANALYTIC_SCHEMES[args.scheme]].analytic
     try:
-        if args.scheme == "obf":
-            r = args.r if args.r is not None else args.m
-            params = ObfParams(M=args.m, K=args.k, P=p_linear, r=r)
-        else:
-            params = OlbfParams(M=args.m, K=args.k, P=p_linear)
+        params = analytic.params(args.m, args.k, p_linear, args.m if args.r is None else args.r)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.sum_rate:
-        rate = obf_mean_sum_rate(params) if args.scheme == "obf" else olbf_mean_sum_rate(params)
+        rate = analytic.mean_sum_rate(params)
         if args.bits:
             rate /= LN2
         print(repr(rate))
@@ -237,11 +237,10 @@ def cmd_analytic(args) -> int:
     if rank is None:
         print("error: --user-rank is required unless --sum-rate is given", file=sys.stderr)
         return 2
-    limit = params.r if args.scheme == "obf" else params.M
-    if not 1 <= rank <= limit:
-        print(f"error: user rank must lie in 1..{limit}", file=sys.stderr)
+    if not 1 <= rank <= params.r:
+        print(f"error: user rank must lie in 1..{params.r}", file=sys.stderr)
         return 2
-    if rank > 3:
+    if rank > MAX_ANALYTIC_RANK:
         print(
             "numeric fallback: closed-form marginals cover user ranks 1-3 only; "
             "higher ranks are not tabulated by this command",
@@ -253,13 +252,8 @@ def cmd_analytic(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.scheme == "obf":
-        pdf = obf_marginal_pdf_grid(rank, grid, params)
-        dist = obf_sinr_grid(rank, params)
-    else:
-        pdf = olbf_marginal_pdf_sinr_grid(rank, grid, params)
-        dist = olbf_sinr_grid(rank, params)
-    cdf = dist.cdf_at(grid)
+    pdf = analytic.pdf(rank, grid, params)
+    cdf = analytic.grid(rank, params).cdf_at(grid)
     manifest = RunManifest(
         command="analytic",
         config={
@@ -268,7 +262,7 @@ def cmd_analytic(args) -> int:
             "k": args.k,
             "snr_db": args.snr_db,
             "p_linear": p_linear,
-            "r": getattr(params, "r", params.M),
+            "r": params.r,
             "user_rank": rank,
             "grid": args.grid,
         },
@@ -283,25 +277,22 @@ def cmd_analytic(args) -> int:
     return 0
 
 
-def _sum_rate_row(scheme, M, K, P, r, trials, seed, threads):
+def _run_fixed_r(scheme, M, K, P, r, trials, seed, threads) -> ExperimentReport:
+    """Run with r SINRs per trial, r forced where the scheme takes force_r."""
     config = ExperimentConfig(
         params=SystemParams(M=M, K=K, P=P, r=r), scheme=scheme, trials=trials,
-        seed=seed, force_r=r if scheme == "adaptive-obf" else None,
+        seed=seed, force_r=r if SCHEME_TABLE[scheme].forceable else None,
     )
-    report = run_experiment(config, threads=threads)
-    return report.mean_sum_rate, report.stderr_sum_rate
+    return run_experiment(config, threads=threads)
 
 
 def _figure_overlay(scheme: str, out_dir: Path, trials: int, seed: int, threads) -> None:
     """fig1 / fig3 data: per-rank histogram plus analytic pdf, M in {2, 3}."""
     P = 10.0 ** 1.5
     K = 10
+    analytic = SCHEME_TABLE[scheme].analytic
     for M in (2, 3):
-        config = ExperimentConfig(
-            params=SystemParams(M=M, K=K, P=P, r=M), scheme=scheme, trials=trials,
-            seed=seed, force_r=M if scheme == "adaptive-obf" else None,
-        )
-        report = run_experiment(config, threads=threads)
+        report = _run_fixed_r(scheme, M, K, P, M, trials, seed, threads)
         manifest = RunManifest(
             command="figure", config={"scheme": scheme, "m": M, "k": K,
                                       "snr_db": 15.0, "trials": trials},
@@ -309,10 +300,7 @@ def _figure_overlay(scheme: str, out_dir: Path, trials: int, seed: int, threads)
         )
         hist_lines = [_manifest_line(manifest), "user_rank,bin_left,bin_right,density"]
         pdf_lines = [_manifest_line(manifest), "user_rank,y,pdf"]
-        if scheme == "adaptive-obf":
-            params = ObfParams(M=M, K=K, P=P, r=M)
-        else:
-            params = OlbfParams(M=M, K=K, P=P)
+        params = analytic.params(M, K, P, M)
         for rank in range(1, M + 1):
             samples = report.sinrs[:, rank - 1]
             density, edges = np.histogram(samples, bins=100, density=True)
@@ -321,10 +309,7 @@ def _figure_overlay(scheme: str, out_dir: Path, trials: int, seed: int, threads)
                 for i in range(density.size)
             ]
             ys = np.linspace(0.0, float(edges[-1]), 200)
-            if scheme == "adaptive-obf":
-                pdf = obf_marginal_pdf_grid(rank, ys, params)
-            else:
-                pdf = olbf_marginal_pdf_sinr_grid(rank, ys, params)
+            pdf = analytic.pdf(rank, ys, params)
             pdf_lines += [f"{rank},{y!r},{v!r}" for y, v in zip(ys.tolist(), pdf.tolist())]
         (out_dir / f"hist_m{M}.csv").write_text("\n".join(hist_lines) + "\n", "utf-8")
         (out_dir / f"analytic_m{M}.csv").write_text("\n".join(pdf_lines) + "\n", "utf-8")
@@ -343,8 +328,9 @@ def _figure_rate_vs_power(out_dir: Path, trials: int, seed: int, threads) -> Non
     for M in (2, 4):
         for p_db in range(-10, 22, 2):
             P = 10.0 ** (p_db / 10.0)
-            for scheme in ("adaptive-obf", "olbf", "zfs"):
-                mean, err = _sum_rate_row(scheme, M, M, P, M, trials, seed, threads)
+            for scheme in FIG4_SCHEMES:
+                rep = _run_fixed_r(scheme, M, M, P, M, trials, seed, threads)
+                mean, err = rep.mean_sum_rate, rep.stderr_sum_rate
                 lines.append(
                     f"{p_db},{M},{scheme},{mean!r},{mean / LN2!r},{err!r}"
                 )
@@ -366,19 +352,14 @@ def _figure_rate_vs_users(out_dir: Path, trials: int, seed: int, threads) -> Non
         P = 10.0 ** (p_db / 10.0)
         for K in range(3, 21):
             means = {}
-            for scheme in ("zfdp", "adaptive-obf", "olbf"):
-                mean, err = _sum_rate_row(scheme, 3, K, P, 3, trials, seed, threads)
+            for scheme in FIG5_SCHEMES:
+                rep = _run_fixed_r(scheme, 3, K, P, 3, trials, seed, threads)
+                mean, err = rep.mean_sum_rate, rep.stderr_sum_rate
                 means[scheme] = mean
-                if scheme == "adaptive-obf":
-                    analytic = obf_mean_sum_rate(ObfParams(M=3, K=K, P=P, r=3))
-                elif scheme == "olbf":
-                    analytic = olbf_mean_sum_rate(OlbfParams(M=3, K=K, P=P))
-                else:
-                    analytic = None
-                lines.append(
-                    f"{K},{p_db},{scheme},{mean!r},{mean / LN2!r},{err!r},"
-                    + ("" if analytic is None else repr(analytic))
-                )
+                analytic = SCHEME_TABLE[scheme].analytic
+                rate = "" if analytic is None else repr(
+                    analytic.mean_sum_rate(analytic.params(3, K, P, 3)))
+                lines.append(f"{K},{p_db},{scheme},{mean!r},{mean / LN2!r},{err!r},{rate}")
             ratio_rows[(K, p_db)] = (
                 means["adaptive-obf"] / means["zfdp"],
                 means["olbf"] / means["zfdp"],
@@ -428,7 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=cmd_sim)
 
     ana = sub.add_parser("analytic", help="tabulate analytic marginal pdf/cdf")
-    ana.add_argument("--scheme", required=True, choices=("obf", "olbf"))
+    ana.add_argument("--scheme", required=True, choices=tuple(ANALYTIC_SCHEMES))
     ana.add_argument("--m", required=True, type=int)
     ana.add_argument("--k", required=True, type=int)
     ana.add_argument("--snr-db", required=True, type=float)

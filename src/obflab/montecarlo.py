@@ -10,6 +10,9 @@ A small fraction of trials (1 in 1000) is re-run through the scalar
 schedulers as a structural audit: scheduled sets must match the batch
 kernels, beamforming matrices must be orthonormal where the scheme
 guarantees it, and SINR/region invariants must hold.
+
+What the harness knows of each scheme sits in one ``Scheme`` record of
+``SCHEME_TABLE``; the code below reads the record, never the scheme name.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Optional
 
 import numpy as np
@@ -27,12 +31,15 @@ from scipy import special
 from . import batch as _batch
 from . import schedulers as _sched
 from .channel import BeamformerMatrix, ChannelSet, SystemParams, draw_channel_batch, substream
-from .grids import DistributionGrid, obf_sinr_grid, olbf_sinr_grid
-from .analytic_obf import ObfParams, obf_mean_sum_rate
-from .analytic_olbf import OlbfParams, olbf_mean_sum_rate
+from .grids import obf_sinr_grid, olbf_sinr_grid
+from .analytic_obf import ObfParams, obf_marginal_pdf_grid, obf_mean_sum_rate
+from .analytic_olbf import OlbfParams, olbf_marginal_pdf_sinr_grid, olbf_mean_sum_rate
 
 __all__ = [
     "SCHEMES",
+    "SCHEME_TABLE",
+    "Scheme",
+    "Analytic",
     "ExperimentConfig",
     "EmpiricalDistribution",
     "ExperimentReport",
@@ -42,11 +49,92 @@ __all__ = [
     "attach_analysis",
 ]
 
-SCHEMES = ("adaptive-obf", "olbf", "zfs", "zfdp", "random-obf", "random-olbf")
-
 CHUNK = 4096  # trials per RNG substream; fixed so worker count cannot matter
 
 _AUDIT_STRIDE = 1000
+
+MAX_ANALYTIC_RANK = 3  # the closed-form marginals cover ranks 1-3
+
+
+@dataclass(frozen=True)
+class Analytic:
+    """A scheme's closed forms; the members take what ``params`` builds."""
+
+    params: Callable         # (M, K, P, r) -> ObfParams or OlbfParams
+    noise: Callable          # params -> noise scale of the rank-1 (max-norm) CDF
+    grid: Callable           # (n, params[, points]) -> n-th SINR DistributionGrid
+    pdf: Callable            # (n, ys, params) -> n-th marginal pdf at the SINRs ys
+    mean_sum_rate: Callable  # params -> mean sum rate in nats
+
+
+@dataclass(frozen=True)
+class Scheme:
+    """One scheme's samples per trial, batch kernel, scalar audit and analysis.
+
+    The callables look kernels, schedulers and closed forms up by module
+    attribute when called, so a rebound name (a tracer, a test double) runs.
+    """
+
+    samples: Callable                    # ExperimentConfig -> SINRs per trial
+    kernel: Callable                     # (H, P, r, rng) -> (users, sinrs, rates)
+    oracle: Optional[Callable] = None    # (ChannelSet, P, r) -> scalar ScheduleOutcome
+    orthonormal: bool = False            # the oracle's W has orthonormal columns
+    check: Optional[Callable] = None     # sinrs -> None, the audit where no oracle exists
+    analytic: Optional[Analytic] = None  # None: no closed forms
+    forceable: bool = False              # takes ExperimentConfig.force_r
+
+
+# random selection has no scalar counterpart tied to the same RNG draws;
+# its audit checks structural invariants of the batch output only
+def _check_nonnegative(sinrs) -> None:
+    if np.any(np.asarray(sinrs) < 0):
+        raise AssertionError("negative SINR sample")
+
+
+def _check_olbf_region(sinrs) -> None:
+    _check_nonnegative(sinrs)
+    z = sinrs / (1.0 + sinrs)
+    if z[1:].sum() > z[0] + 1e-9:
+        raise AssertionError("transformed samples left their region")
+
+
+_OBF = Analytic(
+    params=lambda M, K, P, r: ObfParams(M=M, K=K, P=P, r=r),
+    noise=lambda ap: ap.rp,
+    grid=lambda *args: obf_sinr_grid(*args),
+    pdf=lambda *args: obf_marginal_pdf_grid(*args),
+    mean_sum_rate=lambda ap: obf_mean_sum_rate(ap),
+)
+_OLBF = Analytic(
+    params=lambda M, K, P, r: OlbfParams(M=M, K=K, P=P),
+    noise=lambda ap: ap.mp,
+    grid=lambda *args: olbf_sinr_grid(*args),
+    pdf=lambda *args: olbf_marginal_pdf_sinr_grid(*args),
+    mean_sum_rate=lambda ap: olbf_mean_sum_rate(ap),
+)
+
+_R_SAMPLES, _M_SAMPLES = attrgetter("params.r"), attrgetter("params.M")
+
+SCHEME_TABLE = {
+    "adaptive-obf": Scheme(
+        lambda c: c.params.r if c.force_r is None else c.force_r,
+        lambda H, P, r, rng: _batch.batch_adaptive_obf(H, P, r),
+        oracle=lambda ch, P, r: _sched.adaptive_obf(ch, P, force_r=r),
+        orthonormal=True, analytic=_OBF, forceable=True,
+    ),
+    "olbf": Scheme(_M_SAMPLES, lambda H, P, r, rng: _batch.batch_olbf(H, P),
+                   oracle=lambda ch, P, r: _sched.olbf(ch, P), orthonormal=True, analytic=_OLBF),
+    "zfs": Scheme(_R_SAMPLES, lambda H, P, r, rng: _batch.batch_zfs(H, P, r),
+                  oracle=lambda ch, P, r: _sched.zfs_schedule(ch, P, r)),
+    "zfdp": Scheme(_R_SAMPLES, lambda H, P, r, rng: _batch.batch_zfdp(H, P, r),
+                   oracle=lambda ch, P, r: _sched.greedy_zfdp_schedule(ch, P, r)),
+    "random-obf": Scheme(_R_SAMPLES, lambda H, P, r, rng: _batch.batch_random_obf(H, P, r, rng),
+                         check=_check_nonnegative),
+    "random-olbf": Scheme(_M_SAMPLES, lambda H, P, r, rng: _batch.batch_random_olbf(H, P, rng),
+                          check=_check_olbf_region),
+}
+
+SCHEMES = tuple(SCHEME_TABLE)
 
 
 @dataclass(frozen=True)
@@ -58,23 +146,21 @@ class ExperimentConfig:
     force_r: Optional[int] = None
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
+        if self.scheme not in SCHEME_TABLE:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.scheme in ("olbf", "random-olbf") and self.params.K < self.params.M:
-            raise ValueError("OLBF needs K >= M")
-        if self.force_r is not None and self.scheme != "adaptive-obf":
+        if self.force_r is not None and not self.spec.forceable:
             raise ValueError("force_r applies to adaptive-obf only")
+
+    @property
+    def spec(self) -> Scheme:
+        return SCHEME_TABLE[self.scheme]
 
     @property
     def effective_r(self) -> int:
         """Number of SINR samples recorded per trial."""
-        if self.scheme in ("olbf", "random-olbf"):
-            return self.params.M
-        if self.scheme == "adaptive-obf":
-            return self.force_r if self.force_r is not None else self.params.r
-        return self.params.r
+        return self.spec.samples(self)
 
 
 @dataclass(frozen=True)
@@ -123,59 +209,24 @@ class ExperimentReport:
 def _run_chunk(config: ExperimentConfig, chunk_index: int, count: int):
     p = config.params
     rng = substream(config.seed, chunk_index)
-    H = draw_channel_batch(p.K, p.M, rng, count)
-    scheme = config.scheme
-    if scheme == "adaptive-obf":
-        r = config.force_r if config.force_r is not None else p.r
-        users, sinrs, rates = _batch.batch_adaptive_obf(H, p.P, r)
-    elif scheme == "olbf":
-        users, sinrs, rates = _batch.batch_olbf(H, p.P)
-    elif scheme == "zfs":
-        users, sinrs, rates = _batch.batch_zfs(H, p.P, p.r)
-    elif scheme == "zfdp":
-        users, sinrs, rates = _batch.batch_zfdp(H, p.P, p.r)
-    elif scheme == "random-obf":
-        sinrs = _batch.batch_random_obf(H, p.P, p.r, rng)
-        users = np.zeros(sinrs.shape, dtype=np.int64)
-        rates = np.sum(np.log1p(sinrs), axis=1)
-    else:  # random-olbf
-        sinrs = _batch.batch_random_olbf(H, p.P, rng)
-        users = np.zeros(sinrs.shape, dtype=np.int64)
-        rates = np.sum(np.log1p(sinrs), axis=1)
-    return H, users, sinrs, rates
+    H = draw_channel_batch(p.K, p.M, rng, count)  # channels first, then any random picks
+    return (H, *config.spec.kernel(H, p.P, config.effective_r, rng))
 
 
 def _audit_trial(config: ExperimentConfig, H_row: np.ndarray, users, sinrs) -> None:
-    """Re-run one trial through the scalar schedulers and verify it."""
-    p = config.params
-    channels = ChannelSet(H=H_row)
-    scheme = config.scheme
-    if scheme == "adaptive-obf":
-        r = config.force_r if config.force_r is not None else p.r
-        out = _sched.adaptive_obf(channels, p.P, force_r=r)
-    elif scheme == "olbf":
-        out = _sched.olbf(channels, p.P)
-    elif scheme == "zfs":
-        out = _sched.zfs_schedule(channels, p.P, p.r)
-    elif scheme == "zfdp":
-        out = _sched.greedy_zfdp_schedule(channels, p.P, p.r)
-    else:
-        # random schemes have no scalar counterpart tied to the same RNG
-        # draws; audit the structural invariants on the batch output only
-        if np.any(np.asarray(sinrs) < 0):
-            raise AssertionError("negative SINR sample")
-        if scheme == "random-olbf":
-            z = sinrs / (1.0 + sinrs)
-            if z[1:].sum() > z[0] + 1e-9:
-                raise AssertionError("transformed samples left their region")
+    """Re-run one trial through the scalar scheduler and verify it."""
+    spec = config.spec
+    if spec.oracle is None:
+        spec.check(sinrs)
         return
+    out = spec.oracle(ChannelSet(H=H_row), config.params.P, config.effective_r)
     if tuple(out.users) != tuple(int(u) for u in users):
         raise AssertionError("batch kernel disagrees with scalar scheduler")
     if not np.allclose(out.sinrs, sinrs, rtol=1e-9, atol=1e-12):
         raise AssertionError("batch SINRs disagree with scalar scheduler")
     if np.any(out.sinrs < 0):
         raise AssertionError("negative SINR")
-    if scheme in ("adaptive-obf", "olbf"):
+    if spec.orthonormal:
         BeamformerMatrix(W=out.W)  # validates orthonormal columns
 
 
@@ -273,31 +324,20 @@ def _max_norm_cdf(M: int, K: int, noise: float) -> Callable:
 def attach_analysis(report: ExperimentReport, points: int = 800) -> ExperimentReport:
     """Fill in per-user KS distances and the analytic mean sum rate.
 
-    Supported for adaptive-obf (fixed r <= 3) and olbf (M <= 3); other
-    schemes are returned unchanged.
+    Supported for the schemes with closed forms, adaptive-obf and olbf, up
+    to ``MAX_ANALYTIC_RANK`` samples per trial; other reports are returned
+    unchanged.
     """
     config = report.config
-    p = config.params
-    scheme = config.scheme
-    if scheme == "adaptive-obf":
-        r = config.force_r if config.force_r is not None else p.r
-        if r > 3:
-            return report
-        ap = ObfParams(M=p.M, K=p.K, P=p.P, r=r)
-        noise = ap.rp
-        cdfs = [_max_norm_cdf(p.M, p.K, noise)]
-        cdfs += [obf_sinr_grid(n, ap, points).cdf_at for n in range(2, r + 1)]
-        analytic = obf_mean_sum_rate(ap)
-    elif scheme == "olbf":
-        if p.M > 3:
-            return report
-        ap = OlbfParams(M=p.M, K=p.K, P=p.P)
-        cdfs = [_max_norm_cdf(p.M, p.K, ap.mp)]
-        cdfs += [olbf_sinr_grid(n, ap, points).cdf_at for n in range(2, p.M + 1)]
-        analytic = olbf_mean_sum_rate(ap)
-    else:
+    analytic = config.spec.analytic
+    r = config.effective_r
+    if analytic is None or r > MAX_ANALYTIC_RANK:
         return report
-    ks = tuple(ks_distance(emp, cdf) for emp, cdf in zip(report.per_user, cdfs))
-    report.ks_per_user = ks
-    report.analytic_mean_sum_rate = analytic
+    p = config.params
+    ap = analytic.params(p.M, p.K, p.P, r)
+    cdfs = [_max_norm_cdf(p.M, p.K, analytic.noise(ap))]
+    cdfs += [analytic.grid(n, ap, points).cdf_at for n in range(2, r + 1)]
+    mean_rate = analytic.mean_sum_rate(ap)
+    report.ks_per_user = tuple(ks_distance(emp, cdf) for emp, cdf in zip(report.per_user, cdfs))
+    report.analytic_mean_sum_rate = mean_rate
     return report

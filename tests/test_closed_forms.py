@@ -80,6 +80,8 @@ def test_olbf_t1_endpoint_is_finite_and_continuous(M):
         lambda t1: olbf.olbf_cdf_z([t1, t2], params),
         lambda t1: olbf.olbf_cdf_z([t1, t2, t3], params),  # head branch
         lambda t1: olbf.olbf_cdf_z([t1, 0.7, 0.6], params),  # complementary branch
+        # the grid marginals at s = t1: every t1 node of ranks 2 and 3 sits at 1
+        *(lambda s, n=n: olbf.olbf_marginal_pdf_t_grid(n, [s], params)[0] for n in (1, 2, 3)),
     ]
     for f in cases:
         at_one = f(1.0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from obflab import batch, montecarlo, schedulers
 from obflab.analytic_obf import ObfParams
 from obflab.channel import SystemParams
 from obflab.montecarlo import (
@@ -152,10 +153,59 @@ def test_attach_analysis_fills_ks_and_mean():
     )
 
 
-def test_attach_analysis_skips_unsupported():
-    config = _config(scheme="zfdp", M=3, K=6, trials=100, seed=2)
+@pytest.mark.parametrize("scheme,M,force_r", [
+    pytest.param("zfs", 3, None, id="zfs"),
+    pytest.param("zfdp", 3, None, id="zfdp"),
+    pytest.param("random-obf", 3, None, id="random-obf"),
+    pytest.param("random-olbf", 3, None, id="random-olbf"),
+    # rank 4 lies beyond the closed forms
+    pytest.param("adaptive-obf", 4, 4, id="adaptive-obf-r4"),
+    pytest.param("olbf", 4, None, id="olbf-m4"),
+])
+def test_attach_analysis_skips_unsupported(scheme, M, force_r):
+    config = _config(scheme=scheme, M=M, K=6, trials=100, seed=2, force_r=force_r)
     report = attach_analysis(run_experiment(config))
     assert report.ks_per_user is None
+    assert report.analytic_mean_sum_rate is None
+
+
+# same-seed mean sum rates at M=3, K=6, P=10 over 2*CHUNK trials: they move only
+# if a kernel, the samples per trial or the RNG draw order changes
+PINNED_RATES = {
+    ("adaptive-obf", None): 5.3070890023352675,
+    ("adaptive-obf", 2): 5.2067608147754765,
+    ("olbf", None): 4.642400640727298,
+    ("zfs", None): 6.002116400705896,
+    ("zfdp", None): 6.862312243505472,
+    ("random-obf", None): 3.696373047863502,
+    ("random-olbf", None): 3.0855021742072215,
+}
+
+
+@pytest.mark.parametrize("scheme,force_r", list(PINNED_RATES))
+def test_same_seed_rates_are_pinned(scheme, force_r):
+    config = _config(scheme=scheme, M=3, K=6, P=10.0, trials=2 * CHUNK, seed=2024,
+                     force_r=force_r)
+    report = run_experiment(config)
+    assert report.mean_sum_rate == pytest.approx(PINNED_RATES[scheme, force_r], rel=1e-9, abs=0)
+    assert report.sinrs.shape[1] == config.effective_r
+
+
+def test_scheme_table_looks_names_up_when_called(monkeypatch):
+    # tracers rebind these module attributes; the table must call the rebound names
+    seen = set()
+
+    def spy(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, **k: seen.add(name) or real(*a, **k))
+
+    for name in ("draw_channel_batch", "obf_sinr_grid", "obf_mean_sum_rate"):
+        spy(montecarlo, name)
+    spy(batch, "batch_adaptive_obf")
+    spy(schedulers, "adaptive_obf")
+    attach_analysis(run_experiment(_config(M=2, K=4, trials=1500, seed=3)))
+    assert seen == {"draw_channel_batch", "obf_sinr_grid", "obf_mean_sum_rate",
+                    "batch_adaptive_obf", "adaptive_obf"}
 
 
 def test_mean_sum_rate_mc_helper():

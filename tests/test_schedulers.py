@@ -13,7 +13,7 @@ from obflab.schedulers import (
     sum_rate,
     zfs_schedule,
 )
-from obflab import batch as _batch
+from obflab.montecarlo import SCHEME_TABLE
 
 
 def _greedy_obf_oracle(H: np.ndarray, P: float, r: int):
@@ -180,23 +180,16 @@ def test_random_selection_olbf_region():
         assert z[1:].sum() <= z[0] + 1e-12
 
 
-@pytest.mark.parametrize("scheme", ["adaptive-obf", "olbf", "zfs", "zfdp"])
+@pytest.mark.parametrize(
+    "scheme", [name for name, spec in SCHEME_TABLE.items() if spec.oracle is not None]
+)
 def test_batch_kernels_match_scalar(scheme):
-    P = 10.0
+    P, r = 10.0, 3
+    spec = SCHEME_TABLE[scheme]
     H = draw_channel_batch(6, 3, substream(11, 0), count=200)
-    if scheme == "adaptive-obf":
-        users, sinrs, rates = _batch.batch_adaptive_obf(H, P, 3)
-        scalar = [adaptive_obf(ChannelSet(H=H[i]), P, force_r=3) for i in range(200)]
-    elif scheme == "olbf":
-        users, sinrs, rates = _batch.batch_olbf(H, P)
-        scalar = [olbf(ChannelSet(H=H[i]), P) for i in range(200)]
-    elif scheme == "zfs":
-        users, sinrs, rates = _batch.batch_zfs(H, P, 3)
-        scalar = [zfs_schedule(ChannelSet(H=H[i]), P, 3) for i in range(200)]
-    else:
-        users, sinrs, rates = _batch.batch_zfdp(H, P, 3)
-        scalar = [greedy_zfdp_schedule(ChannelSet(H=H[i]), P, 3) for i in range(200)]
-    for i, out in enumerate(scalar):
+    users, sinrs, rates = spec.kernel(H, P, r, None)  # no random picks with an oracle
+    for i in range(200):
+        out = spec.oracle(ChannelSet(H=H[i]), P, r)
         assert tuple(users[i]) == out.users
         assert np.allclose(sinrs[i], out.sinrs, rtol=1e-9, atol=1e-12)
         assert rates[i] == pytest.approx(out.sum_rate, rel=1e-9)
