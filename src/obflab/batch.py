@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import null_space_basis_batch
+from .schedulers import ZF_RANK_TOL
 
 __all__ = [
     "batch_adaptive_obf",
@@ -138,39 +139,58 @@ def batch_zfdp(H: np.ndarray, P: float, r: int):
 
 
 def batch_zfs(H: np.ndarray, P: float, r: int):
-    """Zero-forcing with greedy selection over a batch.
+    """Zero-forcing with greedy selection over a batch, by incremental projection.
 
-    Candidate evaluation inverts the (n x n) Gram matrix of the grown
-    user set for every candidate; with r <= M <= a handful this is a
-    batched small-matrix inverse.
+    Per trial it keeps each user's residual row ``E_k`` (its channel minus
+    the projection onto the scheduled rows), its coefficients ``C_k`` on the
+    scheduled rows and the inverse-Gram diagonal ``d`` of the scheduled set.
+    Adding candidate u with ``e_u^2 = ||E_u||^2`` gives it the ZF gain
+    ``e_u^2`` and moves each scheduled ``d_i`` to ``d_i + |C_ui|^2 / e_u^2``
+    (the Schur complement of the grown Gram matrix), so a step costs
+    O(B K n M) with no inversion.  The winner's unit residual ``q`` then
+    updates ``E``, ``C`` and ``d``.  The rank rule is the scalar
+    scheduler's: a candidate needs ``e_u^2 > ZF_RANK_TOL * ||h_u||^2``.
+    The final SINRs come from one (r x r) Gram inverse per trial.
     """
     B, K, M = H.shape
     if not (1 <= r <= min(K, M)):
         raise ValueError("need 1 <= r <= min(K, M)")
+    gains = np.sum(np.abs(H) ** 2, axis=2)
+    rows = np.arange(B)
+    snr = P / r
 
     users = np.empty((B, r), dtype=np.int64)
     scheduled = np.zeros((B, K), dtype=bool)
+    E = H.copy()
+    C = np.zeros((B, K, r), dtype=complex)
+    d = np.zeros((B, r))
 
-    for n in range(1, r + 1):
-        S = np.stack([_take_users(H, users[:, i]) for i in range(n - 1)], axis=1) \
-            if n > 1 else np.zeros((B, 0, M), dtype=complex)
-        # grown set per candidate: (B, K, n, M)
-        A = np.concatenate(
-            [np.broadcast_to(S[:, None], (B, K, n - 1, M)), H[:, :, None, :]], axis=2
-        )
-        G = np.einsum("bknm,bkpm->bknp", A, np.conj(A))
-        with np.errstate(all="ignore"):
-            try:
-                inv_diag = np.real(np.diagonal(np.linalg.inv(G), axis1=2, axis2=3))
-            except np.linalg.LinAlgError:
-                inv_diag = np.real(np.diagonal(np.linalg.pinv(G), axis1=2, axis2=3))
-        bad = ~np.all(np.isfinite(inv_diag) & (inv_diag > 0), axis=2)
-        rate = np.where(bad, -np.inf,
-                        np.sum(np.log1p(P / r / np.where(inv_diag <= 0, 1.0, inv_diag)), axis=2))
-        rate = np.where(scheduled, -np.inf, rate)
-        u = np.argmax(rate, axis=1)
-        users[:, n - 1] = u
-        scheduled[np.arange(B), u] = True
+    for n in range(r):
+        e2 = np.sum(np.abs(E) ** 2, axis=2)
+        ok = ~scheduled & np.isfinite(e2) & (e2 > ZF_RANK_TOL * gains)
+        if not np.all(np.any(ok, axis=1)):
+            raise ValueError(f"ZF step {n + 1}: no candidate increases the rank")
+        e2 = np.where(ok, e2, 1.0)
+        rate = np.log1p(snr * e2)
+        if n:
+            grown = d[:, None, :n] + np.abs(C[:, :, :n]) ** 2 / e2[:, :, None]
+            rate = rate + np.sum(np.log1p(snr / grown), axis=2)
+        u = np.argmax(np.where(ok, rate, -np.inf), axis=1)
+        users[:, n] = u
+        scheduled[rows, u] = True
+        if n + 1 == r:
+            break
+        eu2 = e2[rows, u]
+        eu = np.sqrt(eu2)
+        cu = C[rows, u, :n]
+        d[:, :n] += np.abs(cu) ** 2 / eu2[:, None]
+        d[:, n] = 1.0 / eu2
+        q = E[rows, u] / eu[:, None]
+        alpha = np.einsum("bkm,bm->bk", E, np.conj(q))
+        E -= alpha[:, :, None] * q[:, None, :]
+        beta = alpha / eu[:, None]
+        C[:, :, :n] -= beta[:, :, None] * cu[:, None, :]
+        C[:, :, n] = beta
 
     A = np.stack([_take_users(H, users[:, i]) for i in range(r)], axis=1)
     G = np.einsum("bnm,bpm->bnp", A, np.conj(A))

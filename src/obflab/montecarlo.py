@@ -82,6 +82,7 @@ class Scheme:
     check: Optional[Callable] = None     # sinrs -> None, the audit where no oracle exists
     analytic: Optional[Analytic] = None  # None: no closed forms
     forceable: bool = False              # takes ExperimentConfig.force_r
+    min_m: int = 1                       # fewest antennas the scheme is defined for
 
 
 # random selection has no scalar counterpart tied to the same RNG draws;
@@ -123,7 +124,8 @@ SCHEME_TABLE = {
         orthonormal=True, analytic=_OBF, forceable=True,
     ),
     "olbf": Scheme(_M_SAMPLES, lambda H, P, r, rng: _batch.batch_olbf(H, P),
-                   oracle=lambda ch, P, r: _sched.olbf(ch, P), orthonormal=True, analytic=_OLBF),
+                   oracle=lambda ch, P, r: _sched.olbf(ch, P), orthonormal=True, analytic=_OLBF,
+                   min_m=2),
     "zfs": Scheme(_R_SAMPLES, lambda H, P, r, rng: _batch.batch_zfs(H, P, r),
                   oracle=lambda ch, P, r: _sched.zfs_schedule(ch, P, r)),
     "zfdp": Scheme(_R_SAMPLES, lambda H, P, r, rng: _batch.batch_zfdp(H, P, r),
@@ -131,7 +133,7 @@ SCHEME_TABLE = {
     "random-obf": Scheme(_R_SAMPLES, lambda H, P, r, rng: _batch.batch_random_obf(H, P, r, rng),
                          check=_check_nonnegative),
     "random-olbf": Scheme(_M_SAMPLES, lambda H, P, r, rng: _batch.batch_random_olbf(H, P, rng),
-                          check=_check_olbf_region),
+                          check=_check_olbf_region, min_m=2),
 }
 
 SCHEMES = tuple(SCHEME_TABLE)
@@ -152,6 +154,9 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.force_r is not None and not self.spec.forceable:
             raise ValueError("force_r applies to adaptive-obf only")
+        if self.params.M < self.spec.min_m:
+            # the OLBF beam set needs a null space next to the first user's beam
+            raise ValueError(f"{self.scheme} needs M >= {self.spec.min_m}, got M={self.params.M}")
 
     @property
     def spec(self) -> Scheme:
@@ -265,9 +270,10 @@ def run_experiment(config: ExperimentConfig, threads: Optional[int] = None) -> E
 def _build_report(config: ExperimentConfig, users: np.ndarray, sinrs: np.ndarray,
                   rates: np.ndarray) -> ExperimentReport:
     """Report with the sum-rate mean, its standard error and the per-rank samples."""
-    mean = math.fsum(rates) / rates.size
+    values = rates.tolist()  # fsum over numpy scalars takes about twice as long
+    mean = math.fsum(values) / rates.size
     if rates.size > 1:
-        var = math.fsum((x - mean) ** 2 for x in rates) / (rates.size - 1)
+        var = math.fsum((x - mean) ** 2 for x in values) / (rates.size - 1)
         stderr = math.sqrt(var / rates.size)
     else:
         stderr = 0.0

@@ -41,7 +41,12 @@ __all__ = [
     "random_selection_obf",
     "random_selection_olbf",
     "sum_rate",
+    "ZF_RANK_TOL",
 ]
+
+# a ZF candidate must keep this fraction of its channel energy off the
+# span of the users already scheduled
+ZF_RANK_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -171,13 +176,16 @@ def zfs_schedule(channels: ChannelSet, P: float, r: int) -> ScheduleOutcome:
 
     Each step adds the user maximising the zero-forcing sum rate of the
     grown set under pseudo-inverse beamformers and a uniform P/r split.
-    Runs exactly r steps; numerically rank-deficient candidates are
-    skipped.
+    Runs exactly r steps.  A candidate is admissible only if its own ZF
+    gain in the grown set, 1 / (G^{-1})_{nn}, is finite and above
+    ``ZF_RANK_TOL * ||h_u||^2``; a step without an admissible candidate
+    raises ValueError.
     """
     H = channels.H
     K, M = H.shape
     if not (1 <= r <= min(K, M)):
         raise ValueError("need 1 <= r <= min(K, M)")
+    gains = np.sum(np.abs(H) ** 2, axis=1)
 
     def zf_gains(rows: list[int]) -> np.ndarray | None:
         A = H[rows]
@@ -191,17 +199,19 @@ def zfs_schedule(channels: ChannelSet, P: float, r: int) -> ScheduleOutcome:
         return 1.0 / inv_diag
 
     users: list[int] = []
-    for _ in range(r):
-        best_u, best_rate = -1, -np.inf
+    for step in range(1, r + 1):
+        best_u, best_rate = None, -np.inf
         for u in range(K):
             if u in users:
                 continue
             g = zf_gains(users + [u])
-            if g is None:
+            if g is None or not g[-1] > ZF_RANK_TOL * gains[u]:
                 continue
             rate = sum_rate(P / r * g)
             if rate > best_rate:
                 best_u, best_rate = u, rate
+        if best_u is None:
+            raise ValueError(f"ZF step {step}: no candidate increases the rank")
         users.append(best_u)
 
     g = zf_gains(users)

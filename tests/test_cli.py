@@ -87,6 +87,19 @@ def test_sim_usage_error_exit_code(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scheme", ["olbf", "random-olbf"])
+def test_sim_olbf_single_antenna_is_a_usage_error(scheme, tmp_path, capsys):
+    # the OLBF beam set needs a null space, which M = 1 does not have
+    code = run_main([
+        "sim", "--scheme", scheme, "--m", "1", "--k", "3",
+        "--snr-db", "10", "--trials", "50", "--seed", "1",
+        "--out", str(tmp_path / "run.csv"),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {scheme} needs M >= 2, got M=1\n"
+    assert not (tmp_path / "run.csv").exists()
+
+
 def test_analytic_csv_and_grid(tmp_path):
     out = tmp_path / "pdf.csv"
     code = run_main([

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from obflab.batch import batch_zfdp, batch_zfs
 from obflab.channel import ChannelSet, draw_channel_batch, null_space_basis, substream
 from obflab.schedulers import (
     adaptive_obf,
@@ -193,3 +194,49 @@ def test_batch_kernels_match_scalar(scheme):
         assert tuple(users[i]) == out.users
         assert np.allclose(sinrs[i], out.sinrs, rtol=1e-9, atol=1e-12)
         assert rates[i] == pytest.approx(out.sum_rate, rel=1e-9)
+
+
+@pytest.mark.parametrize("M, K, r", [(2, 5, 2), (3, 10, 2), (3, 10, 3), (4, 4, 4), (4, 20, 3)])
+@pytest.mark.parametrize("kernel, oracle", [(batch_zfs, zfs_schedule),
+                                            (batch_zfdp, greedy_zfdp_schedule)],
+                         ids=["zfs", "zfdp"])
+def test_zf_kernels_match_scalar_across_shapes(kernel, oracle, M, K, r):
+    P, trials = 10.0 ** 1.5, 300
+    H = draw_channel_batch(K, M, substream(17, M * 100 + K), count=trials)
+    users, sinrs, _ = kernel(H, P, r)
+    for i in range(trials):
+        out = oracle(ChannelSet(H=H[i]), P, r)
+        assert tuple(users[i]) == out.users
+        assert np.allclose(sinrs[i], out.sinrs, rtol=1e-9, atol=1e-12)
+
+
+def _rank_deficient(kind: str, K: int) -> np.ndarray:
+    H = draw_channel_batch(4, 3, substream(1, 0))[0]
+    if kind == "zero":
+        H[1] = 0.0
+    else:
+        H[2] = (0.7 - 1.3j) * H[0]
+    return H[:K]
+
+
+@pytest.mark.parametrize("kind", ["zero", "collinear"])
+def test_zfs_skips_rank_deficient_candidates(kind):
+    # one spare user: both implementations schedule around the deficient row
+    H = _rank_deficient(kind, 4)
+    out = zfs_schedule(ChannelSet(H=H), 10.0, 3)
+    users, sinrs, _ = batch_zfs(H[None], 10.0, 3)
+    assert tuple(users[0]) == out.users
+    assert len(set(out.users)) == 3
+    deficient = {"zero": {1}, "collinear": {0, 2}}[kind]
+    assert not deficient <= set(out.users)
+    assert np.allclose(sinrs[0], out.sinrs, rtol=1e-9, atol=1e-12)
+    assert np.all(out.sinrs > 1e-3)
+
+
+@pytest.mark.parametrize("kind", ["zero", "collinear"])
+def test_zfs_raises_when_no_candidate_raises_the_rank(kind):
+    H = _rank_deficient(kind, 3)
+    with pytest.raises(ValueError, match="ZF step 3"):
+        zfs_schedule(ChannelSet(H=H), 10.0, 3)
+    with pytest.raises(ValueError, match="ZF step 3"):
+        batch_zfs(H[None], 10.0, 3)
