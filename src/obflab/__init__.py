@@ -38,6 +38,7 @@ from .analytic_obf import (
     obf_marginal_pdf_grid,
     obf_mean_sum_rate,
     obf_selection_cdf,
+    obf_sinr_grid,
     obf_unordered_pdf,
 )
 from .analytic_olbf import (
@@ -48,9 +49,10 @@ from .analytic_olbf import (
     olbf_marginal_pdf_sinr_grid,
     olbf_marginal_pdf_t,
     olbf_mean_sum_rate,
+    olbf_sinr_grid,
     olbf_unordered_pdf_z,
 )
-from .grids import DistributionGrid, obf_sinr_grid, olbf_sinr_grid
+from .grids import DistributionGrid
 from .montecarlo import (
     SCHEMES,
     EmpiricalDistribution,

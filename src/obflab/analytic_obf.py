@@ -22,19 +22,20 @@ callable it is passed, so the grid evaluators feed it ``GammaLadder``s
 over whole argument tensors and the scalar API (``obf_phi``, ``obf_I2``,
 ``obf_I3``, ``obf_selection_cdf``) feeds it one point at a time.
 
-Marginals and the average sum rate are obtained by integrating the joint
-density numerically.
+Marginals are obtained by integrating the joint density numerically.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 from scipy import special
 
+from .grids import DistributionGrid
 from .numerics import (
     GammaLadder,
     QuadratureSpec,
@@ -59,10 +60,14 @@ __all__ = [
     "obf_marginal_pdf",
     "obf_marginal_pdf_grid",
     "obf_marginal_cdf",
+    "obf_sinr_grid",
     "obf_mean_sum_rate",
 ]
 
 _DEFAULT_SPEC = QuadratureSpec()
+
+# Gauss-Legendre nodes per free variable of the grid marginals.
+_INNER_NODES = 96
 
 
 @dataclass(frozen=True)
@@ -389,18 +394,16 @@ def _phi1_vec(y1: np.ndarray, params: ObfParams) -> np.ndarray:
     return rp ** M * y1 ** (M - 1) / math.gamma(M) * np.exp(-y1 * rp)
 
 
-def obf_marginal_pdf_grid(
-    n: int, ys, params: ObfParams, nodes: int = 96
-) -> np.ndarray:
+def obf_marginal_pdf_grid(n: int, ys, params: ObfParams) -> np.ndarray:
     """Marginal density of the n-th scheduled SINR on a whole grid at once.
 
-    Fixed-order Gauss-Legendre quadrature on the rational map
-    t -> y + t/(1-t) replaces adaptive subdivision and agrees with
-    ``obf_marginal_pdf`` to well below the grid resolution.  Each distinct
-    argument (r/P)(1 + y) gets one ``GammaLadder``; rank 3 evaluates
-    (points, nodes, nodes) tensors in blocks of ``GRID_CHUNK`` grid points.
-    Rank 3 takes 0.5-0.8 s for 800 points at M = 3 on one core of a
-    2-core x86-64 machine.
+    Fixed-order Gauss-Legendre quadrature (``_INNER_NODES`` per free
+    variable) on the rational map t -> y + t/(1-t) replaces adaptive
+    subdivision.  At K = 10 and 15 dB it agrees with ``obf_marginal_pdf``
+    to 5e-6; its error grows with the SNR, and the mass of the tabulated
+    marginal shows it.  Each distinct argument (r/P)(1 + y) gets one
+    ``GammaLadder``; rank 3 evaluates (points, nodes, nodes) tensors in
+    blocks of ``GRID_CHUNK`` grid points.
     """
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     if np.any(ys < 0):
@@ -408,7 +411,7 @@ def obf_marginal_pdf_grid(
     M, K = params.M, params.K
     if n == 1:
         return K * _I1(ys, params) ** (K - 1) * _phi1_vec(ys, params)
-    t, wt = gauss_legendre_nodes(nodes, 0.0, 1.0)
+    t, wt = gauss_legendre_nodes(_INNER_NODES, 0.0, 1.0)
     if n == 2:
         y2 = ys[:, None]
         y1 = y2 + t[None, :] / (1.0 - t[None, :])
@@ -455,21 +458,14 @@ def obf_marginal_cdf(
     return integrate_1d(lambda t: obf_marginal_pdf(n, t, params, spec), 0.0, y, spec)
 
 
-def obf_mean_sum_rate(params: ObfParams, nodes: int = 96) -> float:
-    """Average sum rate sum_n E[ln(1 + y_n)] in nats.
+@lru_cache(maxsize=32)
+def obf_sinr_grid(n: int, params: ObfParams) -> DistributionGrid:
+    """Distribution of the n-th scheduled SINR, tabulated once per (n, params)."""
+    return DistributionGrid.tabulate(
+        lambda u: obf_marginal_pdf_grid(n, u / (1.0 - u), params) / (1.0 - u) ** 2
+    )
 
-    Each marginal expectation is taken with fixed-order Gauss-Legendre
-    quadrature on the map t -> t/(1-t), reusing the vectorised grid
-    evaluator for the marginal densities.
-    """
-    t, wt = gauss_legendre_nodes(nodes, 0.0, 1.0)
-    # scale the rational map to the magnitude of the top SINR (~ M/(r/P))
-    # so high-SNR and small-r cases keep their nodes where the mass is
-    scale = max(1.0, params.M / params.rp)
-    y = scale * t / (1.0 - t)
-    jac = scale * wt / (1.0 - t) ** 2
-    weight = np.log1p(y) * jac
-    total = 0.0
-    for n in range(1, params.r + 1):
-        total += float(np.dot(weight, obf_marginal_pdf_grid(n, y, params, nodes)))
-    return total
+
+def obf_mean_sum_rate(params: ObfParams) -> float:
+    """Average sum rate sum_n E[ln(1 + y_n)] in nats, read off each rank's ``obf_sinr_grid``."""
+    return sum(obf_sinr_grid(n, params).mean_log1p() for n in range(1, params.r + 1))

@@ -34,12 +34,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Callable
 
 import numpy as np
 from scipy import special
 
+from .grids import DistributionGrid
 from .numerics import (
     GammaLadder,
     QuadratureSpec,
@@ -66,10 +68,14 @@ __all__ = [
     "olbf_marginal_pdf_t",
     "olbf_marginal_pdf_t_grid",
     "olbf_marginal_pdf_sinr_grid",
+    "olbf_sinr_grid",
     "olbf_mean_sum_rate",
 ]
 
 _DEFAULT_SPEC = QuadratureSpec()
+
+# Gauss-Legendre nodes per free variable of the grid marginals.
+_INNER_NODES = 96
 
 # Tolerance for clamping tiny negative CDF values produced by
 # cancellation in the inclusion-exclusion sums.
@@ -610,16 +616,14 @@ def _split_segment(s, t1, g1, gs, base, w, ww, params: OlbfParams) -> np.ndarray
     return np.sum(f * s * ww, axis=2, keepdims=True)
 
 
-def olbf_marginal_pdf_t_grid(
-    n: int, ss, params: OlbfParams, nodes: int = 96
-) -> np.ndarray:
+def olbf_marginal_pdf_t_grid(n: int, ss, params: OlbfParams) -> np.ndarray:
     """Marginal density of the n-th scheduled transformed SINR on a grid.
 
-    Fixed-order Gauss-Legendre quadrature over the free variables with
-    the t_2 integral split at the branch point, evaluating the closed
-    forms vectorised over grid x node tensors.  Each distinct argument
-    mp/(1 - t) gets one ``GammaLadder``; rank 3 is built in blocks of
-    ``GRID_CHUNK`` grid points to bound the (points, nodes, nodes) tensors.
+    Fixed-order Gauss-Legendre quadrature (``_INNER_NODES`` per free
+    variable) with the t_2 integral split at the branch point, evaluating
+    the closed forms vectorised over grid x node tensors.  Each distinct
+    argument mp/(1 - t) gets one ``GammaLadder``; rank 3 is built in blocks
+    of ``GRID_CHUNK`` grid points to bound the (points, nodes, nodes) tensors.
     """
     ss = np.atleast_1d(np.asarray(ss, dtype=float))
     if np.any((ss < 0) | (ss > 1)):
@@ -628,7 +632,7 @@ def olbf_marginal_pdf_t_grid(
     if n == 1:
         F = _F_z1(ss, params)
         return K * F ** (K - 1) * _z1_pdf_vec(ss, params)
-    u, wu = gauss_legendre_nodes(nodes, 0.0, 1.0)
+    u, wu = gauss_legendre_nodes(_INNER_NODES, 0.0, 1.0)
     if n == 2:
         s = ss[:, None]
         t1 = s + (1.0 - s) * u[None, :]
@@ -662,25 +666,23 @@ def olbf_marginal_pdf_t_grid(
     return map_chunks(block, ss)
 
 
-def olbf_marginal_pdf_sinr_grid(
-    n: int, ys, params: OlbfParams, nodes: int = 96
-) -> np.ndarray:
+def olbf_marginal_pdf_sinr_grid(n: int, ys, params: OlbfParams) -> np.ndarray:
     """Marginal density of the n-th scheduled SINR (actual scale) on a grid."""
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     if np.any(ys < 0):
         raise ValueError("grid points must be nonnegative")
     ts = ys / (1.0 + ys)
-    return olbf_marginal_pdf_t_grid(n, ts, params, nodes) / (1.0 + ys) ** 2
+    return olbf_marginal_pdf_t_grid(n, ts, params) / (1.0 + ys) ** 2
 
 
-def olbf_mean_sum_rate(params: OlbfParams, nodes: int = 96) -> float:
-    """Average sum rate sum_n E[ln(1 + y_n)] in nats over the M beams."""
-    t, wt = gauss_legendre_nodes(nodes, 0.0, 1.0)
-    weight = -np.log1p(-t) * wt  # ln(1 + y) = -ln(1 - t)
-    total = 0.0
-    for n in range(1, params.M + 1):
-        if n <= 3:
-            total += float(np.dot(weight, olbf_marginal_pdf_t_grid(n, t, params, nodes)))
-        else:
-            raise NotImplementedError("mean sum rate implemented for M <= 3")
-    return total
+@lru_cache(maxsize=32)
+def olbf_sinr_grid(n: int, params: OlbfParams) -> DistributionGrid:
+    """Distribution of the n-th scheduled SINR, tabulated once per (n, params); u is t itself."""
+    return DistributionGrid.tabulate(lambda t: olbf_marginal_pdf_t_grid(n, t, params))
+
+
+def olbf_mean_sum_rate(params: OlbfParams) -> float:
+    """Average sum rate sum_n E[ln(1 + y_n)] in nats, read off each rank's ``olbf_sinr_grid``."""
+    if params.M > 3:
+        raise NotImplementedError("mean sum rate implemented for M <= 3")
+    return sum(olbf_sinr_grid(n, params).mean_log1p() for n in range(1, params.M + 1))

@@ -29,6 +29,7 @@ import numpy as np
 
 from . import __version__
 from .channel import SystemParams
+from .numerics import QuadratureError
 from .montecarlo import (
     MAX_ANALYTIC_RANK,
     SCHEME_TABLE,
@@ -434,7 +435,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except QuadratureError as exc:  # an analytic table that cannot be resolved
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

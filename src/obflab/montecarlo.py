@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import os
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from operator import attrgetter
@@ -31,9 +32,11 @@ from scipy import special
 from . import batch as _batch
 from . import schedulers as _sched
 from .channel import BeamformerMatrix, ChannelSet, SystemParams, draw_channel_batch, substream
-from .grids import obf_sinr_grid, olbf_sinr_grid
-from .analytic_obf import ObfParams, obf_marginal_pdf_grid, obf_mean_sum_rate
-from .analytic_olbf import OlbfParams, olbf_marginal_pdf_sinr_grid, olbf_mean_sum_rate
+from .numerics import QuadratureError
+from .analytic_obf import ObfParams, obf_marginal_pdf_grid, obf_mean_sum_rate, obf_sinr_grid
+from .analytic_olbf import (
+    OlbfParams, olbf_marginal_pdf_sinr_grid, olbf_mean_sum_rate, olbf_sinr_grid,
+)
 
 __all__ = [
     "SCHEMES",
@@ -62,7 +65,7 @@ class Analytic:
 
     params: Callable         # (M, K, P, r) -> ObfParams or OlbfParams
     noise: Callable          # params -> noise scale of the rank-1 (max-norm) CDF
-    grid: Callable           # (n, params[, points]) -> n-th SINR DistributionGrid
+    grid: Callable           # (n, params) -> n-th SINR DistributionGrid, cached per (n, params)
     pdf: Callable            # (n, ys, params) -> n-th marginal pdf at the SINRs ys
     mean_sum_rate: Callable  # params -> mean sum rate in nats
 
@@ -327,12 +330,14 @@ def _max_norm_cdf(M: int, K: int, noise: float) -> Callable:
     return cdf
 
 
-def attach_analysis(report: ExperimentReport, points: int = 800) -> ExperimentReport:
+def attach_analysis(report: ExperimentReport) -> ExperimentReport:
     """Fill in per-user KS distances and the analytic mean sum rate.
 
     Supported for the schemes with closed forms, adaptive-obf and olbf, up
     to ``MAX_ANALYTIC_RANK`` samples per trial; other reports are returned
-    unchanged.
+    unchanged.  Ranks 2..r are compared with their cached marginal tables,
+    which the mean sum rate reads too, so each rank is tabulated once.  A
+    table that cannot be resolved leaves both fields None, with a warning.
     """
     config = report.config
     analytic = config.spec.analytic
@@ -342,8 +347,12 @@ def attach_analysis(report: ExperimentReport, points: int = 800) -> ExperimentRe
     p = config.params
     ap = analytic.params(p.M, p.K, p.P, r)
     cdfs = [_max_norm_cdf(p.M, p.K, analytic.noise(ap))]
-    cdfs += [analytic.grid(n, ap, points).cdf_at for n in range(2, r + 1)]
-    mean_rate = analytic.mean_sum_rate(ap)
+    try:
+        cdfs += [analytic.grid(n, ap).cdf_at for n in range(2, r + 1)]
+        mean_rate = analytic.mean_sum_rate(ap)
+    except QuadratureError as exc:
+        warnings.warn(f"analysis skipped: {exc}", RuntimeWarning, stacklevel=2)
+        return report
     report.ks_per_user = tuple(ks_distance(emp, cdf) for emp, cdf in zip(report.per_user, cdfs))
     report.analytic_mean_sum_rate = mean_rate
     return report

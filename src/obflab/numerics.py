@@ -6,8 +6,10 @@ and low-dimensional adaptive quadrature.  The closed forms evaluate many
 orders of Gamma(s, x) at the same argument tensor, so the vectorised
 route is a ``GammaLadder``: built once per argument array, it shares one
 exponential and at most one special-function anchor per element across
-every order it is asked for.  Everything here is a pure function of its
-arguments; a ladder memoises only within itself.
+every order it is asked for.  The anchors are ``scipy.special.exp1`` and
+``expn``, which the scalar ``upper_incomplete_gamma`` uses too.
+Everything here is a pure function of its arguments; a ladder memoises
+only within itself.
 """
 
 from __future__ import annotations
@@ -23,10 +25,8 @@ from scipy import integrate, special
 __all__ = [
     "QuadratureSpec",
     "QuadratureError",
-    "exp_integral_e1",
     "upper_incomplete_gamma",
     "GammaLadder",
-    "upper_incomplete_gamma_array",
     "GRID_CHUNK",
     "map_chunks",
     "integrate_1d",
@@ -34,8 +34,6 @@ __all__ = [
     "integrate_nested",
     "gauss_legendre_nodes",
 ]
-
-_EULER_GAMMA = 0.5772156649015328606
 
 # Non-positive orders descend from E1 at or below this argument and climb
 # from x^s E_{1-s}(x) above it.  Against a quadrature oracle over
@@ -88,50 +86,6 @@ class QuadratureError(RuntimeError):
         self.error_bound = error_bound
 
 
-def exp_integral_e1(x: float) -> float:
-    """Exponential integral E1(x) = int_x^inf e^-t / t dt for x > 0.
-
-    Power series below x = 1, modified-Lentz continued fraction above;
-    the split keeps both branches free of cancellation.
-    """
-    if x <= 0:
-        raise ValueError("exp_integral_e1 requires x > 0")
-    if x <= 1.0:
-        # E1(x) = -gamma - ln x + sum_{k>=1} (-1)^(k+1) x^k / (k k!)
-        total = -_EULER_GAMMA - math.log(x)
-        term = 1.0
-        for k in range(1, 60):
-            term *= -x / k
-            contrib = -term / k
-            total += contrib
-            if abs(contrib) < 1e-17 * abs(total):
-                break
-        return total
-    if x > 700.0:
-        return 0.0
-    # Continued fraction: E1(x) = e^-x / (x + 1 - 1/(x + 3 - 4/(x + 5 - ...)))
-    tiny = 1e-300
-    b = x + 1.0
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for k in range(1, 200):
-        a = -(k * k)
-        b += 2.0
-        d = b + a * d
-        if abs(d) < tiny:
-            d = tiny
-        c = b + a / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < 1e-15:
-            break
-    return math.exp(-x) * h
-
-
 @lru_cache(maxsize=1 << 16)
 def upper_incomplete_gamma(s: int, x: float) -> float:
     """Upper incomplete gamma Gamma(s, x) for integer s, x > 0.
@@ -167,7 +121,7 @@ def upper_incomplete_gamma(s: int, x: float) -> float:
         return math.exp(m) * acc
     if x > _LADDER_SPLIT:
         return x ** s * float(special.expn(1 - s, x))
-    g = exp_integral_e1(x)  # Gamma(0, x)
+    g = float(special.exp1(x))  # Gamma(0, x)
     order = 0
     log_x = math.log(x)
     while order > s:
@@ -258,16 +212,6 @@ class GammaLadder:
                 p = p * xf
                 out[s + 1][far] = g
         self._memo.update(out)
-
-
-def upper_incomplete_gamma_array(s: int, x: np.ndarray) -> np.ndarray:
-    """Vectorised Gamma(s, x) for integer s over an array of x > 0.
-
-    A one-shot use of ``GammaLadder``; build the ladder directly when
-    several orders are needed at the same argument.
-    """
-    s = int(s)
-    return GammaLadder(x, lowest=min(s, 1))(s)
 
 
 def map_chunks(fn: Callable[[np.ndarray], np.ndarray], points: np.ndarray) -> np.ndarray:

@@ -100,6 +100,24 @@ def test_sim_olbf_single_antenna_is_a_usage_error(scheme, tmp_path, capsys):
     assert not (tmp_path / "run.csv").exists()
 
 
+@pytest.mark.parametrize("scheme", ["adaptive-obf", "olbf"])
+def test_sim_keeps_its_output_when_the_analysis_is_unresolved(scheme, tmp_path):
+    # at 40 dB the rank-1 table is not resolved at the 4096 cap
+    out = tmp_path / "run.csv"
+    with pytest.warns(RuntimeWarning, match="analysis skipped: density not resolved"):
+        code = run_main([
+            "sim", "--scheme", scheme, "--m", "2", "--k", "10",
+            "--snr-db", "40", "--trials", "200", "--seed", "1", "--out", str(out),
+        ])
+    assert code == 0
+    _, report = read_report_csv(out)
+    assert report.sinrs.shape == (200, 2)
+    summary = json.loads((tmp_path / "run.csv.summary.json").read_text())
+    assert summary["mean_sum_rate"] == pytest.approx(report.mean_sum_rate)
+    assert summary["ks_per_user"] is None
+    assert summary["analytic_mean_sum_rate"] is None
+
+
 def test_analytic_csv_and_grid(tmp_path):
     out = tmp_path / "pdf.csv"
     code = run_main([
@@ -127,6 +145,21 @@ def test_analytic_sum_rate_prints_value(capsys):
     assert code == 0
     val = float(capsys.readouterr().out.strip())
     assert 0.0 < val < 20.0
+
+
+@pytest.mark.parametrize("scheme", ["obf", "olbf"])
+@pytest.mark.parametrize("ask", [["--sum-rate"], ["--user-rank", "1"]], ids=["sum-rate", "cdf"])
+def test_analytic_unresolved_table_is_an_error(scheme, ask, tmp_path, capsys):
+    out = tmp_path / "pdf.csv"
+    code = run_main([
+        "analytic", "--scheme", scheme, "--m", "2", "--k", "10",
+        "--snr-db", "40", "--out", str(out), *ask,
+    ])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: density not resolved at n = 4096")
+    assert not out.exists()
 
 
 def test_analytic_rank_above_three_notice(capsys):

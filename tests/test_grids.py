@@ -1,42 +1,132 @@
-"""Regression pins, chunk invariance and memory bounds of the analytic grids."""
+"""The self-sizing Chebyshev tables: regression pins, outer-rule checks, chunk invariance and memory bounds."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import integrate, special
 
-from obflab.analytic_obf import ObfParams, obf_marginal_pdf_grid, obf_mean_sum_rate
-from obflab.analytic_olbf import OlbfParams, olbf_marginal_pdf_t_grid, olbf_mean_sum_rate
-from obflab.grids import _compressed_axis, obf_sinr_grid, olbf_sinr_grid
+from obflab.analytic_obf import ObfParams, obf_marginal_pdf_grid, obf_mean_sum_rate, obf_sinr_grid
+from obflab.analytic_olbf import (
+    OlbfParams,
+    olbf_marginal_pdf_t_grid,
+    olbf_mean_sum_rate,
+    olbf_sinr_grid,
+)
+from obflab.grids import CHEB_CAP, CHEB_TOL, DistributionGrid
+from obflab.numerics import QuadratureError
 
 P15 = 10 ** 1.5
-POINTS = 800
-SLICES = (0, 1, 150, 433, POINTS)  # block edges that do not line up with the chunking
 PEAK_MB = 150.0
 
 
+def test_tabulate_resolves_a_smooth_density():
+    # the exponential density of y on u = y/(1+y); E[ln(1+y)] = e E1(1)
+    grid = DistributionGrid.tabulate(lambda u: np.exp(-u / (1.0 - u)) / (1.0 - u) ** 2)
+    assert grid.n == 64
+    assert 0.0 < grid.error < CHEB_TOL
+    assert grid.mass == pytest.approx(1.0, rel=1e-12, abs=0)
+    assert grid.mean_log1p() == pytest.approx(math.e * float(special.exp1(1.0)), rel=1e-12, abs=0)
+    y = np.array([0.0, 1.0 / 3.0, 1.0, np.inf])
+    want = np.array([0.0, 1.0 - math.exp(-1.0 / 3.0), 1.0 - math.exp(-1.0), 1.0])
+    assert np.allclose(grid.cdf_at(y), want, rtol=0, atol=1e-10)
+
+
+def test_tabulate_raises_when_unresolved():
+    calls = []
+
+    def step(u):
+        calls.append(u.size)
+        return (u < 0.3).astype(float)
+
+    with pytest.raises(QuadratureError):
+        DistributionGrid.tabulate(step)
+    # one call per doubling up to the cap, each on the new points only
+    assert calls == [16, 16, 32, 64, 128, 256, 512, 1024, CHEB_CAP // 2]
+
+
+def test_tabulate_finds_a_peak_between_its_first_points():
+    # at 25 dB the rank-1 density sits within 0.01 of u = 1, and the first
+    # 17 points see at most 2e-8 of it: a table that stopped there would
+    # carry no mass
+    grid = obf_sinr_grid(1, ObfParams(M=3, K=10, P=10 ** 2.5, r=3))
+    assert grid.n == 2048
+    assert grid.mass == pytest.approx(1.0, rel=1e-12, abs=0)
+
+
 def test_mean_sum_rate_pins():
+    # the OLBF value is the one test_mean_sum_rate_matches_adaptive_quadrature confirms
     assert olbf_mean_sum_rate(OlbfParams(M=3, K=10, P=P15)) == pytest.approx(
-        6.666209591441985, rel=1e-12
+        6.666199994961286, rel=1e-12
     )
     assert obf_mean_sum_rate(ObfParams(M=3, K=10, P=P15, r=3)) == pytest.approx(
         7.773191758344928, rel=1e-12
     )
 
 
+def _olbf_log_rate(n, params):
+    return integrate.quad(
+        lambda t: -math.log1p(-t) * olbf_marginal_pdf_t_grid(n, np.array([t]), params)[0],
+        0.0, 1.0, epsabs=0.0, epsrel=1e-11, limit=200,
+    )[0]
+
+
+def _obf_log_rate(n, params):
+    return integrate.quad(
+        lambda y: math.log1p(y) * obf_marginal_pdf_grid(n, np.array([y]), params)[0],
+        0.0, np.inf, epsabs=0.0, epsrel=1e-11, limit=200,
+    )[0]
+
+
+@pytest.mark.parametrize("rate, log_rate, params", [
+    (olbf_mean_sum_rate, _olbf_log_rate, OlbfParams(M=3, K=10, P=P15)),
+    (olbf_mean_sum_rate, _olbf_log_rate, OlbfParams(M=3, K=50, P=P15)),
+    (obf_mean_sum_rate, _obf_log_rate, ObfParams(M=3, K=10, P=P15, r=3)),
+], ids=["olbf-3-10", "olbf-3-50", "obf-3-10"])
+def test_mean_sum_rate_matches_adaptive_quadrature(rate, log_rate, params):
+    # the same marginal densities integrated by adaptive quadrature: checks
+    # the outer rule alone
+    want = sum(log_rate(n, params) for n in range(1, params.r + 1))
+    assert rate(params) == pytest.approx(want, rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("grid, params", [
+    (olbf_sinr_grid, OlbfParams(M=3, K=10, P=P15)),
+    (obf_sinr_grid, ObfParams(M=3, K=10, P=P15, r=3)),
+], ids=["olbf", "obf"])
+def test_tables_are_resolved(grid, params):
+    for n in (1, 2, 3):
+        g = grid(n, params)
+        assert g.error <= CHEB_TOL
+        assert g.mass == pytest.approx(1.0, abs=1e-6)
+        assert np.allclose(g.cdf_at([-1.0, 0.0]), 0.0, rtol=0, atol=1e-15)
+        assert g.cdf_at(np.inf) == pytest.approx(g.mass, rel=1e-14, abs=0)
+        y = np.linspace(0.0, 200.0, 2001)
+        assert np.all(np.diff(g.cdf_at(y)) > -1e-9)
+        # the lookup against the series itself, summed at each value
+        series = np.polynomial.chebyshev.chebval((y - 1.0) / (y + 1.0), g.cdf)
+        assert np.allclose(g.cdf_at(y), series, rtol=0, atol=1e-7)
+
+
+def _obf_density(n, u, params):
+    return obf_marginal_pdf_grid(n, u / (1.0 - u), params) / (1.0 - u) ** 2
+
+
 CASES = {
     "olbf": (olbf_sinr_grid, olbf_marginal_pdf_t_grid, OlbfParams(M=3, K=10, P=P15)),
-    "obf": (obf_sinr_grid, obf_marginal_pdf_grid, ObfParams(M=3, K=10, P=P15, r=3)),
+    "obf": (obf_sinr_grid, _obf_density, ObfParams(M=3, K=10, P=P15, r=3)),
 }
 
 
 @pytest.fixture(scope="module", params=sorted(CASES))
 def rank3(request):
-    """The rank-3 grid at 800 points and the traced peak memory of building it."""
+    """The rank-3 grid, built from an empty cache, and the traced peak memory of building it."""
     grid_fn, pdf_fn, params = CASES[request.param]
+    grid_fn.cache_clear()
     tracemalloc.start()
     try:
-        grid = grid_fn(3, params, POINTS)
+        grid = grid_fn(3, params)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -49,12 +139,10 @@ def test_rank3_grid_peak_memory(rank3):
 
 
 def test_rank3_grid_chunk_invariance(rank3):
+    # the grid's values came in doublings of 16, 16, 32, 64, ... points;
+    # slices whose edges line up with neither those nor the chunking agree
     kind, pdf_fn, params, grid, _ = rank3
-    u, y = _compressed_axis(POINTS, 0.9995)
-    axis = u if kind == "olbf" else y
-    parts = np.concatenate(
-        [pdf_fn(3, axis[a:b], params) for a, b in zip(SLICES[:-1], SLICES[1:])]
-    )
-    if kind == "olbf":
-        parts = parts * (1.0 - u) ** 2
-    assert np.allclose(parts, grid.pdf, rtol=1e-14, atol=0.0)
+    u = grid.points[1:]  # u = 1 is not evaluated
+    edges = (0, 1, 50, 97, u.size)
+    parts = np.concatenate([pdf_fn(3, u[a:b], params) for a, b in zip(edges[:-1], edges[1:])])
+    assert np.allclose(parts, grid.values[1:], rtol=1e-14, atol=0.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from obflab import batch, montecarlo, schedulers
+from obflab import batch, grids, montecarlo, schedulers
 from obflab.analytic_obf import ObfParams
 from obflab.channel import SystemParams
 from obflab.montecarlo import (
@@ -206,6 +206,26 @@ def test_scheme_table_looks_names_up_when_called(monkeypatch):
     attach_analysis(run_experiment(_config(M=2, K=4, trials=1500, seed=3)))
     assert seen == {"draw_channel_batch", "obf_sinr_grid", "obf_mean_sum_rate",
                     "batch_adaptive_obf", "adaptive_obf"}
+
+    # the benchmark's checks read these calls: an analysed run of rank r calls
+    # <kind>_sinr_grid once for each rank 2..r, and each grid carries its mass;
+    # its tracer also imports obflab.grids
+    for scheme, kind in (("adaptive-obf", "obf"), ("olbf", "olbf")):
+        calls = []
+        real = getattr(montecarlo, f"{kind}_sinr_grid")
+
+        def record(*args, real=real, calls=calls):
+            grid = real(*args)
+            assert isinstance(grid, grids.DistributionGrid)
+            calls.append((args[0], grid.mass))
+            return grid
+
+        monkeypatch.setattr(montecarlo, f"{kind}_sinr_grid", record)
+        report = attach_analysis(run_experiment(_config(scheme=scheme, M=3, K=4, trials=500)))
+        assert [rank for rank, _ in calls] == [2, 3], scheme
+        for _, mass in calls:
+            assert isinstance(mass, float) and abs(mass - 1.0) <= 1e-3, (scheme, mass)
+        assert report.analytic_mean_sum_rate is not None
 
 
 def test_mean_sum_rate_mc_helper():
