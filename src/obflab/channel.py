@@ -96,11 +96,20 @@ def substream(seed: int, index: int) -> np.random.Generator:
 
 
 def draw_channel_batch(K: int, M: int, rng: np.random.Generator, count: int = 1) -> np.ndarray:
-    """Draw ``count`` IID K x M unit-variance complex Gaussian channels."""
-    shape = (count, K, M)
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return (re + 1j * im) / np.sqrt(2.0)
+    """Draw ``count`` IID K x M unit-variance complex Gaussian channels.
+
+    All real parts are drawn first, then all imaginary parts, each into one
+    reused buffer that is scaled straight into ``H``.  numpy divides a
+    complex array by a real c as a product with 1/c, so this gives the bits
+    of ``(re + 1j*im) / sqrt(2)`` from the same stream.
+    """
+    H = np.empty((count, K, M), dtype=complex)
+    buf = np.empty(H.shape)
+    scale = 1.0 / np.sqrt(2.0)
+    for part in (H.real, H.imag):
+        rng.standard_normal(out=buf)
+        np.multiply(buf, scale, out=part)
+    return H
 
 
 def draw_channels(params: SystemParams, seed: int, stream: int = 0) -> ChannelSet:

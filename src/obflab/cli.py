@@ -23,6 +23,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from . import __version__
 from .channel import SystemParams
 from .numerics import QuadratureError
 from .montecarlo import (
+    CHUNK,
     MAX_ANALYTIC_RANK,
     SCHEME_TABLE,
     SCHEMES,
@@ -95,19 +97,33 @@ def _manifest_line(manifest: RunManifest) -> str:
     return f"# manifest: {manifest.to_embedded_json()}"
 
 
+def _float_reprs(column: np.ndarray, scale: float = 1.0) -> list[str]:
+    """repr of each float of a scaled 1-D column; a list's repr holds its items' reprs."""
+    return repr((np.asarray(column, dtype=float) * scale).tolist())[1:-1].split(", ")
+
+
 def write_report_csv(report: ExperimentReport, path: Path, manifest: RunManifest,
                      bits: bool = False) -> None:
-    """One row per (trial, user_rank): trial,user_rank,user_index,sinr,sum_rate_trial."""
+    """One row per (trial, user_rank): trial,user_rank,user_index,sinr,sum_rate_trial.
+
+    Rows are formatted a column at a time, CHUNK trials per block, and each
+    block is written before the next is formatted.
+    """
     scale = 1.0 / LN2 if bits else 1.0
-    lines = [_manifest_line(manifest), "trial,user_rank,user_index,sinr,sum_rate_trial"]
     trials, r = report.sinrs.shape
-    for t in range(trials):
-        rate = repr(float(report.sum_rates[t]) * scale)
-        for j in range(r):
-            lines.append(
-                f"{t},{j + 1},{report.users[t, j]},{float(report.sinrs[t, j])!r},{rate}"
-            )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(f"{_manifest_line(manifest)}\ntrial,user_rank,user_index,sinr,sum_rate_trial\n")
+        for lo in range(0, trials, CHUNK):
+            hi = min(lo + CHUNK, trials)
+            trial = list(map(str, range(lo, hi)))
+            rate = _float_reprs(report.sum_rates[lo:hi], scale)
+            lines = [""] * ((hi - lo) * r)
+            for j in range(r):  # rank j's rows are every r-th line of the block
+                lines[j::r] = map(",".join, zip(
+                    trial, repeat(str(j + 1)), map(str, report.users[lo:hi, j].tolist()),
+                    _float_reprs(report.sinrs[lo:hi, j]), rate,
+                ))
+            f.write("\n".join(lines) + "\n")
 
 
 def read_report_csv(path: Path) -> tuple[dict, ExperimentReport]:

@@ -215,10 +215,16 @@ class ExperimentReport:
 
 
 def _run_chunk(config: ExperimentConfig, chunk_index: int, count: int):
+    """(channels of the chunk's audited trials, users, sinrs, rates) of one chunk.
+
+    Only the audited rows of H are kept, copied, so that the chunk's
+    (count, K, M) channel array is freed when the chunk ends.
+    """
     p = config.params
     rng = substream(config.seed, chunk_index)
     H = draw_channel_batch(p.K, p.M, rng, count)  # channels first, then any random picks
-    return (H, *config.spec.kernel(H, p.P, config.effective_r, rng))
+    first = -chunk_index * CHUNK % _AUDIT_STRIDE  # local index of the chunk's first audited trial
+    return (H[first::_AUDIT_STRIDE].copy(), *config.spec.kernel(H, p.P, config.effective_r, rng))
 
 
 def _audit_trial(config: ExperimentConfig, H_row: np.ndarray, users, sinrs) -> None:
@@ -260,10 +266,11 @@ def run_experiment(config: ExperimentConfig, threads: Optional[int] = None) -> E
     sinrs = np.concatenate([r[2] for r in results], axis=0)
     rates = np.concatenate([r[3] for r in results], axis=0)
 
-    # structural audit on a deterministic sparse subset of trials
-    for t in range(0, config.trials, _AUDIT_STRIDE):
-        c, i = divmod(t, CHUNK)
-        _audit_trial(config, results[c][0][i], users[t], sinrs[t])
+    # structural audit on a deterministic sparse subset of trials; the
+    # chunks' audited rows, in chunk order, are those of t = 0, 1000, ...
+    audited = np.concatenate([r[0] for r in results], axis=0)
+    for t, H_row in zip(range(0, config.trials, _AUDIT_STRIDE), audited, strict=True):
+        _audit_trial(config, H_row, users[t], sinrs[t])
 
     report = _build_report(config, users, sinrs, rates)
     report.runtime_seconds = time.perf_counter() - t0

@@ -45,6 +45,21 @@ def test_draw_channels_shape_and_determinism():
     assert cs1.K == 5 and cs1.M == 3
 
 
+@pytest.mark.parametrize("count", [1, 4096])
+def test_draw_matches_the_complex_formula_bit_for_bit(count):
+    # the draw fills one buffer per part; the stream and every bit must match
+    # the formula it replaces, and the random picks drawn after it too
+    rng = substream(5, 3)
+    H = draw_channel_batch(10, 3, rng, count)
+    ref_rng = substream(5, 3)
+    re = ref_rng.standard_normal((count, 10, 3))
+    im = ref_rng.standard_normal((count, 10, 3))
+    ref = (re + 1j * im) / np.sqrt(2.0)
+    assert H.dtype == np.complex128 and H.shape == ref.shape
+    assert np.array_equal(H.view(np.uint64), ref.view(np.uint64))
+    assert rng.random() == ref_rng.random()
+
+
 def test_channel_entry_statistics():
     # unit-variance complex Gaussian entries: Re/Im each variance 1/2
     H = draw_channel_batch(4, 3, substream(1, 0), count=5000).reshape(-1)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -7,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from obflab.cli import RunManifest, main, read_report_csv
+from obflab.channel import SystemParams
+from obflab.cli import RunManifest, main, read_report_csv, write_report_csv
+from obflab.montecarlo import CHUNK, ExperimentConfig, _build_report
 
 
 def run_main(args):
@@ -46,6 +49,84 @@ def test_sim_rerun_byte_identical(tmp_path):
     assert (tmp_path / "a.csv.summary.json").read_bytes() == (
         tmp_path / "b.csv.summary.json"
     ).read_bytes()
+
+
+def _reference_csv(report, path, manifest, bits):
+    # the row-at-a-time formatter that the column-wise writer must match byte for byte
+    scale = 1.0 / math.log(2.0) if bits else 1.0
+    lines = [f"# manifest: {manifest.to_embedded_json()}",
+             "trial,user_rank,user_index,sinr,sum_rate_trial"]
+    trials, r = report.sinrs.shape
+    for t in range(trials):
+        rate = repr(float(report.sum_rates[t]) * scale)
+        for j in range(r):
+            lines.append(
+                f"{t},{j + 1},{report.users[t, j]},{float(report.sinrs[t, j])!r},{rate}"
+            )
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("bits", [False, True], ids=["nats", "bits"])
+@pytest.mark.parametrize("r", [1, 4])
+def test_csv_writer_matches_the_row_formatter(r, bits, tmp_path):
+    trials, K = CHUNK + 3, 10
+    rng = np.random.default_rng(r)
+    sinrs = rng.exponential(10.0, (trials, r)) * 10.0 ** rng.integers(-6, 12, (trials, r))
+    # every branch of float repr: zero, subnormal, both exponent thresholds, long fixed
+    special = [0.0, 5e-324, 1e-05, 0.0001, 1e16, 123456789.123456]
+    sinrs.flat[:len(special)] = special
+    sinrs.flat[-len(special):] = special  # in the last, 3-trial block too
+    users = rng.integers(0, K, (trials, r))
+    rates = np.log1p(sinrs).sum(axis=1)
+    config = ExperimentConfig(params=SystemParams(M=4, K=K, P=10.0, r=r), scheme="zfs",
+                              trials=trials, seed=3)
+    report = _build_report(config, users, sinrs, rates)
+    manifest = RunManifest(command="sim", seed=3, version="test", config={
+        "scheme": "zfs", "m": 4, "k": K, "snr_db": 10.0, "p_linear": 10.0, "r": r,
+        "force_r": None, "trials": trials, "bits": bits,
+    })
+    out, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
+    write_report_csv(report, out, manifest, bits=bits)
+    _reference_csv(report, ref, manifest, bits)
+    assert out.read_bytes() == ref.read_bytes()
+    _, back = read_report_csv(out)
+    assert np.array_equal(back.users, users)
+    assert np.array_equal(back.sinrs.view(np.uint64), sinrs.view(np.uint64))
+    if bits:
+        assert np.allclose(back.sum_rates, rates, rtol=1e-15, atol=0)
+    else:
+        assert np.array_equal(back.sum_rates, rates)
+
+
+# SHA-256 of the CSV and summary of `obflab sim` at M=3, K=10, 15 dB, 5000
+# trials, seed 7; the manifest embeds the package version, so a version bump
+# changes them
+SIM_ARTIFACT_HASHES = {
+    "adaptive-obf": ("5c9622c2e3113086b92ea06dc99d7fc57bba143dacb2cd56c1f83459b9efbe5d",
+                     "7e1a8ffcd88d2ee7ffc491a5e2838f79e7372681a8282ce55af79e42c36ab597"),
+    "olbf": ("0f2a2ab3cbea7d2dadd84da8d01e32e321247613d3f7dd715cb77d5d44807ba5",
+             "1a9bddb4769b0d12d04b36411a57b0e577cbb0c8c1753344feddbd8605ea97bb"),
+    "zfs": ("24b39ac8842f21a79bfbd11799218104e509f35c9eb620da257120aca2736c4b",
+            "029ecfee123754e3c546d23de2122ef5b11f10940f9c75c068aa3e361d52e095"),
+    "zfdp": ("83631a8ed142dd852249d941f88a58d72d0ccf81926e84d0c62e5c33903e011b",
+             "09d752d0e019709f4c048d7281c64d9dff0ce6192ccb952377c2b0810c0a80f8"),
+    "random-obf": ("5e457aa4e79b8c43ca148455299a7204500bd1b3d2cdf5bb57ae46854cf3d62c",
+                   "7ab17db90a97e748b330f2e623bf6e4260337b7fc30deac803155f54275f58ef"),
+    "random-olbf": ("fa91b57514305cd9bcacfe605a2e269734dc3dd296369b831ba1d28bbeec6a59",
+                    "2243cc183fe6ae5d806c57240e59301d0c8eec672233f44d17c8409aad27b88a"),
+}
+
+
+@pytest.mark.parametrize("scheme", list(SIM_ARTIFACT_HASHES))
+def test_sim_artifacts_are_pinned(scheme, tmp_path):
+    out = tmp_path / "run.csv"
+    assert run_main([
+        "sim", "--scheme", scheme, "--m", "3", "--k", "10", "--snr-db", "15",
+        "--trials", "5000", "--seed", "7", "--out", str(out),
+    ]) == 0
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest()
+                    for p in (out, tmp_path / "run.csv.summary.json"))
+    assert digests == SIM_ARTIFACT_HASHES[scheme]
 
 
 def test_sim_json_format(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from scipy import stats
 
 from obflab import batch, grids, montecarlo, schedulers
 from obflab.analytic_obf import ObfParams
-from obflab.channel import SystemParams
+from obflab.channel import SystemParams, draw_channel_batch, substream
 from obflab.montecarlo import (
     CHUNK,
     EmpiricalDistribution,
@@ -98,6 +99,47 @@ def test_serial_and_parallel_bit_identical():
     assert np.array_equal(serial.users, parallel.users)
     assert np.array_equal(serial.sum_rates, parallel.sum_rates)
     assert serial.mean_sum_rate == parallel.mean_sum_rate
+
+
+def test_audit_sees_each_audited_trials_own_channels(monkeypatch):
+    config = _config(scheme="zfdp", trials=2 * CHUNK + 17, seed=13)
+    real, calls = montecarlo._audit_trial, []
+
+    def record(cfg, H_row, users, sinrs):
+        calls.append((H_row, users, sinrs))
+        real(cfg, H_row, users, sinrs)
+
+    monkeypatch.setattr(montecarlo, "_audit_trial", record)
+    report = run_experiment(config, threads=2)
+    audited = list(range(0, config.trials, 1000))
+    assert len(calls) == math.ceil(config.trials / 1000) == len(audited)
+    sizes = [CHUNK, CHUNK, 17]
+    local = []
+    for t, (H_row, users, sinrs) in zip(audited, calls):
+        c, i = divmod(t, CHUNK)
+        local.append((c, i))
+        H = draw_channel_batch(config.params.K, config.params.M, substream(config.seed, c),
+                               sizes[c])
+        assert np.array_equal(H_row, H[i]), t
+        assert np.array_equal(users, report.users[t]) and np.array_equal(sinrs, report.sinrs[t])
+    assert (1, 904) in local  # chunk 1's first audited trial, t = 5000
+
+
+def test_run_memory_does_not_grow_with_the_channels():
+    # only the outputs and the audited channel rows outlive a chunk, so four
+    # times the trials costs (trials x r) floats more, not (trials x K x M)
+    def peak(chunks):
+        config = ExperimentConfig(params=SystemParams(M=4, K=100, P=P15, r=4), scheme="olbf",
+                                  trials=chunks * CHUNK, seed=21)
+        tracemalloc.start()
+        try:
+            run_experiment(config, threads=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(2), peak(8)
+    assert large <= 1.1 * small, (small / 2**20, large / 2**20)
 
 
 def test_thread_env_fallback(monkeypatch):
