@@ -13,14 +13,22 @@ The chain of results implemented here:
 
   where phi_k integrates the unordered density over the candidacy region
   of step k and I_n = int_0^{y_n} phi_n;
-* phi_1, phi_2, phi_3, I_2 and I_3 have closed forms in upper incomplete
-  gamma functions, and I_1 is a regularised lower incomplete gamma;
-  higher orders fall back to nested quadrature.
+* phi_1 is a gamma density and I_1 a regularised lower incomplete gamma;
+  with u_k = 1 + y_k and c = r/P, every higher order is a closed form in
+  upper incomplete gammas of integer order >= 1,
+
+      phi_n = e^c/(M-n)! ((u_n - 1)/u_n)^(M-n) u_n^-2 J_{n-1}(u_n),
+      J_1(w) = Gamma(M, c w) - Gamma(M, c u_1),
+      J_k(w) = int_w^{u_k} u^-2 J_{k-1}(u) du,
+      I_n = I_1(y_n) + y_n u_n sum_{k=2..n} phi_k(y_1..y_{k-1}, y_n) / (M-k+1),
+
+  where each J_k is generated term by term, integrating by parts with
+  int u^a Gamma(s, c u) du = [u^(a+1) Gamma(s, c u) - c^(-a-1) Gamma(s+a+1, c u)] / (a+1).
 
 Each closed form has one body.  It reads Gamma(s, x) only through a
 callable it is passed, so the grid evaluators feed it ``GammaLadder``s
-over whole argument tensors and the scalar API (``obf_phi``, ``obf_I2``,
-``obf_I3``, ``obf_selection_cdf``) feeds it one point at a time.
+over whole argument tensors and the scalar API (``obf_phi``,
+``obf_selection_cdf``) feeds it one point at a time.
 
 Marginals are obtained by integrating the joint density numerically.
 """
@@ -29,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
@@ -41,7 +50,6 @@ from .numerics import (
     QuadratureSpec,
     gauss_legendre_nodes,
     integrate_1d,
-    integrate_nested,
     integrate_semi_infinite,
     map_chunks,
     upper_incomplete_gamma,
@@ -53,8 +61,6 @@ __all__ = [
     "obf_v_to_x",
     "obf_unordered_pdf",
     "obf_phi",
-    "obf_I2",
-    "obf_I3",
     "obf_selection_cdf",
     "obf_joint_pdf_scheduled",
     "obf_marginal_pdf",
@@ -169,9 +175,9 @@ def _I1(y, params: ObfParams):
     return special.gammainc(params.M, params.rp * y)
 
 
-def _ladder(y: np.ndarray, params: ObfParams, lowest: int = 1) -> GammaLadder:
-    """Gamma(s, (r/P)(1 + y)) for s >= lowest."""
-    return GammaLadder(params.rp * (1.0 + y), lowest)
+def _ladder(y: np.ndarray, params: ObfParams) -> GammaLadder:
+    """Gamma(s, (r/P)(1 + y)) for s >= 1."""
+    return GammaLadder(params.rp * (1.0 + y))
 
 
 def _point(y: float, params: ObfParams) -> Callable[[int], float]:
@@ -180,172 +186,171 @@ def _point(y: float, params: ObfParams) -> Callable[[int], float]:
     return lambda s: upper_incomplete_gamma(s, x)
 
 
-# Each closed form below has one body, shared by the grids and the scalar
-# API.  It reads its incomplete gammas only as g_k(s) = Gamma(s, x_k) with
-# x_k = (r/P)(1 + y_k): a grid passes ``_ladder``s, so it builds each
-# distinct argument tensor once and shares it across every order and form;
-# the scalar API passes ``_point``s over the cached scalar routine.
+# The term algebra behind J_k.  With F_1(u) = -Gamma(M, c u) and F_k an
+# antiderivative of u^-2 J_{k-1}(u), J_k(w) = F_k(u_k) - F_k(w).  A term is
+# coef * c^e * prod_j u_j^a_j * Gamma(s, c u_j) (at most one Gamma), keyed
+# (e, (a_0, ..., a_M), (j, s) or None) in a dict of exact coefficients; a_0
+# is unused and F_k keeps its variable in slot k.  The by-parts rule maps
+# terms to terms; a = -1 (a logarithm) would leave the algebra, and raises.
 
 
-def _phi2(y2, g1, g2, params: ObfParams) -> np.ndarray:
-    M, rp = params.M, params.rp
-    num = g2(M) - g1(M)
-    return math.exp(rp) * y2 ** (M - 2) * num / (math.gamma(M - 1) * (1.0 + y2) ** M)
+def _add(terms: dict, key, coef) -> None:
+    coef += terms.get(key, 0)
+    if coef:
+        terms[key] = coef
+    else:
+        terms.pop(key, None)
 
 
-def _phi3(y2, y3, g1, g2, g3, params: ObfParams) -> np.ndarray:
-    M, rp = params.M, params.rp
-    u2, u3 = 1.0 + y2, 1.0 + y3
-    core = (
-        g3(M) / u3
-        - g2(M) / u2
-        - (u2 - u3) / (u2 * u3) * g1(M)
-        + rp * (g2(M - 1) - g3(M - 1))
-    )
-    pref = math.exp(rp) / math.gamma(M - 2) * (u3 - 1.0) ** (M - 3) / u3 ** (M - 1)
-    return pref * core
+def _set(powers: tuple, slot: int, a: int) -> tuple:
+    return powers[:slot] + (a,) + powers[slot + 1:]
 
 
-def _I2(y2, g1, g2, params: ObfParams) -> np.ndarray:
-    """obf_I2(y2, y1); g2 needs orders >= 1 - M."""
-    M, rp = params.M, params.rp
-    u2 = 1.0 + y2
-    gM_y1 = g1(M)
-    fact_M1 = math.gamma(M)
-    inv_mfact = [1.0 / math.gamma(m + 1) for m in range(M)]
-    const = [upper_incomplete_gamma(m - 1 - i, rp) for m in range(M) for i in range(M - 1)]
-    total = 0.0
-    for i in range(M - 1):
-        c = math.comb(M - 2, i) * (-1) ** i
-        a = sum(
-            inv_mfact[m] * (const[m * (M - 1) + i] - g2(m - 1 - i))
-            for m in range(M)
-        )
-        a = fact_M1 * rp ** (i + 1) * a
-        b = gM_y1 * (1.0 - u2 ** (-(i + 1))) / (i + 1)
-        total = total + c * (a - b)
-    return math.exp(rp) / math.gamma(M - 1) * total
+def _integrate(terms: dict, slot: int) -> dict:
+    """An antiderivative in u_slot of the sum of the terms."""
+    out: dict = {}
+    for (e, powers, gamma), coef in terms.items():
+        a = powers[slot]
+        if a == -1:
+            raise ArithmeticError(f"int u_{slot}^-1 ... du_{slot} is not a term of the algebra")
+        _add(out, (e, _set(powers, slot, a + 1), gamma), coef / (a + 1))
+        if gamma is not None and gamma[0] == slot:
+            by_parts = (e - a - 1, _set(powers, slot, 0), (slot, gamma[1] + a + 1))
+            _add(out, by_parts, -coef / (a + 1))
+    return out
 
 
-def _I3(y3, y2, g1, g2, g3, params: ObfParams) -> np.ndarray:
-    M, rp = params.M, params.rp
-    gs = upper_incomplete_gamma
-    u3, u2 = 1.0 + y3, 1.0 + y2
-    gM_y1 = g1(M)
-    gM_y2 = g2(M)
-    gM_y3 = g3(M)
-    gM1_y2 = g2(M - 1)
-    gM1_y3 = g3(M - 1)
-    gM_0 = gs(M, rp)
-    gM1_0 = gs(M - 1, rp)
-    total = 0.0
-    for i in range(M - 2):
-        c = math.comb(M - 3, i) * (-1) ** i
-        p1 = u3 ** (i + 1)
-        p2 = u3 ** (i + 2)
-        a1 = (p1 - 1.0) / (p1 * (i + 1))
-        a2 = (p2 - 1.0) / (p2 * (i + 2))
-        block = a1 * (rp * gM1_y2 + (gM_y1 - gM_y2) / u2) - a2 * gM_y1
-        block = block + (
-            rp * gM1_y3 / (p1 * (i + 1))
-            - gM_y3 / (p2 * (i + 2))
-            - rp ** (i + 2) * g3(M - i - 2) / ((i + 1) * (i + 2))
-        )
-        block = block - (
-            rp * gM1_0 / (i + 1)
-            - gM_0 / (i + 2)
-            - rp ** (i + 2) * gs(M - i - 2, rp) / ((i + 1) * (i + 2))
-        )
-        total = total + c * block
-    return math.exp(rp) / math.gamma(M - 2) * total
+@lru_cache(maxsize=None)
+def _antiderivative(k: int, M: int) -> dict:
+    """F_k as {(e, powers, gamma): coef}, in the variable u_k."""
+    if k == 1:
+        return {(0, (0,) * (M + 1), (1, M)): Fraction(-1)}
+    integrand: dict = {}  # u_k^-2 J_{k-1}(u_k) = u_k^-2 [F_{k-1}(u_{k-1}) - F_{k-1}(u_k)]
+    for (e, powers, gamma), coef in _antiderivative(k - 1, M).items():
+        _add(integrand, (e, _set(powers, k, -2), gamma), coef)
+        moved = _set(_set(powers, k - 1, 0), k, powers[k - 1] - 2)
+        if gamma is not None and gamma[0] == k - 1:
+            gamma = (k, gamma[1])
+        _add(integrand, (e, moved, gamma), -coef)
+    return _integrate(integrand, k)
 
 
-def obf_phi(n: int, ys, params: ObfParams, spec: QuadratureSpec = _DEFAULT_SPEC) -> float:
+@lru_cache(maxsize=None)
+def _pairs(k: int, M: int) -> tuple:
+    """F_k's terms as (coef, e, b, s, fixed), ready to evaluate J_k.
+
+    On slot k a term reads u^b Gamma(s, c u), or u^b where s is None;
+    ``fixed`` holds its other factors u_j^a Gamma(s_j, c u_j) as (j, a, s_j),
+    highest slot first, which on the grids is the smallest tensor first.
+    Terms constant in u_k cancel from J_k and are dropped.
+    """
+    out = []
+    for (e, powers, gamma), coef in _antiderivative(k, M).items():
+        orders = dict([gamma] if gamma else [])
+        if powers[k] or k in orders:
+            fixed = tuple((j, powers[j], orders.get(j)) for j in range(k - 1, 0, -1)
+                          if powers[j] or j in orders)
+            out.append((float(coef), e, powers[k], orders.get(k), fixed))
+    return tuple(out)
+
+
+def _J(k: int, ys: list, gs: list, params: ObfParams):
+    """J_k(u_{k+1}) = F_k(u_k) - F_k(u_{k+1}), each term's two ends taken together.
+
+    ``ys`` is (y_1, ..., y_n) and ``gs[j-1](s)`` reads Gamma(s, (r/P)(1 + y_j)):
+    ``_ladder``s on the grids, so each argument tensor is built once for every
+    order and form, and ``_point``s over the cached scalar routine otherwise.
+    """
+    powers: dict = {}
+
+    def factor(j, a, s):  # u_j^a Gamma(s, c u_j)
+        if not a:
+            return 1.0 if s is None else gs[j - 1](s)
+        if (j, a) not in powers:
+            powers[j, a] = (1.0 + ys[j - 1]) ** a
+        return powers[j, a] if s is None else powers[j, a] * gs[j - 1](s)
+
+    terms = []
+    for coef, e, b, s, fixed in _pairs(k, params.M):
+        val = coef * params.rp ** e * (factor(k, b, s) - factor(k + 1, b, s))
+        for j, a, sj in fixed:
+            val = val * factor(j, a, sj)
+        terms.append(val)
+    return sum(terms[1:], terms[0])
+
+
+def _phi(ys, gs, params: ObfParams):
+    """phi_n at ys = (y_1, ..., y_n), n >= 2."""
+    n, M, rp = len(ys), params.M, params.rp
+    y = ys[-1]
+    pref = math.exp(rp) / math.factorial(M - n) * (y / (1.0 + y)) ** (M - n) / (1.0 + y) ** 2
+    return pref * _J(n - 1, ys, gs, params)
+
+
+def _I(ys, gs, phi, params: ObfParams):
+    """I_n at ys = (y_1, ..., y_n), n >= 2, given phi = phi_n(ys).
+
+    With t = (u - 1)/u, u^-2 du = dt and I_n = e^c/(M-n)! int_0^{t_n}
+    t^(M-n) J_{n-1} dt.  Integrating the power of t by parts n-1 times
+    (dJ_k/dt = -J_{k-1}, dJ_1/dt = -c^M u^(M+1) e^(-c u)) leaves
+    I_1(y_n) + e^c sum_{k<n} t_n^(M-k)/(M-k)! J_k(u_n), that is
+    I_1(y_n) + y_n u_n sum_{k=2..n} phi_k(y_1..y_{k-1}, y_n)/(M-k+1): a
+    sum of nonnegative terms, where expanding ((u-1)/u)^(M-n) binomially
+    would cancel catastrophically at small y_n.
+    """
+    n, M, y = len(ys), params.M, ys[-1]
+    w = y * (1.0 + y)
+    total = _I1(y, params) + w / (M - n + 1) * phi
+    for k in range(2, n):
+        total = total + w / (M - k + 1) * _phi([*ys[:k - 1], y], [*gs[:k - 1], gs[-1]], params)
+    return total
+
+
+def _scalar_args(ys, params: ObfParams):
+    ys = [float(y) for y in ys]
+    return ys, [_point(y, params) for y in ys]
+
+
+def obf_phi(n: int, ys, params: ObfParams) -> float:
     """phi_n evaluated at ys = (y_1, ..., y_n), y_1 >= ... >= y_n >= 0.
 
     phi_n integrates the unordered density over the candidacy region of
-    step n with v_n pinned at y_n.  Orders 1-3 use the closed forms; n=4
-    uses nested quadrature (three levels).
+    step n with v_n pinned at y_n.  phi_1 is a gamma density; for n >= 2,
+    with u_k = 1 + y_k and c = r/P,
+
+        phi_n = e^c/(M-n)! ((u_n - 1)/u_n)^(M-n) u_n^-2 J_{n-1}(u_n),
+        J_1(w) = Gamma(M, c w) - Gamma(M, c u_1),
+        J_k(w) = int_w^{u_k} u^-2 J_{k-1}(u) du,
+
+    each integral taken in closed form by parts,
+    int u^a Gamma(s, c u) du = [u^(a+1) Gamma(s, c u) - c^(-a-1) Gamma(s+a+1, c u)] / (a+1).
     """
     ys = _check_ordered(ys)
     if len(ys) != n or not 1 <= n <= params.r:
         raise ValueError("need len(ys) == n and 1 <= n <= r")
-    M, rp = params.M, params.rp
-
     if n == 1:
-        y1 = ys[0]
-        return rp ** M * y1 ** (M - 1) / math.gamma(M) * math.exp(-y1 * rp)
-
-    if n == 2:
-        y1, y2 = ys
-        return float(_phi2(y2, _point(y1, params), _point(y2, params), params))
-
-    if n == 3:
-        g1, g2, g3 = (_point(y, params) for y in ys)
-        y2, y3 = ys[1:]
-        return float(_phi3(y2, y3, g1, g2, g3, params))
-
-    if n > 4:
-        raise NotImplementedError("quadrature fallback supports n <= 4")
-    # n == 4: integrate the unordered density over
-    #   v_3 in [y_4, y_3], v_2 in [v_3, y_2], v_1 in [v_2, y_1]
-    y1, y2, y3, y4 = ys
-
-    def joint(v3, v2, v1):
-        return obf_unordered_pdf([v1, v2, v3, y4], params)
-
-    return integrate_nested(
-        joint, [(y4, y3), (lambda v3: v3, y2), (lambda v3, v2: v2, y1)], spec
-    )
+        return float(_phi1_vec(ys[0], params))
+    return float(_phi(*_scalar_args(ys, params), params))
 
 
-def obf_I2(y2: float, y1: float, params: ObfParams) -> float:
-    """Closed form of int_0^{y2} phi_2(alpha, y1) d alpha.
-
-    Expanding alpha^(M-2)/(1+alpha)^M binomially in u = 1 + alpha reduces
-    the integral to incomplete gamma functions of integer order (both
-    signs), mirroring the structure of the third-order result.
-    """
-    if not (y1 >= y2 >= 0):
-        raise ValueError("need y1 >= y2 >= 0")
-    return float(_I2(y2, _point(y1, params), _point(y2, params), params))
-
-
-def obf_I3(y3: float, y2: float, y1: float, params: ObfParams) -> float:
-    """Closed form of int_0^{y3} phi_3(alpha, y2, y1) d alpha."""
-    if not (y1 >= y2 >= y3 >= 0):
-        raise ValueError("need y1 >= y2 >= y3 >= 0")
-    g1, g2, g3 = (_point(y, params) for y in (y1, y2, y3))
-    return float(_I3(y3, y2, g1, g2, g3, params))
-
-
-def obf_selection_cdf(
-    n: int, ys, params: ObfParams, spec: QuadratureSpec = _DEFAULT_SPEC
-) -> float:
+def obf_selection_cdf(n: int, ys, params: ObfParams) -> float:
     """I_n(ys) = int_0^{y_n} phi_n(alpha, y_{n-1}, ..., y_1) d alpha.
 
     This is the joint CDF of one unscheduled user's candidacy SINRs
     evaluated at the scheduled values; it enters the joint density with
-    exponent K-n.  n <= 3 are closed form, n = 4 quadrature.
+    exponent K-n.  I_1 is a regularised lower incomplete gamma, and
+    I_n = I_1(y_n) + y_n (1 + y_n) sum_{k=2..n} phi_k(y_1..y_{k-1}, y_n)/(M-k+1).
     """
     ys = _check_ordered(ys)
-    if len(ys) != n:
-        raise ValueError("len(ys) must equal n")
+    if len(ys) != n or not 1 <= n <= params.r:
+        raise ValueError("need len(ys) == n and 1 <= n <= r")
     if n == 1:
         return float(_I1(ys[0], params))
-    if n == 2:
-        return obf_I2(ys[1], ys[0], params)
-    if n == 3:
-        return obf_I3(ys[2], ys[1], ys[0], params)
-    head = list(ys[:-1])
-    return integrate_1d(
-        lambda a: obf_phi(n, head + [a], params, spec), 0.0, ys[-1], spec
-    )
+    ys, gs = _scalar_args(ys, params)
+    return float(_I(ys, gs, _phi(ys, gs, params), params))
 
 
-def obf_joint_pdf_scheduled(
-    ys, params: ObfParams, spec: QuadratureSpec = _DEFAULT_SPEC
-) -> float:
+def obf_joint_pdf_scheduled(ys, params: ObfParams) -> float:
     """Joint density of the first n scheduled users' SINRs at ys = (y_1..y_n)."""
     ys = np.asarray(ys, dtype=float)
     n = ys.size
@@ -354,10 +359,10 @@ def obf_joint_pdf_scheduled(
     if ys[-1] < 0 or np.any(np.diff(ys) > 0):
         return 0.0
     K = params.K
-    cdf = obf_selection_cdf(n, ys, params, spec)
+    cdf = obf_selection_cdf(n, ys, params)
     val = math.perm(K, n) * cdf ** (K - n)
     for i in range(1, n + 1):
-        val *= obf_phi(i, ys[:i], params, spec)
+        val *= obf_phi(i, ys[:i], params)
     return float(val)
 
 
@@ -375,14 +380,12 @@ def obf_marginal_pdf(
         )
     if n == 2:
         return integrate_semi_infinite(
-            lambda y1: obf_joint_pdf_scheduled([y1, y], params, spec.tightened()), y, spec
+            lambda y1: obf_joint_pdf_scheduled([y1, y], params), y, spec
         )
     if n == 3:
         def inner(y2):
             return integrate_semi_infinite(
-                lambda y1: obf_joint_pdf_scheduled([y1, y2, y], params, spec.tightened(2)),
-                y2,
-                spec.tightened(),
+                lambda y1: obf_joint_pdf_scheduled([y1, y2, y], params), y2, spec.tightened()
             )
 
         return integrate_semi_infinite(inner, y, spec)
@@ -394,55 +397,49 @@ def _phi1_vec(y1: np.ndarray, params: ObfParams) -> np.ndarray:
     return rp ** M * y1 ** (M - 1) / math.gamma(M) * np.exp(-y1 * rp)
 
 
+@lru_cache(maxsize=None)
+def _inner_rule(n: int) -> tuple[list, np.ndarray]:
+    """The steps t/(1-t) on axes 1..n-1 of a rank-n grid block and their joint weight."""
+    t, wt = gauss_legendre_nodes(_INNER_NODES, 0.0, 1.0)
+    steps = [(t / (1.0 - t)).reshape([-1 if i == ax else 1 for i in range(n)])
+             for ax in range(1, n)]
+    return steps, math.prod((wt / (1.0 - t) ** 2).reshape(s.shape) for s in steps)
+
+
 def obf_marginal_pdf_grid(n: int, ys, params: ObfParams) -> np.ndarray:
     """Marginal density of the n-th scheduled SINR on a whole grid at once.
 
     Fixed-order Gauss-Legendre quadrature (``_INNER_NODES`` per free
-    variable) on the rational map t -> y + t/(1-t) replaces adaptive
-    subdivision.  At K = 10 and 15 dB it agrees with ``obf_marginal_pdf``
-    to 5e-6; its error grows with the SNR, and the mass of the tabulated
-    marginal shows it.  Each distinct argument (r/P)(1 + y) gets one
-    ``GammaLadder``; rank 3 evaluates (points, nodes, nodes) tensors in
+    variable) on the rational maps y_{k-1} = y_k + t/(1-t) replaces
+    adaptive subdivision.  At K = 10 and 15 dB it agrees with
+    ``obf_marginal_pdf`` to 5e-6; its error grows with the SNR, and the
+    mass of the tabulated marginal shows it.  Each distinct argument
+    (r/P)(1 + y) gets one ``GammaLadder``; the joint density is evaluated
+    on (points, nodes, ...) tensors with one axis per free variable, in
     blocks of ``GRID_CHUNK`` grid points.
     """
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     if np.any(ys < 0):
         raise ValueError("grid points must be nonnegative")
-    M, K = params.M, params.K
+    K = params.K
     if n == 1:
         return K * _I1(ys, params) ** (K - 1) * _phi1_vec(ys, params)
-    t, wt = gauss_legendre_nodes(_INNER_NODES, 0.0, 1.0)
-    if n == 2:
-        y2 = ys[:, None]
-        y1 = y2 + t[None, :] / (1.0 - t[None, :])
-        jac = wt[None, :] / (1.0 - t[None, :]) ** 2
-        g1, g2 = _ladder(y1, params), _ladder(y2, params, 1 - M)
-        f = (
-            math.perm(K, 2)
-            * _I2(y2, g1, g2, params) ** (K - 2)
-            * _phi1_vec(y1, params)
-            * _phi2(y2, g1, g2, params)
-        )
-        return np.sum(f * jac, axis=1)
-    if n != 3:
+    if n > 3:
         raise NotImplementedError("grid marginals implemented for n <= 3")
-    tu = t[None, :, None]
-    tw = t[None, None, :]
-    jac = (wt[None, :, None] / (1.0 - tu) ** 2) * (wt[None, None, :] / (1.0 - tw) ** 2)
+    steps, jac = _inner_rule(n)
+    axes = tuple(range(1, n))
 
     def block(yb: np.ndarray) -> np.ndarray:
-        y3 = yb[:, None, None]
-        y2 = y3 + tu / (1.0 - tu)
-        y1 = y2 + tw / (1.0 - tw)
-        g1, g2, g3 = _ladder(y1, params), _ladder(y2, params), _ladder(y3, params)
-        f = (
-            math.perm(K, 3)
-            * _I3(y3, y2, g1, g2, g3, params) ** (K - 3)
-            * _phi1_vec(y1, params)
-            * _phi2(y2, g1, g2, params)
-            * _phi3(y2, y3, g1, g2, g3, params)
-        )
-        return np.sum(f * jac, axis=(1, 2))
+        yk = [yb.reshape(-1, *[1] * (n - 1))]  # y_n, then y_{n-1} .. y_1 on their axes
+        for step in steps:
+            yk.insert(0, yk[0] + step)
+        gs = [_ladder(y, params) for y in yk]
+        f = _phi(yk, gs, params)  # phi_n, which I_n reads too
+        f = math.perm(K, n) * _I(yk, gs, f, params) ** (K - n) * f
+        for k in range(2, n):
+            f = f * _phi(yk[:k], gs[:k], params)
+        f = f * _phi1_vec(yk[0], params)
+        return np.sum(f * jac, axis=axes)
 
     return map_chunks(block, ys)
 

@@ -244,13 +244,7 @@ def cmd_analytic(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.sum_rate:
-        rate = analytic.mean_sum_rate(params)
-        if args.bits:
-            rate /= LN2
-        print(repr(rate))
-        return 0
-    rank = args.user_rank
+    rank = params.r if args.sum_rate else args.user_rank  # the highest rank to tabulate
     if rank is None:
         print("error: --user-rank is required unless --sum-rate is given", file=sys.stderr)
         return 2
@@ -259,11 +253,17 @@ def cmd_analytic(args) -> int:
         return 2
     if rank > MAX_ANALYTIC_RANK:
         print(
-            "numeric fallback: closed-form marginals cover user ranks 1-3 only; "
-            "higher ranks are not tabulated by this command",
+            f"numeric fallback: the marginal tables cover user ranks 1-{MAX_ANALYTIC_RANK} "
+            f"only; rank {rank} is not tabulated by this command",
             file=sys.stderr,
         )
         return 3
+    if args.sum_rate:
+        rate = analytic.mean_sum_rate(params)
+        if args.bits:
+            rate /= LN2
+        print(repr(rate))
+        return 0
     try:
         grid = _parse_grid(args.grid)
     except ValueError as exc:

@@ -14,10 +14,10 @@ from scipy import integrate
 
 from obflab.analytic_obf import (
     ObfParams,
-    obf_I3,
     obf_marginal_pdf_grid,
     obf_mean_sum_rate,
     obf_phi,
+    obf_selection_cdf,
     obf_unordered_pdf,
     obf_v_to_x,
     obf_x_to_v,
@@ -203,7 +203,7 @@ def test_criterion_6a_obf_candidacy_closed_forms():
         y1, y2, y3 = np.sort(rng.uniform(0.01, 4.0, 3))[::-1]
         got, want = obf_phi(3, [y1, y2, y3], params), _obf_phi3_oracle(y1, y2, y3, params)
         worst["phi3"] = max(worst["phi3"], abs(got - want) / abs(want))
-        got = obf_I3(y3, y2, y1, params)
+        got = obf_selection_cdf(3, [y1, y2, y3], params)
         want, _ = integrate.quad(
             lambda a: obf_phi(3, [y1, y2, a], params), 0.0, y3,
             epsrel=1e-11, limit=200,

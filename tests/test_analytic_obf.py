@@ -1,13 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special
 
+from obflab import analytic_obf as obf_analytic
 from obflab.analytic_obf import (
     ObfParams,
-    obf_I2,
-    obf_I3,
     obf_joint_pdf_scheduled,
     obf_marginal_pdf,
     obf_marginal_pdf_grid,
@@ -168,7 +168,7 @@ def test_I2_closed_vs_quadrature_of_phi2(M):
     rng = np.random.default_rng(61 + M)
     for _ in range(40):
         y1, y2 = _ordered_point(rng, 2)
-        got = obf_I2(y2, y1, params)
+        got = obf_selection_cdf(2, [y1, y2], params)
         want, _ = integrate.quad(
             lambda a: obf_phi(2, [y1, a], params), 0.0, y2,
             epsrel=1e-11, limit=200,
@@ -182,7 +182,7 @@ def test_I3_closed_vs_quadrature_of_phi3(M):
     rng = np.random.default_rng(71 + M)
     for _ in range(50):
         y1, y2, y3 = _ordered_point(rng, 3)
-        got = obf_I3(y3, y2, y1, params)
+        got = obf_selection_cdf(3, [y1, y2, y3], params)
         want, _ = integrate.quad(
             lambda a: obf_phi(3, [y1, y2, a], params), 0.0, y3,
             epsrel=1e-11, limit=200,
@@ -190,12 +190,64 @@ def test_I3_closed_vs_quadrature_of_phi3(M):
         assert got == pytest.approx(want, rel=1e-6, abs=1e-14)
 
 
+@pytest.mark.parametrize("M", [4, 5])
+def test_I4_closed_vs_quadrature_of_phi4(M):
+    params = _params(M=M, r=4)
+    rng = np.random.default_rng(75 + M)
+    for _ in range(50):
+        y1, y2, y3, y4 = _ordered_point(rng, 4)
+        got = obf_selection_cdf(4, [y1, y2, y3, y4], params)
+        want, _ = integrate.quad(
+            lambda a: obf_phi(4, [y1, y2, y3, a], params), 0.0, y4,
+            epsrel=1e-11, limit=200,
+        )
+        assert got == pytest.approx(want, rel=1e-6, abs=1e-14)
+
+
+def _I2_mpmath(y1, y2, params):
+    # I_2 = int_0^{y2} phi_2 at 30 digits
+    with mpmath.workdps(30):
+        M, c = params.M, mpmath.mpf(params.rp)
+        g1 = mpmath.gammainc(M, c * (1 + mpmath.mpf(y1)))
+
+        def phi2(a):
+            u = 1 + a
+            return (mpmath.e ** c / mpmath.factorial(M - 2) * (a / u) ** (M - 2) / u ** 2
+                    * (mpmath.gammainc(M, c * u) - g1))
+
+        return float(mpmath.quad(phi2, [0, mpmath.mpf(y2)]))
+
+
+@pytest.mark.parametrize("M", [3, 4, 5])
+def test_selection_cdf_holds_its_digits_at_small_y(M):
+    # at small, close y_1 and y_2 the old binomial I_2 lost all of its
+    # digits at M = 5 (relative error 7.5)
+    params = _params(M=M, r=3)
+    y1, y2 = 0.0195371996681926, 0.0187780289350489
+    got = obf_selection_cdf(2, [y1, y2], params)
+    assert got == pytest.approx(_I2_mpmath(y1, y2, params), rel=1e-6, abs=0)
+    assert obf_selection_cdf(2, [y1, 0.0], params) == 0.0
+    assert obf_selection_cdf(3, [y1, y2, 0.0], params) == 0.0
+
+
+def test_term_algebra_never_needs_a_logarithm():
+    # every F_k behind phi_n and I_n, n <= min(M, 6), M <= 8, is built
+    # without reaching int u^-1 ... du, and reads Gamma orders >= 1 only
+    for M in range(2, 9):
+        for k in range(1, min(M, 6)):
+            terms = obf_analytic._antiderivative(k, M)
+            assert terms
+            assert min(g[1] for _, _, g in terms if g is not None) >= 1
+    with pytest.raises(ArithmeticError):
+        obf_analytic._integrate({(0, (0, 0, -1), None): 1}, 2)
+
+
 def test_phi4_nested_quadrature_consistency():
     # phi_4 must integrate the 4-coordinate density over the step-4 region;
     # cross-check against an independently coded integration order
     params = ObfParams(M=4, K=10, P=P15, r=4)
     rng = np.random.default_rng(81)
-    for _ in range(3):
+    for _ in range(10):
         y1, y2, y3, y4 = _ordered_point(rng, 4, scale=2.5)
         got = obf_phi(4, [y1, y2, y3, y4], params)
 

@@ -103,7 +103,7 @@ def test_csv_writer_matches_the_row_formatter(r, bits, tmp_path):
 # changes them
 SIM_ARTIFACT_HASHES = {
     "adaptive-obf": ("5c9622c2e3113086b92ea06dc99d7fc57bba143dacb2cd56c1f83459b9efbe5d",
-                     "7e1a8ffcd88d2ee7ffc491a5e2838f79e7372681a8282ce55af79e42c36ab597"),
+                     "d5ac71eb50605528431f6d4f035c414962b3ecd71e153783906a3e1602082f74"),
     "olbf": ("0f2a2ab3cbea7d2dadd84da8d01e32e321247613d3f7dd715cb77d5d44807ba5",
              "1a9bddb4769b0d12d04b36411a57b0e577cbb0c8c1753344feddbd8605ea97bb"),
     "zfs": ("24b39ac8842f21a79bfbd11799218104e509f35c9eb620da257120aca2736c4b",
@@ -250,6 +250,19 @@ def test_analytic_rank_above_three_notice(capsys):
     ])
     assert code == 3
     assert "numeric fallback" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scheme", ["obf", "olbf"])
+def test_analytic_sum_rate_above_rank_three_notice(scheme, capsys):
+    # the sum rate needs every rank's table, and rank 4 has none
+    code = run_main([
+        "analytic", "--scheme", scheme, "--m", "4", "--k", "10",
+        "--snr-db", "10", "--sum-rate",
+    ])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numeric fallback" in captured.err
 
 
 def test_analytic_bad_grid_exit_code(capsys):

@@ -27,18 +27,16 @@ def _close(scalar, ladder):
 
 @pytest.mark.parametrize("M", [3, 4])
 def test_obf_scalar_api_matches_ladder_route(M):
-    params = obf.ObfParams(M=M, K=10, P=P15, r=3)
+    params = obf.ObfParams(M=M, K=10, P=P15, r=M)
     rng = np.random.default_rng(300 + M)
-    ys = -np.sort(-rng.exponential(4.0, size=(20, 3)), axis=1)
-    y1, y2, y3 = ys.T
-    g1 = obf._ladder(y1, params)
-    g2 = obf._ladder(y2, params, 1 - M)
-    g3 = obf._ladder(y3, params)
-    _close([obf.obf_phi(2, y[:2], params) for y in ys], obf._phi2(y2, g1, g2, params))
-    _close([obf.obf_phi(3, y, params) for y in ys], obf._phi3(y2, y3, g1, g2, g3, params))
-    _close([obf.obf_I2(b, a, params) for a, b, _ in ys], obf._I2(y2, g1, g2, params))
-    _close([obf.obf_I3(c, b, a, params) for a, b, c in ys],
-           obf._I3(y3, y2, g1, g2, g3, params))
+    ys = -np.sort(-rng.exponential(4.0, size=(20, M)), axis=1)
+    columns = list(ys.T)
+    gs = [obf._ladder(y, params) for y in columns]
+    for n in range(2, M + 1):
+        phi = obf._phi(columns[:n], gs[:n], params)
+        _close([obf.obf_phi(n, y[:n], params) for y in ys], phi)
+        _close([obf.obf_selection_cdf(n, y[:n], params) for y in ys],
+               obf._I(columns[:n], gs[:n], phi, params))
 
 
 @pytest.mark.parametrize("M", [3, 4])
