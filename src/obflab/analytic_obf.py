@@ -351,7 +351,11 @@ def obf_selection_cdf(n: int, ys, params: ObfParams) -> float:
 
 
 def obf_joint_pdf_scheduled(ys, params: ObfParams) -> float:
-    """Joint density of the first n scheduled users' SINRs at ys = (y_1..y_n)."""
+    """Joint density of the first n scheduled users' SINRs at ys = (y_1..y_n).
+
+    Validates once and evaluates each phi_k once; the product is the same,
+    factor for factor, as that of ``obf_selection_cdf`` and ``obf_phi``.
+    """
     ys = np.asarray(ys, dtype=float)
     n = ys.size
     if not 1 <= n <= params.r:
@@ -359,10 +363,13 @@ def obf_joint_pdf_scheduled(ys, params: ObfParams) -> float:
     if ys[-1] < 0 or np.any(np.diff(ys) > 0):
         return 0.0
     K = params.K
-    cdf = obf_selection_cdf(n, ys, params)
+    ys, gs = _scalar_args(ys, params)
+    phis = [float(_phi1_vec(ys[0], params))]
+    phis += [float(_phi(ys[:k], gs[:k], params)) for k in range(2, n + 1)]
+    cdf = float(_I1(ys[0], params) if n == 1 else _I(ys, gs, phis[-1], params))
     val = math.perm(K, n) * cdf ** (K - n)
-    for i in range(1, n + 1):
-        val *= obf_phi(i, ys[:i], params)
+    for phi in phis:
+        val *= phi
     return float(val)
 
 

@@ -13,19 +13,35 @@ of the scheduled users' transformed SINRs
 where F_n is the joint CDF of (z_1..z_n) and xi_k integrates the
 unordered density over the candidacy region of step k.
 
-F_n is piecewise.  On the "head" branch t_1 >= t_2 + ... + t_n it is an
-integral over z_1 of a closed-form cross-section; on the complementary
-branch it expands by inclusion-exclusion into head-branch CDFs of lower
-order.  Orders n <= 3 are fully closed form (F_1 is a regularised lower
-incomplete gamma); the generic recursion (``olbf_cdf_z`` with
-method="recursive") covers any n and doubles as an independent
-cross-check of the closed forms.
+Both are alternating sums of one integral.  With c = M/P and
+f_1(z) = c^M e^(-c z/(1-z)) / (1-z)^(M+1), let
 
-Each closed form (xi_2, eta, F_1, F_2 and the head branch of F_3) has one
-body.  It reads Gamma(s, x) only through a callable it is passed, so the
-grid evaluators feed it ``GammaLadder``s over whole argument tensors and
-the scalar API (``olbf_xi``, ``olbf_eta``, ``olbf_cdf_z``) feeds it one
-point at a time.
+    G_p(sigma; t_1) = int_sigma^{t_1} f_1(z) (z - sigma)^p / p! dz.
+
+It is 0 for sigma >= t_1; otherwise, with o = 1 - sigma (substitute
+w = c/(1 - z)),
+
+    G_p = e^c/p! sum_{i=0..p} C(p, i) (-c)^i o^(p-i)
+          [Gamma(M-i, c/o) - Gamma(M-i, c/(1-t_1))].
+
+Integrating (z_1 - sum z)_+^q / q! over a box z_j in [0, t_j], j = 1..m,
+gives sum_S (-1)^|S| (z_1 - sum S)_+^(q+m) / (q+m)! over the subsets S of
+the upper limits, on either side of z_1 = sum t_j.  Hence, at every order,
+with t_1 above or below t_2 + ... + t_n alike, summing over the subsets S
+of the tails
+
+    F_n(t) = sum_{S of t_2..t_n} (-1)^|S| G_{M-1}(sum S; t_1),
+    xi_k(t) = sum_{S of t_2..t_{k-1}} (-1)^|S| G_{M-2}(t_k + sum S; t_1),
+
+with Gamma orders 1..M only.  The S = {} term of F_n is F_1, taken as a
+regularised lower incomplete gamma.  ``olbf_cdf_z`` with
+method="recursive" integrates the cross-section density over z_1 instead,
+an independent check of the closed forms.
+
+``_G`` is the one body.  It reads Gamma(s, x) only through callables it
+is passed, so the grid evaluators feed it ``GammaLadder``s over whole
+argument tensors and the scalar API (``olbf_xi``, ``olbf_cdf_z``) feeds
+it one point at a time.
 
 Actual SINRs are recovered through y = t/(1-t).
 """
@@ -47,7 +63,6 @@ from .numerics import (
     QuadratureSpec,
     gauss_legendre_nodes,
     integrate_1d,
-    integrate_nested,
     map_chunks,
     upper_incomplete_gamma,
 )
@@ -60,9 +75,7 @@ __all__ = [
     "z_to_v",
     "olbf_unordered_pdf_z",
     "olbf_xi",
-    "olbf_eta",
     "olbf_cdf_z",
-    "olbf_survival_z",
     "olbf_joint_pdf_t",
     "olbf_joint_pdf_sinr",
     "olbf_marginal_pdf_t",
@@ -196,24 +209,15 @@ def _gamma_ratio_arg(om: np.ndarray, params: OlbfParams) -> np.ndarray:
     return params.mp / np.maximum(om, 1e-300)
 
 
-def _ladder(om: np.ndarray, params: OlbfParams, lowest: int = 1) -> GammaLadder:
-    """Gamma(s, mp/(1 - t)) for s >= lowest, given om = 1 - t."""
-    return GammaLadder(_gamma_ratio_arg(om, params), lowest)
+def _ladder(om: np.ndarray, params: OlbfParams) -> GammaLadder:
+    """Gamma(s, mp/(1 - t)) for s >= 1, given om = 1 - t."""
+    return GammaLadder(_gamma_ratio_arg(om, params))
 
 
 def _point(om: float, params: OlbfParams) -> Callable[[int], float]:
     """Gamma(s, mp/(1 - t)) for any integer s at a single t, given om = 1 - t."""
     x = float(_gamma_ratio_arg(om, params))
     return lambda s: upper_incomplete_gamma(s, x)
-
-
-# Each closed form below has one body, shared by the grids and the scalar
-# API.  It reads its incomplete gammas only through callables s -> Gamma(s, x):
-# g1 at mp/(1 - t1), g2 at mp/(1 - t2), g3 at mp/(1 - t3), gx3 at
-# mp/(1 - x - t3) and g23 at mp/(1 - t2 - t3).  A grid passes ``_ladder``s,
-# so it builds each distinct argument tensor once and shares it across
-# every order and form; the scalar API passes ``_point``s over the cached
-# scalar routine.
 
 
 def _F_z1(t1, params: OlbfParams):
@@ -226,126 +230,79 @@ def _F_z1(t1, params: OlbfParams):
         return special.gammainc(params.M, params.mp * t1 / (1.0 - t1))
 
 
-def _xi2(t2, g1, g2, params: OlbfParams) -> np.ndarray:
+def _G(p: int, o, go, g1, params: OlbfParams):
+    """G_p(sigma; t_1), given o = max(1 - sigma, 1 - t_1) and the callables
+    go(s) = Gamma(s, mp/o) and g1(s) = Gamma(s, mp/(1 - t_1)).
+
+    Where sigma >= t_1, o = 1 - t_1 and every difference of gammas is 0.
+    """
     M, mp = params.M, params.mp
     total = 0.0
-    for i in range(M - 1):
+    for i in range(p + 1):
         total = total + (
-            math.comb(M - 2, i)
+            math.comb(p, i)
             * (-1) ** i
             * mp ** i
-            * (1.0 - t2) ** (M - 2 - i)
-            * (g2(M - i) - g1(M - i))
+            * o ** (p - i)
+            * (go(M - i) - g1(M - i))
         )
-    return math.exp(mp) / math.gamma(M - 1) * total
+    return math.exp(mp) / math.factorial(p) * total
 
 
-def _eta(oxt3, t3, g1, g3, gx3, params: OlbfParams) -> np.ndarray:
-    """olbf_eta(x, t1, t3) given oxt3 = 1 - x - t3; g3, gx3 need orders >= 2 - M."""
-    M, mp = params.M, params.mp
-    total = 0.0
-    for i in range(M - 2):
-        c = math.comb(M - 3, i) * (-1) ** i * mp ** i
-        a = -g1(M - i) * (
-            (1.0 - t3) ** (M - i - 2) - np.maximum(oxt3, 0.0) ** (M - i - 2)
-        ) / (M - i - 2)
-        inner = 0.0
-        for j in range(M - i):
-            inner = inner + (g3(i + j + 2 - M) - gx3(i + j + 2 - M)) / math.gamma(j + 1)
-        total = total + c * (a + math.gamma(M - i) * mp ** (M - i - 2) * inner)
-    return math.exp(mp) / math.gamma(M - 2) * total
+class _Corners:
+    """F_n and xi_k at ts = (t_1, ..., t_n) as subset sums of ``_G``.
 
-
-def _F_z2(t2, g1, g2, params: OlbfParams) -> np.ndarray:
-    """z-CDF at order 2 at (t1, t2); g2 needs orders >= 1 - M."""
-    M, mp = params.M, params.mp
-    gs = upper_incomplete_gamma
-    total = 0.0
-    for i in range(M - 1):
-        c = math.comb(M - 2, i) * (-1) ** i * mp ** i
-        a = -g1(M - i) * (1.0 - (1.0 - t2) ** (M - i - 1)) / (M - i - 1)
-        inner = 0.0
-        for j in range(M - i):
-            inner = inner + (gs(i + j + 1 - M, mp) - g2(i + j + 1 - M)) / math.gamma(j + 1)
-        total = total + c * (a + math.gamma(M - i) * mp ** (M - i - 1) * inner)
-    return math.exp(mp) / math.gamma(M - 1) * total
-
-
-def _F_z3_head(t2, t3, o23, g1, g2, g3, g23, params: OlbfParams) -> np.ndarray:
-    """z-CDF at order 3 on the branch t1 >= t2 + t3, given o23 = 1 - t2 - t3."""
-    M, mp = params.M, params.mp
-    gs = upper_incomplete_gamma
-    total = 0.0
-    for i in range(M):
-        c = math.comb(M - 1, i) * (-1) ** i * mp ** i
-        p2 = (1.0 - t2) ** (M - i - 1)
-        p3 = (1.0 - t3) ** (M - i - 1)
-        p23 = np.maximum(o23, 0.0) ** (M - i - 1)
-        block = (
-            gs(M - i, mp)
-            - p2 * g2(M - i)
-            - p3 * g3(M - i)
-            + p23 * g23(M - i)
-            - (1.0 - p2 - p3 + p23) * g1(M - i)
-        )
-        total = total + c * block
-    return math.exp(mp) / math.gamma(M) * total
-
-
-def olbf_eta(x: float, t1: float, t3: float, params: OlbfParams) -> float:
-    """Closed form of int_0^x int_{z2+t3}^{t1} f(z1, z2, z3=t3) dz1 dz2.
-
-    Requires M >= 3 and x + t3 <= t1 <= 1.
+    A subset J of the indices 1..n-1 (t_2..t_n) is a corner of the box of
+    the tails; its G_p reads sigma_J = sum_{j in J} t_j.  ``gamma(om, params)``
+    reads Gamma(s, mp/om): ``_ladder`` on the grids, ``_point`` for the scalar
+    API.  Each corner gets its clamped o and its Gamma callable once, however
+    many forms and orders read it.
     """
-    if params.M < 3:
-        raise ValueError("third-order candidacy needs M >= 3")
-    if x < 0 or x + t3 > t1 + 1e-12:
-        raise ValueError("need 0 <= x and x + t3 <= t1")
-    oxt3 = 1.0 - x - t3
-    g1, g3, gx3 = (_point(om, params) for om in (1.0 - t1, 1.0 - t3, oxt3))
-    return float(_eta(oxt3, t3, g1, g3, gx3, params))
+
+    def __init__(self, ts, gamma, params: OlbfParams):
+        self.ts, self.gamma, self.params = ts, gamma, params
+        self.g1 = gamma(1.0 - ts[0], params)
+        self._at: dict = {}
+
+    def _sum(self, p: int, head: tuple, free: tuple):
+        """sum over subsets S of free of (-1)^|S| G_p(sigma_{head + S}; t_1)."""
+        total = 0.0
+        for size in range(len(free) + 1):
+            for S in combinations(free, size):
+                J = tuple(sorted(head + S))
+                if J not in self._at:
+                    o = np.maximum(1.0 - sum(self.ts[j] for j in J), 1.0 - self.ts[0])
+                    self._at[J] = o, self.gamma(o, self.params)
+                total = total + (-1) ** size * _G(p, *self._at[J], self.g1, self.params)
+        return total
+
+    def xi(self, k: int):
+        """xi_k(t_1..t_k), k >= 2."""
+        return self._sum(self.params.M - 2, (k - 1,), tuple(range(1, k - 1)))
+
+    def cdf(self, n: int):
+        """F_n(t_1..t_n), n >= 2: F_1 plus the nonempty subsets, grouped by their first index."""
+        total = _F_z1(self.ts[0], self.params)
+        for j in range(1, n):
+            total = total - self._sum(self.params.M - 1, (j,), tuple(range(j + 1, n)))
+        return total
 
 
-def olbf_xi(k: int, ts, params: OlbfParams, spec: QuadratureSpec = _DEFAULT_SPEC) -> float:
+def olbf_xi(k: int, ts, params: OlbfParams) -> float:
     """xi_k evaluated at ts = (t_1, ..., t_k) with 0 <= t_i <= t_1 <= 1.
 
     xi_k integrates the unordered z-density over the candidacy region of
-    step k with z_k pinned at t_k.  Orders 1-3 are closed form; k >= 4
-    uses nested quadrature over z_2..z_{k-1}.
+    step k with z_k pinned at t_k: xi_1 is the density of z_1 and, at every
+    k >= 2, xi_k = sum_{S of t_2..t_{k-1}} (-1)^|S| G_{M-2}(t_k + sum S; t_1).
     """
     ts = np.asarray(ts, dtype=float)
     if len(ts) != k or not 1 <= k <= params.M:
         raise ValueError("need len(ts) == k and 1 <= k <= M")
     if np.any(ts < 0) or np.any(ts[1:] > ts[0]) or ts[0] > 1.0:
         raise ValueError("need 0 <= t_i <= t_1 <= 1")
-
     if k == 1:
         return _z1_pdf(ts[0], params)
-
-    if k == 2:
-        t1, t2 = ts
-        return float(_xi2(t2, _point(1.0 - t1, params), _point(1.0 - t2, params), params))
-
-    if k == 3:
-        t1, t2, t3 = ts
-        x = t2 if t1 >= t2 + t3 else t1 - t3
-        return olbf_eta(x, t1, t3, params)
-
-    # k >= 4: integrate the unordered density over
-    #   z_j in [0, t_j] for j = 2..k-1, z_1 in [z_2+...+z_{k-1}+t_k, t_1]
-    tk = float(ts[-1])
-    if k == 4:
-        t1, t2, t3 = float(ts[0]), float(ts[1]), float(ts[2])
-
-        def f(z2, z3, z1):
-            return olbf_unordered_pdf_z([z1, z2, z3, tk], params)
-
-        return integrate_nested(
-            f,
-            [(0.0, t2), (0.0, t3), (lambda z2, z3: z2 + z3 + tk, t1)],
-            spec,
-        )
-    raise NotImplementedError("candidacy integrals implemented for k <= 4")
+    return float(_Corners(ts, _point, params).xi(k))
 
 
 def _cross_section(z1: float, tails, params: OlbfParams) -> float:
@@ -394,11 +351,12 @@ def _W_bar(z1: float, tails, params: OlbfParams) -> float:
     return acc
 
 
-def _cdf_head_recursive(
+def _cdf_recursive(
     t1: float, tails, params: OlbfParams, spec: QuadratureSpec
 ) -> float:
-    """Head-branch z-CDF by integrating the cross-section density over z_1.
+    """z-CDF by integrating the cross-section density ``_W`` over z_1 in [0, t_1].
 
+    ``_W`` covers z_1 below sum(tails) too, so this holds on either branch.
     The integrand is piecewise smooth with breakpoints at the partial
     sums of every subset of the tails; each segment is integrated
     separately.
@@ -424,11 +382,10 @@ def olbf_cdf_z(
 ) -> float:
     """Joint CDF of (z_1, ..., z_n) at ts = (t_1, ..., t_n).
 
-    ``method="closed"`` uses the closed forms for n <= 3 (and for the
-    complementary branch at any n, which expands into them);
-    ``method="recursive"`` forces the generic cross-section integration,
-    which is slower but covers the head branch at any order and serves
-    as an independent check of the closed forms.
+    ``method="closed"`` sums G_{M-1} over the subsets of the tails, at any
+    order and on either branch; ``method="recursive"`` integrates the
+    cross-section density over z_1 instead, which is slower but serves as
+    an independent check of the closed forms.
     """
     ts = np.asarray(ts, dtype=float)
     n = ts.size
@@ -438,54 +395,11 @@ def olbf_cdf_z(
         raise ValueError("need 0 <= t_i <= t_1 <= 1")
     if method not in ("closed", "recursive"):
         raise ValueError("method must be 'closed' or 'recursive'")
-    t1 = float(ts[0])
-    tails = [float(t) for t in ts[1:]]
-
     if n == 1:
-        return float(_F_z1(t1, params))
-    if n == 2:
-        # z_2 <= z_1 always holds, so the CDF has a single analytic piece
-        if method == "recursive":
-            return _cdf_head_recursive(t1, tails, params, spec)
-        t2 = tails[0]
-        return float(_F_z2(t2, _point(1.0 - t1, params), _point(1.0 - t2, params), params))
-
-    if t1 >= math.fsum(tails):
-        if method == "closed" and n == 3:
-            t2, t3 = tails
-            o23 = 1.0 - t2 - t3
-            g1, g2, g3, g23 = (_point(om, params) for om in (1.0 - t1, 1.0 - t2, 1.0 - t3, o23))
-            return float(_F_z3_head(t2, t3, o23, g1, g2, g3, g23, params))
-        return _cdf_head_recursive(t1, tails, params, spec)
-    # complementary branch: expand over proper subsets of the tails
-    acc = 0.0
-    for size in range(n - 1):
-        for S in combinations(tails, size):
-            acc += (-1) ** size * olbf_survival_z(
-                [t1] + list(S), params, spec, method
-            )
-    return acc
-
-
-def olbf_survival_z(
-    ts,
-    params: OlbfParams,
-    spec: QuadratureSpec = _DEFAULT_SPEC,
-    method: str = "closed",
-) -> float:
-    """Pr(z_1 <= t_1, z_2 > t_2, ..., z_n > t_n) at ts = (t_1, ..., t_n)."""
-    ts = np.asarray(ts, dtype=float)
-    t1 = float(ts[0])
-    tails = [float(t) for t in ts[1:]]
-    if not tails:
-        return olbf_cdf_z([t1], params, spec, method)
-    if t1 < math.fsum(tails):
-        return 0.0
-    acc = 0.0
-    for size in range(len(tails) + 1):
-        for S in combinations(tails, size):
-            acc += (-1) ** size * olbf_cdf_z([t1] + list(S), params, spec, method)
-    return acc
+        return float(_F_z1(ts[0], params))
+    if method == "recursive":
+        return _cdf_recursive(float(ts[0]), [float(t) for t in ts[1:]], params, spec)
+    return float(_Corners(ts, _point, params).cdf(n))
 
 
 def olbf_joint_pdf_t(
@@ -509,7 +423,7 @@ def olbf_joint_pdf_t(
         cdf = 0.0
     val = math.perm(K, n) * cdf ** (K - n)
     for k in range(1, n + 1):
-        val *= olbf_xi(k, ts[:k], params, spec)
+        val *= olbf_xi(k, ts[:k], params)
     return float(val)
 
 
@@ -585,82 +499,57 @@ def _z1_pdf_vec(t1: np.ndarray, params: OlbfParams) -> np.ndarray:
     return np.exp(-mp * t1 / om) * mp ** M / om ** (M + 1) * t1 ** (M - 1) / math.gamma(M)
 
 
-def _head_segment(s, t1, g1, gs, base, w, ww, params: OlbfParams) -> np.ndarray:
-    """t_2-integral over [0, t_1 - s], the branch t_1 >= t_2 + s."""
-    M, K = params.M, params.K
-    t2 = (t1 - s) * w
-    o23 = 1.0 - t2 - s
-    g2 = _ladder(1.0 - t2, params)
-    g23 = _ladder(o23, params, 2 - M)
-    F = np.clip(_F_z3_head(t2, s, o23, g1, g2, gs, g23, params), 0.0, None)
-    f = F ** (K - 3) * base * _xi2(t2, g1, g2, params) * _eta(
-        o23, s, g1, gs, g23, params
-    )
-    return np.sum(f * (t1 - s) * ww, axis=2, keepdims=True)
-
-
-def _split_segment(s, t1, g1, gs, base, w, ww, params: OlbfParams) -> np.ndarray:
-    """t_2-integral over [t_1 - s, t_1], the branch t_1 < t_2 + s."""
-    M, K = params.M, params.K
-    t2 = (t1 - s) + s * w
-    g2 = _ladder(1.0 - t2, params, 1 - M)
-    F = np.clip(
-        _F_z2(t2, g1, g2, params) + _F_z2(s, g1, gs, params) - _F_z1(t1, params),
-        0.0,
-        None,
-    )
-    # eta at x = t_1 - s, where 1 - x - s = 1 - t_1
-    f = F ** (K - 3) * base * _xi2(t2, g1, g2, params) * _eta(
-        1.0 - t1, s, g1, gs, g1, params
-    )
-    return np.sum(f * s * ww, axis=2, keepdims=True)
+@lru_cache(maxsize=None)
+def _inner_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, 1] for each free variable of a grid marginal."""
+    return gauss_legendre_nodes(_INNER_NODES, 0.0, 1.0)
 
 
 def olbf_marginal_pdf_t_grid(n: int, ss, params: OlbfParams) -> np.ndarray:
     """Marginal density of the n-th scheduled transformed SINR on a grid.
 
     Fixed-order Gauss-Legendre quadrature (``_INNER_NODES`` per free
-    variable) with the t_2 integral split at the branch point, evaluating
-    the closed forms vectorised over grid x node tensors.  Each distinct
-    argument mp/(1 - t) gets one ``GammaLadder``; rank 3 is built in blocks
-    of ``GRID_CHUNK`` grid points to bound the (points, nodes, nodes) tensors.
+    variable) with the t_2 integral split at the kink t_2 = t_1 - s,
+    evaluating the subset sums of ``_G`` vectorised over grid x node
+    tensors.  Each distinct argument mp/(1 - t) gets one ``GammaLadder``;
+    rank 3 is built in blocks of ``GRID_CHUNK`` grid points to bound the
+    (points, nodes, nodes) tensors.
     """
     ss = np.atleast_1d(np.asarray(ss, dtype=float))
     if np.any((ss < 0) | (ss > 1)):
         raise ValueError("grid points must lie in [0, 1]")
-    M, K = params.M, params.K
+    K = params.K
     if n == 1:
         F = _F_z1(ss, params)
         return K * F ** (K - 1) * _z1_pdf_vec(ss, params)
-    u, wu = gauss_legendre_nodes(_INNER_NODES, 0.0, 1.0)
+    u, wu = _inner_rule()
     if n == 2:
         s = ss[:, None]
         t1 = s + (1.0 - s) * u[None, :]
         jac = (1.0 - s) * wu[None, :]
-        g1 = _ladder(1.0 - t1, params)
-        gs = _ladder(1.0 - s, params, 1 - M)
-        F = np.clip(_F_z2(s, g1, gs, params), 0.0, None)
-        f = (
-            math.perm(K, 2)
-            * F ** (K - 2)
-            * _z1_pdf_vec(t1, params)
-            * _xi2(s, g1, gs, params)
-        )
+        c = _Corners([t1, s], _ladder, params)
+        F = np.clip(c.cdf(2), 0.0, None)
+        f = math.perm(K, 2) * F ** (K - 2) * _z1_pdf_vec(t1, params) * c.xi(2)
         return np.sum(f * jac, axis=1)
     if n != 3:
         raise NotImplementedError("grid marginals implemented for n <= 3")
     w = u[None, None, :]
     ww = wu[None, None, :]
 
+    def segment(s, t1, start, width, base):
+        """The t_2 integral over [start, start + width], where the integrand is smooth."""
+        c = _Corners([t1, start + width * w, s], _ladder, params)
+        F = np.clip(c.cdf(3), 0.0, None)
+        f = F ** (K - 3) * base * c.xi(2) * c.xi(3)
+        return np.sum(f * width * ww, axis=2, keepdims=True)
+
     def block(sb: np.ndarray) -> np.ndarray:
         s = sb[:, None, None]
         t1 = s + (1.0 - s) * u[None, :, None]
         jac1 = (1.0 - s) * wu[None, :, None]
-        g1 = _ladder(1.0 - t1, params, 2 - M)
-        gs = _ladder(1.0 - s, params, 1 - M)
         base = _z1_pdf_vec(t1, params)
-        seg = _head_segment(s, t1, g1, gs, base, w, ww, params)
-        seg = seg + _split_segment(s, t1, g1, gs, base, w, ww, params)
+        seg = segment(s, t1, 0.0, t1 - s, base)
+        seg = seg + segment(s, t1, t1 - s, s, base)
         return math.perm(K, 3) * np.sum(seg * jac1, axis=1)[:, 0]
 
     return map_chunks(block, ss)

@@ -1,13 +1,14 @@
 """Special functions and adaptive quadrature shared by the analytic modules.
 
 The analytic SINR distributions are built almost entirely out of upper
-incomplete gamma functions of integer order (positive and non-positive)
-and low-dimensional adaptive quadrature.  The closed forms evaluate many
-orders of Gamma(s, x) at the same argument tensor, so the vectorised
-route is a ``GammaLadder``: built once per argument array, it shares one
-exponential and at most one special-function anchor per element across
-every order it is asked for.  The anchors are ``scipy.special.exp1`` and
-``expn``, which the scalar ``upper_incomplete_gamma`` uses too.
+incomplete gamma functions of integer order and low-dimensional adaptive
+quadrature.  The closed forms evaluate many orders of Gamma(s, x) at the
+same argument tensor, so the vectorised route is a ``GammaLadder``: built
+once per argument array, it shares one exponential per element across
+every order it is asked for.  Both analytic modules need orders >= 1 only
+(OLBF through the subset sums of G_p(sigma; t_1), see ``analytic_olbf``),
+so the ladder has no E1/E_n anchors.  The scalar ``upper_incomplete_gamma``
+also serves non-positive orders, from ``scipy.special.exp1`` and ``expn``.
 Everything here is a pure function of its arguments; a ladder memoises
 only within itself.
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy import integrate, special
@@ -31,14 +32,13 @@ __all__ = [
     "map_chunks",
     "integrate_1d",
     "integrate_semi_infinite",
-    "integrate_nested",
     "gauss_legendre_nodes",
 ]
 
-# Non-positive orders descend from E1 at or below this argument and climb
-# from x^s E_{1-s}(x) above it.  Against a quadrature oracle over
-# s in -5..0, x in [1e-3, 600] the worst relative error was 3e-13 with the
-# switch at 0.5, 2e-14 at 1 and 2e-15 at 2.5 or 3.
+# Non-positive orders of the scalar routine descend from E1 at or below
+# this argument and use x^s E_{1-s}(x) above it.  Against a quadrature
+# oracle over s in -5..0, x in [1e-3, 600] the worst relative error of the
+# descent was 3e-13 with the switch at 0.5, 2e-14 at 1 and 2e-15 at 2.5 or 3.
 _LADDER_SPLIT = 2.5
 
 # e^-x below the smallest normal double (x > 708.39) is flushed to zero:
@@ -131,30 +131,24 @@ def upper_incomplete_gamma(s: int, x: float) -> float:
 
 
 class GammaLadder:
-    """Gamma(s, x) of every integer order s over one argument array x.
+    """Gamma(s, x) of every integer order s >= 1 over one argument array x.
 
     The constructor computes e^-x once; each order is computed on its first
     request and memoised, so a closed form that needs several orders at the
-    same argument pays for one exponential.  Positive orders are the finite
-    sum Gamma(s, x) = (s-1)! sum_{i<s} term_i with term_0 = e^-x and
+    same argument pays for one exponential.  Orders are the finite sum
+    Gamma(s, x) = (s-1)! sum_{i<s} term_i with term_0 = e^-x and
     term_i = term_{i-1} x / i; every term stays below 1, so nothing
-    overflows.  Orders ``lowest``..0 are computed together on the first
-    request for any of them, from one special-function anchor per element:
-    E1(x) and the downward recurrence where x <= 2.5, x^lowest
-    E_{1-lowest}(x) and the upward recurrence Gamma(s+1, x) =
-    s Gamma(s, x) + x^s e^-x above it.  Both directions keep the relative
-    error near machine precision on their side of the switch.
+    overflows.  There are no anchors and no order below 1.
 
     Where e^-x underflows the normal range (x > 708.39, including inf) every
     order is exactly 0.  Returned arrays are shared with the memo: do not
     modify them in place.
     """
 
-    def __init__(self, x, lowest: int = 1):
+    def __init__(self, x):
         x = np.asarray(x, dtype=float)
-        lowest = int(lowest)
-        if np.any(x < 0) or (lowest <= 0 and np.any(x <= 0)):
-            raise ValueError("x must be positive (nonnegative for s >= 1)")
+        if np.any(x < 0):
+            raise ValueError("x must be nonnegative")
         if not np.all(np.isfinite(x)):
             x = np.minimum(x, np.finfo(float).max)  # keeps 0 * inf out of the terms
         ex = np.empty(x.shape)
@@ -162,20 +156,14 @@ class GammaLadder:
             np.exp(-x, out=ex)
         np.putmask(ex, ex < _EXP_FLOOR, 0.0)
         self.x = x
-        self.lowest = lowest
-        self._exp = ex
         self._memo = {1: ex}
         self._top, self._term, self._sum = 1, ex, ex
 
     def __call__(self, s: int) -> np.ndarray:
         s = int(s)
-        if s not in self._memo:
-            if s >= 1:
-                self._climb(s)
-            elif s >= self.lowest:
-                self._non_positive()
-            else:
-                raise ValueError(f"order {s} is below this ladder's lowest order {self.lowest}")
+        if s < 1:
+            raise ValueError(f"order {s} is below 1; the ladder has no non-positive orders")
+        self._climb(s)
         return self._memo[s]
 
     def _climb(self, s: int) -> None:
@@ -186,32 +174,6 @@ class GammaLadder:
             self._top += 1
             fact = math.factorial(self._top - 1)
             self._memo[self._top] = self._sum if fact == 1 else fact * self._sum
-
-    def _non_positive(self) -> None:
-        low = self.lowest
-        x, ex = self.x, self._exp
-        out = {s: np.zeros(x.shape) for s in range(low, 1)}
-        near = x <= _LADDER_SPLIT
-        far = ~near & (ex > 0.0)
-        with np.errstate(under="ignore"):
-            xn = x[near]
-            p = ex[near]
-            g = special.exp1(xn)
-            out[0][near] = g
-            for s in range(-1, low - 1, -1):
-                p = p / xn  # x^s e^-x
-                g = (g - p) / s
-                out[s][near] = g
-            xf = x[far]
-            p = xf ** low
-            g = p * special.expn(1 - low, xf)
-            p = p * ex[far]  # x^low e^-x
-            out[low][far] = g
-            for s in range(low, 0):
-                g = s * g + p
-                p = p * xf
-                out[s + 1][far] = g
-        self._memo.update(out)
 
 
 def map_chunks(fn: Callable[[np.ndarray], np.ndarray], points: np.ndarray) -> np.ndarray:
@@ -265,38 +227,6 @@ def integrate_semi_infinite(
         return f(a + u / w) / (w * w)
 
     return integrate_1d(g, 0.0, 1.0, spec)
-
-
-def integrate_nested(
-    f: Callable[..., float],
-    bounds: Sequence[tuple],
-    spec: QuadratureSpec = QuadratureSpec(),
-) -> float:
-    """Nested adaptive quadrature over up to three levels.
-
-    ``bounds`` lists (lower, upper) pairs from the outermost variable
-    inward; either bound may be a callable receiving the outer variables
-    accumulated so far.  ``f`` receives the variables in the same order.
-    Inner tolerances are tightened by one decade per level so the outer
-    estimate is not polluted by inner noise.
-    """
-    if not 1 <= len(bounds) <= 3:
-        raise ValueError("integrate_nested supports 1 to 3 levels")
-
-    def _resolve(bound, outer):
-        return bound(*outer) if callable(bound) else float(bound)
-
-    def _level(idx: int, outer: tuple) -> float:
-        lo = _resolve(bounds[idx][0], outer)
-        hi = _resolve(bounds[idx][1], outer)
-        if hi <= lo:
-            return 0.0
-        level_spec = spec.tightened(idx)
-        if idx == len(bounds) - 1:
-            return integrate_1d(lambda v: f(*outer, v), lo, hi, level_spec)
-        return integrate_1d(lambda v: _level(idx + 1, outer + (v,)), lo, hi, level_spec)
-
-    return _level(0, ())
 
 
 def gauss_legendre_nodes(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:

@@ -341,3 +341,16 @@ def test_joint_pdf_scheduled_outside_region_is_zero():
     params = _params(M=3, r=3)
     assert obf_joint_pdf_scheduled([1.0, 2.0], params) == 0.0
     assert obf_joint_pdf_scheduled([2.0, 1.0, -0.5], params) == 0.0
+
+
+@pytest.mark.parametrize("M", [3, 4])
+def test_joint_pdf_scheduled_is_the_public_api_product(M):
+    # validating once and evaluating each phi_k once leaves every factor as it was
+    params = _params(M=M, r=M)
+    rng = np.random.default_rng(350 + M)
+    for ys in -np.sort(-rng.exponential(3.0, size=(20, M)), axis=1):
+        for n in range(1, M + 1):
+            want = math.perm(params.K, n) * obf_selection_cdf(n, ys[:n], params) ** (params.K - n)
+            for k in range(1, n + 1):
+                want *= obf_phi(k, ys[:k], params)
+            assert obf_joint_pdf_scheduled(ys[:n], params) == want

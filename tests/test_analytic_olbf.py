@@ -8,13 +8,11 @@ from obflab.analytic_obf import ObfParams, obf_marginal_pdf_grid, obf_mean_sum_r
 from obflab.analytic_olbf import (
     OlbfParams,
     olbf_cdf_z,
-    olbf_eta,
     olbf_joint_pdf_t,
     olbf_marginal_pdf_sinr_grid,
     olbf_marginal_pdf_t,
     olbf_marginal_pdf_t_grid,
     olbf_mean_sum_rate,
-    olbf_survival_z,
     olbf_unordered_pdf_z,
     olbf_v_to_x,
     olbf_x_to_v,
@@ -174,19 +172,19 @@ def test_eta_both_branches_vs_quadrature_oracle(M):
 def test_eta_evaluates_branch_argument():
     params = _params(M=4, K=10)
     t1, t3 = 0.8, 0.3
-    # head branch pins the integration width at t2, split branch at t1 - t3
-    assert olbf_xi(3, [t1, 0.4, t3], params) == pytest.approx(
-        olbf_eta(0.4, t1, t3, params), rel=1e-12
-    )
-    assert olbf_xi(3, [t1, 0.7, t3], params) == pytest.approx(
-        olbf_eta(t1 - t3, t1, t3, params), rel=1e-12
-    )
+    # the split branch t2 >= t1 - t3 pins the integration width at t1 - t3:
+    # the G(t2 + t3) term drops out exactly, so xi_3 no longer moves with t2
+    split = olbf_xi(3, [t1, t1 - t3, t3], params)
+    assert olbf_xi(3, [t1, 0.6, t3], params) == split
+    assert olbf_xi(3, [t1, 0.7, t3], params) == split
+    # the head branch grows with the width t2
+    assert olbf_xi(3, [t1, 0.3, t3], params) < olbf_xi(3, [t1, 0.4, t3], params) < split
 
 
 def test_xi4_nested_quadrature_consistency():
-    params = _params(M=4, K=10)
     rng = np.random.default_rng(151)
-    for _ in range(3):
+    for M in (4, 4, 4, 5, 5, 5):
+        params = _params(M=M, K=10)
         t1 = float(rng.uniform(0.5, 0.9))
         t2, t3, t4 = (float(rng.uniform(0.02, t1 / 2)) for _ in range(3))
         got = olbf_xi(4, [t1, t2, t3, t4], params)
@@ -319,9 +317,22 @@ def test_F_z4_recursion_vs_nested_quadrature_oracle():
         assert got == pytest.approx(rec, rel=1e-5, abs=1e-12)
 
 
-def test_survival_zero_when_region_empty():
-    params = _params(M=3)
-    assert olbf_survival_z([0.3, 0.2, 0.2], params) == 0.0
+def test_F_z5_closed_vs_recursive_both_branches():
+    # M = 5: the subset sum over the 16 corners of the tails' box against the
+    # cross-section integration, on both sides of t1 = t2 + ... + t5
+    params = _params(M=5, K=10)
+    rng = np.random.default_rng(191)
+    counts = {"head": 0, "split": 0}
+    while min(counts.values()) < 4:
+        t1 = float(rng.uniform(0.3, 0.95))
+        tails = [float(rng.uniform(0.02, t1 * 0.6)) for _ in range(4)]
+        branch = "head" if t1 >= sum(tails) else "split"
+        if counts[branch] == 4:
+            continue
+        counts[branch] += 1
+        got = olbf_cdf_z([t1, *tails], params)
+        rec = olbf_cdf_z([t1, *tails], params, method="recursive")
+        assert got == pytest.approx(rec, rel=1e-6, abs=0)  # values down to 1e-9
 
 
 # ----------------------------------------------------- joint/marginal/means

@@ -105,7 +105,7 @@ SIM_ARTIFACT_HASHES = {
     "adaptive-obf": ("5c9622c2e3113086b92ea06dc99d7fc57bba143dacb2cd56c1f83459b9efbe5d",
                      "d5ac71eb50605528431f6d4f035c414962b3ecd71e153783906a3e1602082f74"),
     "olbf": ("0f2a2ab3cbea7d2dadd84da8d01e32e321247613d3f7dd715cb77d5d44807ba5",
-             "1a9bddb4769b0d12d04b36411a57b0e577cbb0c8c1753344feddbd8605ea97bb"),
+             "e4f7a55df16f36241c1bc4262220dd94a712656842f8ef8334e0363aebe670fb"),
     "zfs": ("24b39ac8842f21a79bfbd11799218104e509f35c9eb620da257120aca2736c4b",
             "029ecfee123754e3c546d23de2122ef5b11f10940f9c75c068aa3e361d52e095"),
     "zfdp": ("83631a8ed142dd852249d941f88a58d72d0ccf81926e84d0c62e5c33903e011b",

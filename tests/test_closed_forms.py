@@ -9,6 +9,7 @@ precision where their old difference-of-gammas form cancelled.
 """
 
 import math
+from itertools import combinations
 
 import mpmath
 import numpy as np
@@ -17,6 +18,7 @@ import pytest
 from obflab import analytic_obf as obf
 from obflab import analytic_olbf as olbf
 from obflab.montecarlo import _max_norm_cdf
+from obflab.numerics import upper_incomplete_gamma
 
 P15 = 10.0 ** 1.5
 
@@ -39,31 +41,74 @@ def test_obf_scalar_api_matches_ladder_route(M):
                obf._I(columns[:n], gs[:n], phi, params))
 
 
-@pytest.mark.parametrize("M", [3, 4])
+def _olbf_points(M, rng, count=20):
+    """(t_1, ..., t_M) rows: half with t_1 >= t_2 + ... + t_M, half with t_1 below that sum."""
+    t1 = rng.uniform(0.1, 0.99, (2, count // 2, 1))
+    head = t1[0] * rng.uniform(0.0, 1.0, (count // 2, M - 1)) / (M - 1)
+    split = t1[1] * rng.uniform(0.5, 1.0, (count // 2, M - 1))
+    return np.vstack([np.hstack([t1[0], head]), np.hstack([t1[1], split])])
+
+
+@pytest.mark.parametrize("M", [3, 4, 5])
 def test_olbf_scalar_api_matches_ladder_route(M):
     params = olbf.OlbfParams(M=M, K=10, P=P15)
-    rng = np.random.default_rng(310 + M)
-    t1 = rng.uniform(0.1, 0.99, 20)
-    t3 = t1 * rng.uniform(0.0, 0.5, 20)
-    t2 = (t1 - t3) * rng.uniform(0.0, 1.0, 20)  # head branch: t1 >= t2 + t3
-    x = (t1 - t3) * rng.uniform(0.0, 1.0, 20)
-    o23, oxt3 = 1.0 - t2 - t3, 1.0 - x - t3
-    g1 = olbf._ladder(1.0 - t1, params)
-    g2 = olbf._ladder(1.0 - t2, params, 1 - M)
-    g3 = olbf._ladder(1.0 - t3, params, 2 - M)
-    g23 = olbf._ladder(o23, params)
-    gx3 = olbf._ladder(oxt3, params, 2 - M)
-    pts = list(zip(t1, t2, t3))
-    _close([olbf.olbf_xi(2, [a, b], params) for a, b, _ in pts], olbf._xi2(t2, g1, g2, params))
-    _close([olbf.olbf_eta(xx, a, c, params) for xx, (a, _, c) in zip(x, pts)],
-           olbf._eta(oxt3, t3, g1, g3, gx3, params))
-    # xi_3 on the head branch is eta at x = t2
-    _close([olbf.olbf_xi(3, list(p), params) for p in pts],
-           olbf._eta(o23, t3, g1, g3, olbf._ladder(o23, params, 2 - M), params))
-    _close([olbf.olbf_cdf_z([a], params) for a in t1], olbf._F_z1(t1, params))
-    _close([olbf.olbf_cdf_z([a, b], params) for a, b, _ in pts], olbf._F_z2(t2, g1, g2, params))
-    _close([olbf.olbf_cdf_z(list(p), params) for p in pts],
-           olbf._F_z3_head(t2, t3, o23, g1, g2, g3, g23, params))
+    ts = _olbf_points(M, np.random.default_rng(310 + M))
+    corners = olbf._Corners(list(ts.T), olbf._ladder, params)
+    for n in range(2, M + 1):
+        _close([olbf.olbf_xi(n, t[:n], params) for t in ts], corners.xi(n))
+        _close([olbf.olbf_cdf_z(t[:n], params) for t in ts], corners.cdf(n))
+    _close([olbf.olbf_cdf_z(t[:1], params) for t in ts], olbf._F_z1(ts[:, 0], params))
+
+
+def test_olbf_scalar_api_reads_no_gamma_order_below_one(monkeypatch):
+    orders = set()
+
+    def recording(s, x):
+        orders.add(s)
+        return upper_incomplete_gamma(s, x)
+
+    monkeypatch.setattr(olbf, "upper_incomplete_gamma", recording)
+    for M in (2, 3, 4, 5):
+        params = olbf.OlbfParams(M=M, K=10, P=P15)
+        for t in _olbf_points(M, np.random.default_rng(330 + M), count=4):
+            for n in range(1, M + 1):
+                olbf.olbf_xi(n, t[:n], params)
+                olbf.olbf_cdf_z(t[:n], params)
+    assert orders == set(range(1, 6))
+
+
+def _mp_cdf(ts, params):
+    """F_n to 40 digits: mpmath quadrature over z_1 of f_1(z_1) times the volume
+    sum_S (-1)^|S| (z_1 - sum S)_+^(M-1) / (M-1)! of the tails' box, split at
+    every corner below t_1."""
+    M = params.M
+    with mpmath.workdps(40):
+        c = mpmath.mpf(M) / mpmath.mpf(params.P)
+        t1, *tails = (mpmath.mpf(float(t)) for t in ts)
+        corners = [((-1) ** k, mpmath.fsum(S))
+                   for k in range(len(tails) + 1) for S in combinations(tails, k)]
+
+        def f(z):
+            volume = mpmath.fsum(sign * max(z - s, 0) ** (M - 1) for sign, s in corners)
+            return (c ** M * mpmath.exp(-c * z / (1 - z)) / (1 - z) ** (M + 1)
+                    * volume / mpmath.factorial(M - 1))
+
+        return float(mpmath.quad(f, sorted({0, t1, *(s for _, s in corners if 0 < s < t1)})))
+
+
+def test_olbf_cdf_holds_its_digits_at_m5():
+    # the first two points are where the forms with Gamma orders down to 1 - M
+    # lost 2e-6.  At t_1 below about 0.3, most of all with tails under a few %
+    # of t_1, the Gamma differences of G_p lose as many digits (ROADMAP)
+    params = olbf.OlbfParams(M=5, K=10, P=P15)
+    rng = np.random.default_rng(340)
+    pts = [[0.2, 0.02], [0.25, 0.0125, 0.005]]
+    for _ in range(20):
+        t1 = rng.uniform(0.25, 0.95)
+        t2, t3 = t1 * rng.uniform(0.02, 1.0, 2)
+        pts += [[t1, t2], [t1, t2, t3]]
+    for ts in pts:
+        assert olbf.olbf_cdf_z(ts, params) == pytest.approx(_mp_cdf(ts, params), rel=1e-6, abs=0), ts
 
 
 @pytest.mark.parametrize("M", [3, 4])
@@ -73,7 +118,8 @@ def test_olbf_t1_endpoint_is_finite_and_continuous(M):
     t2, t3 = 0.3, 0.2
     cases = [
         lambda t1: olbf.olbf_xi(2, [t1, t2], params),
-        lambda t1: olbf.olbf_eta(0.25, t1, t3, params),
+        lambda t1: olbf.olbf_xi(3, [t1, 0.25, t3], params),  # head branch
+        lambda t1: olbf.olbf_xi(3, [t1, 0.7, 0.6], params),  # complementary branch
         lambda t1: olbf.olbf_cdf_z([t1], params),
         lambda t1: olbf.olbf_cdf_z([t1, t2], params),
         lambda t1: olbf.olbf_cdf_z([t1, t2, t3], params),  # head branch

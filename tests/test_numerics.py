@@ -11,7 +11,6 @@ from obflab.numerics import (
     QuadratureSpec,
     gauss_legendre_nodes,
     integrate_1d,
-    integrate_nested,
     integrate_semi_infinite,
     upper_incomplete_gamma,
 )
@@ -73,14 +72,14 @@ def test_gamma_zero_order_is_e1():
     want = special.exp1(x)
     for v, w in zip(X_GRID, want):
         assert upper_incomplete_gamma(0, v) == pytest.approx(float(w), rel=1e-12, abs=0)
-    assert np.allclose(GammaLadder(x, 0)(0), want, rtol=1e-12, atol=0.0)
 
 
 def test_upper_gamma_array_matches_scalar():
     rng = np.random.default_rng(5)
     x = rng.uniform(0.01, 40.0, size=500)
-    for s in (-4, -1, 0, 1, 3, 6):
-        got = GammaLadder(x, min(s, 1))(s)
+    ladder = GammaLadder(x)
+    for s in (1, 3, 6):
+        got = ladder(s)
         want = np.array([upper_incomplete_gamma(s, v) for v in x])
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
@@ -99,14 +98,13 @@ def _scaled_gamma_oracle(s: int, x: float) -> float:
 
 
 def test_ladder_nonpositive_orders_vs_oracle():
-    # both sides of the switch between the downward and upward recurrences,
-    # and large x, where a downward-only recurrence loses log10(x) digits a step
+    # the scalar routine's non-positive orders, on both sides of its switch from
+    # the downward recurrence to x^s E_{1-s}(x), and at large x, where a
+    # downward-only recurrence loses log10(x) digits a step; the ladder has no
+    # non-positive orders
     x = np.geomspace(1e-3, 600.0, 61)
-    ladder = GammaLadder(x, lowest=-5)
     for s in range(-5, 1):
         want = np.array([_scaled_gamma_oracle(s, v) for v in x])
-        got = ladder(s) * np.exp(x)
-        assert np.allclose(got, want, rtol=1e-12, atol=0.0), s
         scalar = np.array([upper_incomplete_gamma(s, v) for v in x]) * np.exp(x)
         assert np.allclose(scalar, want, rtol=1e-12, atol=0.0), s
 
@@ -123,8 +121,9 @@ def test_ladder_edge_values():
     x = np.array([745.0, 1e300, np.inf])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for s in range(-4, 7):
-            got = GammaLadder(x, lowest=min(s, 1))(s)
+        ladder = GammaLadder(x)
+        for s in range(1, 7):
+            got = ladder(s)
             assert np.all(got == 0.0), (s, got)
         zero = GammaLadder(np.zeros(3))
         for s in range(1, 7):
@@ -132,10 +131,10 @@ def test_ladder_edge_values():
 
 
 def test_ladder_order_below_lowest_and_domain():
-    with pytest.raises(ValueError):
-        GammaLadder(np.array([1.0]), lowest=-1)(-2)
-    with pytest.raises(ValueError):
-        GammaLadder(np.array([0.0, 1.0]), lowest=0)
+    # the lowest order is 1
+    for s in (0, -1):
+        with pytest.raises(ValueError):
+            GammaLadder(np.array([1.0]))(s)
     with pytest.raises(ValueError):
         GammaLadder(np.array([-1.0]))
 
@@ -152,25 +151,6 @@ def test_integrate_semi_infinite_exponential():
     assert got == pytest.approx(1.0, rel=1e-9)
     got = integrate_semi_infinite(lambda t: t * math.exp(-t), 1.0, spec)
     assert got == pytest.approx(2.0 / math.e, rel=1e-9)
-
-
-def test_integrate_nested_separable():
-    spec = QuadratureSpec()
-    got = integrate_nested(
-        lambda a, b, c: a * b * c,
-        [(0.0, 1.0), (0.0, 2.0), (0.0, 3.0)],
-        spec,
-    )
-    assert got == pytest.approx(0.5 * 2.0 * 4.5, rel=1e-9)
-
-
-def test_integrate_nested_dependent_bounds():
-    spec = QuadratureSpec()
-    # volume of the simplex a + b <= 1 in the unit square
-    got = integrate_nested(
-        lambda a, b: 1.0, [(0.0, 1.0), (0.0, lambda a: 1.0 - a)], spec
-    )
-    assert got == pytest.approx(0.5, rel=1e-10)
 
 
 def test_quadrature_spec_validation_and_tighten():
