@@ -33,7 +33,6 @@ from .schedulers import (
 from .analytic_obf import (
     ObfParams,
     obf_joint_pdf_scheduled,
-    obf_marginal_cdf,
     obf_marginal_pdf,
     obf_marginal_pdf_grid,
     obf_mean_sum_rate,
@@ -44,7 +43,6 @@ from .analytic_obf import (
 from .analytic_olbf import (
     OlbfParams,
     olbf_cdf_z,
-    olbf_joint_pdf_sinr,
     olbf_joint_pdf_t,
     olbf_marginal_pdf_sinr_grid,
     olbf_marginal_pdf_t,
@@ -84,7 +82,6 @@ __all__ = [
     "zfs_schedule",
     "ObfParams",
     "obf_joint_pdf_scheduled",
-    "obf_marginal_cdf",
     "obf_marginal_pdf",
     "obf_marginal_pdf_grid",
     "obf_mean_sum_rate",
@@ -92,7 +89,6 @@ __all__ = [
     "obf_unordered_pdf",
     "OlbfParams",
     "olbf_cdf_z",
-    "olbf_joint_pdf_sinr",
     "olbf_joint_pdf_t",
     "olbf_marginal_pdf_sinr_grid",
     "olbf_marginal_pdf_t",

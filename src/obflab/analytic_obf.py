@@ -28,9 +28,10 @@ The chain of results implemented here:
 Each closed form has one body.  It reads Gamma(s, x) only through a
 callable it is passed, so the grid evaluators feed it ``GammaLadder``s
 over whole argument tensors and the scalar API (``obf_phi``,
-``obf_selection_cdf``) feeds it one point at a time.
-
-Marginals are obtained by integrating the joint density numerically.
+``obf_selection_cdf``) feeds it one point at a time.  ``_scheduled`` is
+the one body of the joint density: ``obf_joint_pdf_scheduled`` calls it
+one point at a time and ``obf_marginal_pdf_grid`` on the node tensors of
+``numerics.marginal_grid``.
 """
 
 from __future__ import annotations
@@ -48,10 +49,9 @@ from .grids import DistributionGrid
 from .numerics import (
     GammaLadder,
     QuadratureSpec,
-    gauss_legendre_nodes,
-    integrate_1d,
+    inner_rule,
     integrate_semi_infinite,
-    map_chunks,
+    marginal_grid,
     upper_incomplete_gamma,
 )
 
@@ -65,15 +65,11 @@ __all__ = [
     "obf_joint_pdf_scheduled",
     "obf_marginal_pdf",
     "obf_marginal_pdf_grid",
-    "obf_marginal_cdf",
     "obf_sinr_grid",
     "obf_mean_sum_rate",
 ]
 
 _DEFAULT_SPEC = QuadratureSpec()
-
-# Gauss-Legendre nodes per free variable of the grid marginals.
-_INNER_NODES = 96
 
 
 @dataclass(frozen=True)
@@ -350,33 +346,41 @@ def obf_selection_cdf(n: int, ys, params: ObfParams) -> float:
     return float(_I(ys, gs, _phi(ys, gs, params), params))
 
 
+def _scheduled(ys, gs, params: ObfParams):
+    """K!/(K-n)! I_n^(K-n) phi_1 ... phi_n at ys = (y_1, ..., y_n), multiplied in that order.
+
+    Each phi_k is evaluated once; only phi_n, which I_n reads, is held.
+    """
+    n, K = len(ys), params.K
+
+    def phi(k):
+        return _phi1_vec(ys[0], params) if k == 1 else _phi(ys[:k], gs[:k], params)
+
+    last = phi(n)
+    val = math.perm(K, n) * (
+        _I1(ys[0], params) if n == 1 else _I(ys, gs, last, params)
+    ) ** (K - n)
+    for k in range(1, n):
+        val = val * phi(k)
+    return val * last
+
+
 def obf_joint_pdf_scheduled(ys, params: ObfParams) -> float:
     """Joint density of the first n scheduled users' SINRs at ys = (y_1..y_n).
 
-    Validates once and evaluates each phi_k once; the product is the same,
-    factor for factor, as that of ``obf_selection_cdf`` and ``obf_phi``.
+    Validates once; the product is the same, factor for factor, as that of
+    ``obf_selection_cdf`` and ``obf_phi``.
     """
     ys = np.asarray(ys, dtype=float)
-    n = ys.size
-    if not 1 <= n <= params.r:
+    if not 1 <= ys.size <= params.r:
         raise ValueError("need 1 <= n <= r")
     if ys[-1] < 0 or np.any(np.diff(ys) > 0):
         return 0.0
-    K = params.K
-    ys, gs = _scalar_args(ys, params)
-    phis = [float(_phi1_vec(ys[0], params))]
-    phis += [float(_phi(ys[:k], gs[:k], params)) for k in range(2, n + 1)]
-    cdf = float(_I1(ys[0], params) if n == 1 else _I(ys, gs, phis[-1], params))
-    val = math.perm(K, n) * cdf ** (K - n)
-    for phi in phis:
-        val *= phi
-    return float(val)
+    return float(_scheduled(*_scalar_args(ys, params), params))
 
 
-def obf_marginal_pdf(
-    n: int, y: float, params: ObfParams, spec: QuadratureSpec = _DEFAULT_SPEC
-) -> float:
-    """Marginal density of the n-th scheduled user's SINR."""
+def obf_marginal_pdf(n: int, y: float, params: ObfParams) -> float:
+    """Marginal density of the n-th scheduled user's SINR (adaptive reference path)."""
     if y < 0:
         return 0.0
     if not 1 <= n <= params.r:
@@ -387,15 +391,16 @@ def obf_marginal_pdf(
         )
     if n == 2:
         return integrate_semi_infinite(
-            lambda y1: obf_joint_pdf_scheduled([y1, y], params), y, spec
+            lambda y1: obf_joint_pdf_scheduled([y1, y], params), y, _DEFAULT_SPEC
         )
     if n == 3:
         def inner(y2):
             return integrate_semi_infinite(
-                lambda y1: obf_joint_pdf_scheduled([y1, y2, y], params), y2, spec.tightened()
+                lambda y1: obf_joint_pdf_scheduled([y1, y2, y], params), y2,
+                _DEFAULT_SPEC.tightened(),
             )
 
-        return integrate_semi_infinite(inner, y, spec)
+        return integrate_semi_infinite(inner, y, _DEFAULT_SPEC)
     raise NotImplementedError("marginals implemented for n <= 3")
 
 
@@ -404,62 +409,34 @@ def _phi1_vec(y1: np.ndarray, params: ObfParams) -> np.ndarray:
     return rp ** M * y1 ** (M - 1) / math.gamma(M) * np.exp(-y1 * rp)
 
 
-@lru_cache(maxsize=None)
-def _inner_rule(n: int) -> tuple[list, np.ndarray]:
-    """The steps t/(1-t) on axes 1..n-1 of a rank-n grid block and their joint weight."""
-    t, wt = gauss_legendre_nodes(_INNER_NODES, 0.0, 1.0)
-    steps = [(t / (1.0 - t)).reshape([-1 if i == ax else 1 for i in range(n)])
-             for ax in range(1, n)]
-    return steps, math.prod((wt / (1.0 - t) ** 2).reshape(s.shape) for s in steps)
-
-
 def obf_marginal_pdf_grid(n: int, ys, params: ObfParams) -> np.ndarray:
     """Marginal density of the n-th scheduled SINR on a whole grid at once.
 
-    Fixed-order Gauss-Legendre quadrature (``_INNER_NODES`` per free
-    variable) on the rational maps y_{k-1} = y_k + t/(1-t) replaces
-    adaptive subdivision.  At K = 10 and 15 dB it agrees with
-    ``obf_marginal_pdf`` to 5e-6; its error grows with the SNR, and the
-    mass of the tabulated marginal shows it.  Each distinct argument
-    (r/P)(1 + y) gets one ``GammaLadder``; the joint density is evaluated
-    on (points, nodes, ...) tensors with one axis per free variable, in
-    blocks of ``GRID_CHUNK`` grid points.
+    ``numerics.marginal_grid`` integrates ``_scheduled`` with ``INNER_NODES``
+    Gauss-Legendre nodes per free variable on the rational maps
+    y_{k-1} = y_k + t/(1-t), in place of adaptive subdivision.  At K = 10
+    and 15 dB it agrees with ``obf_marginal_pdf`` to 5e-6; its error grows
+    with the SNR, and the mass of the tabulated marginal shows it.  Each
+    distinct argument (r/P)(1 + y) gets one ``GammaLadder``.
     """
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     if np.any(ys < 0):
         raise ValueError("grid points must be nonnegative")
-    K = params.K
-    if n == 1:
-        return K * _I1(ys, params) ** (K - 1) * _phi1_vec(ys, params)
-    if n > 3:
-        raise NotImplementedError("grid marginals implemented for n <= 3")
-    steps, jac = _inner_rule(n)
-    axes = tuple(range(1, n))
+    t, wt = inner_rule()
+    axes = [[-1 if i == ax else 1 for i in range(n)] for ax in range(1, n)]
+    steps = [(t / (1.0 - t)).reshape(shape) for shape in axes]
+    weights = [(wt / (1.0 - t) ** 2).reshape(shape) for shape in axes]
 
-    def block(yb: np.ndarray) -> np.ndarray:
-        yk = [yb.reshape(-1, *[1] * (n - 1))]  # y_n, then y_{n-1} .. y_1 on their axes
+    def pieces(yb: np.ndarray):
+        """y_n on the points' axis, then y_{n-1} .. y_1 on free axes 1 .. n-1."""
+        yk = [yb.reshape(-1, *[1] * (n - 1))]
         for step in steps:
             yk.insert(0, yk[0] + step)
-        gs = [_ladder(y, params) for y in yk]
-        f = _phi(yk, gs, params)  # phi_n, which I_n reads too
-        f = math.perm(K, n) * _I(yk, gs, f, params) ** (K - n) * f
-        for k in range(2, n):
-            f = f * _phi(yk[:k], gs[:k], params)
-        f = f * _phi1_vec(yk[0], params)
-        return np.sum(f * jac, axis=axes)
+        yield yk, weights
 
-    return map_chunks(block, ys)
-
-
-def obf_marginal_cdf(
-    n: int, y: float, params: ObfParams, spec: QuadratureSpec = _DEFAULT_SPEC
-) -> float:
-    """Marginal CDF of the n-th scheduled user's SINR."""
-    if y <= 0:
-        return 0.0
-    if n == 1:
-        return obf_selection_cdf(1, [y], params) ** params.K
-    return integrate_1d(lambda t: obf_marginal_pdf(n, t, params, spec), 0.0, y, spec)
+    return marginal_grid(
+        n, params.r, ys, pieces, lambda yk: _scheduled(yk, [_ladder(y, params) for y in yk], params)
+    )
 
 
 @lru_cache(maxsize=32)

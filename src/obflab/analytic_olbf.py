@@ -38,10 +38,12 @@ regularised lower incomplete gamma.  ``olbf_cdf_z`` with
 method="recursive" integrates the cross-section density over z_1 instead,
 an independent check of the closed forms.
 
-``_G`` is the one body.  It reads Gamma(s, x) only through callables it
-is passed, so the grid evaluators feed it ``GammaLadder``s over whole
-argument tensors and the scalar API (``olbf_xi``, ``olbf_cdf_z``) feeds
-it one point at a time.
+``_G`` is the one body of the closed forms, and ``_scheduled`` the one
+body of the joint density.  They read Gamma(s, x) only through callables
+they are passed, so the grid evaluator feeds them ``GammaLadder``s over
+the node tensors of ``numerics.marginal_grid`` and the scalar API
+(``olbf_xi``, ``olbf_cdf_z``, ``olbf_joint_pdf_t``) feeds them one point
+at a time.
 
 Actual SINRs are recovered through y = t/(1-t).
 """
@@ -61,9 +63,9 @@ from .grids import DistributionGrid
 from .numerics import (
     GammaLadder,
     QuadratureSpec,
-    gauss_legendre_nodes,
+    inner_rule,
     integrate_1d,
-    map_chunks,
+    marginal_grid,
     upper_incomplete_gamma,
 )
 
@@ -77,7 +79,6 @@ __all__ = [
     "olbf_xi",
     "olbf_cdf_z",
     "olbf_joint_pdf_t",
-    "olbf_joint_pdf_sinr",
     "olbf_marginal_pdf_t",
     "olbf_marginal_pdf_t_grid",
     "olbf_marginal_pdf_sinr_grid",
@@ -87,11 +88,8 @@ __all__ = [
 
 _DEFAULT_SPEC = QuadratureSpec()
 
-# Gauss-Legendre nodes per free variable of the grid marginals.
-_INNER_NODES = 96
-
-# Tolerance for clamping tiny negative CDF values produced by
-# cancellation in the inclusion-exclusion sums.
+# A z-CDF in [-_CDF_CLAMP, 0) is cancellation in the subset sums and counts
+# as 0; one below that raises.
 _CDF_CLAMP = 1e-9
 
 
@@ -202,6 +200,13 @@ def _z1_pdf(t1: float, params: OlbfParams) -> float:
         * t1 ** (M - 1)
         / math.gamma(M)
     )
+
+
+def _z1_pdf_vec(t1: np.ndarray, params: OlbfParams) -> np.ndarray:
+    """``_z1_pdf`` on arrays; 1 - t_1 is taken as inf at t_1 = 1, giving the limit 0."""
+    M, mp = params.M, params.mp
+    om = np.where(t1 < 1.0, 1.0 - t1, np.inf)
+    return np.exp(-mp * t1 / om) * mp ** M / om ** (M + 1) * t1 ** (M - 1) / math.gamma(M)
 
 
 def _gamma_ratio_arg(om: np.ndarray, params: OlbfParams) -> np.ndarray:
@@ -351,14 +356,12 @@ def _W_bar(z1: float, tails, params: OlbfParams) -> float:
     return acc
 
 
-def _cdf_recursive(
-    t1: float, tails, params: OlbfParams, spec: QuadratureSpec
-) -> float:
+def _cdf_recursive(t1: float, tails, params: OlbfParams) -> float:
     """z-CDF by integrating the cross-section density ``_W`` over z_1 in [0, t_1].
 
     ``_W`` covers z_1 below sum(tails) too, so this holds on either branch.
     The integrand is piecewise smooth with breakpoints at the partial
-    sums of every subset of the tails; each segment is integrated
+    sums of every subset of the tails; each piece between them is integrated
     separately.
     """
     cuts = {0.0, t1}
@@ -370,16 +373,11 @@ def _cdf_recursive(
     knots = sorted(cuts)
     total = 0.0
     for a, b in zip(knots[:-1], knots[1:]):
-        total += integrate_1d(lambda z1: _W(z1, tails, params), a, b, spec)
+        total += integrate_1d(lambda z1: _W(z1, tails, params), a, b, _DEFAULT_SPEC)
     return total
 
 
-def olbf_cdf_z(
-    ts,
-    params: OlbfParams,
-    spec: QuadratureSpec = _DEFAULT_SPEC,
-    method: str = "closed",
-) -> float:
+def olbf_cdf_z(ts, params: OlbfParams, method: str = "closed") -> float:
     """Joint CDF of (z_1, ..., z_n) at ts = (t_1, ..., t_n).
 
     ``method="closed"`` sums G_{M-1} over the subsets of the tails, at any
@@ -398,56 +396,38 @@ def olbf_cdf_z(
     if n == 1:
         return float(_F_z1(ts[0], params))
     if method == "recursive":
-        return _cdf_recursive(float(ts[0]), [float(t) for t in ts[1:]], params, spec)
+        return _cdf_recursive(float(ts[0]), [float(t) for t in ts[1:]], params)
     return float(_Corners(ts, _point, params).cdf(n))
 
 
-def olbf_joint_pdf_t(
-    ts,
-    params: OlbfParams,
-    spec: QuadratureSpec = _DEFAULT_SPEC,
-    method: str = "closed",
-) -> float:
+def _scheduled(ts, gamma, params: OlbfParams):
+    """K!/(K-n)! F_n^(K-n) xi_1 ... xi_n at ts = (t_1, ..., t_n), from one ``_Corners``.
+
+    F_n in [-``_CDF_CLAMP``, 0) is cancellation and counts as 0; below that
+    it raises ``ArithmeticError``.
+    """
+    n, K = len(ts), params.K
+    c = _Corners(ts, gamma, params)
+    F = c.cdf(n)
+    if np.any(F < -_CDF_CLAMP):
+        raise ArithmeticError(f"z-CDF evaluated to {np.min(F)}, beyond roundoff")
+    val = math.perm(K, n) * np.maximum(F, 0.0) ** (K - n) * _z1_pdf_vec(ts[0], params)
+    for k in range(2, n + 1):
+        val = val * c.xi(k)
+    return val
+
+
+def olbf_joint_pdf_t(ts, params: OlbfParams) -> float:
     """Joint density of the first n scheduled transformed SINRs at ts."""
     ts = np.asarray(ts, dtype=float)
-    n = ts.size
-    if not 1 <= n <= params.M:
+    if not 1 <= ts.size <= params.M:
         raise ValueError("need 1 <= n <= M")
     if np.any(ts < 0) or np.any(ts[1:] > ts[0]) or ts[0] > 1.0:
         return 0.0
-    K = params.K
-    cdf = olbf_cdf_z(ts, params, spec, method)
-    if cdf < 0.0:
-        if cdf < -_CDF_CLAMP:
-            raise ArithmeticError(f"z-CDF evaluated to {cdf}, beyond roundoff")
-        cdf = 0.0
-    val = math.perm(K, n) * cdf ** (K - n)
-    for k in range(1, n + 1):
-        val *= olbf_xi(k, ts[:k], params)
-    return float(val)
+    return float(_scheduled([float(t) for t in ts], _point, params))
 
 
-def olbf_joint_pdf_sinr(
-    ys,
-    params: OlbfParams,
-    spec: QuadratureSpec = _DEFAULT_SPEC,
-    method: str = "closed",
-) -> float:
-    """Joint density of the first n scheduled SINRs at ys (actual scale)."""
-    ys = np.asarray(ys, dtype=float)
-    if np.any(ys < 0) or np.any(ys[1:] > ys[0]):
-        return 0.0
-    ts = v_to_z(ys)
-    jac = float(np.prod((1.0 + ys) ** 2))
-    return olbf_joint_pdf_t(ts, params, spec, method) / jac
-
-
-def olbf_marginal_pdf_t(
-    n: int,
-    s: float,
-    params: OlbfParams,
-    spec: QuadratureSpec = _DEFAULT_SPEC,
-) -> float:
+def olbf_marginal_pdf_t(n: int, s: float, params: OlbfParams) -> float:
     """Marginal density of the n-th scheduled transformed SINR (reference path).
 
     Adaptive quadrature over the free variables; the t_2 integral at
@@ -458,101 +438,53 @@ def olbf_marginal_pdf_t(
     if not 1 <= n <= params.M:
         raise ValueError("need 1 <= n <= M")
     if n == 1:
-        return params.K * olbf_cdf_z([s], params, spec) ** (params.K - 1) * _z1_pdf(
-            s, params
-        )
+        return params.K * olbf_cdf_z([s], params) ** (params.K - 1) * _z1_pdf(s, params)
     if n == 2:
-        return integrate_1d(
-            lambda t1: olbf_joint_pdf_t([t1, s], params, spec), s, 1.0, spec
-        )
+        return integrate_1d(lambda t1: olbf_joint_pdf_t([t1, s], params), s, 1.0, _DEFAULT_SPEC)
     if n == 3:
         def inner(t1):
-            split = t1 - s
-            inner_spec = spec.tightened()
+            inner_spec = _DEFAULT_SPEC.tightened()
             head = integrate_1d(
-                lambda t2: olbf_joint_pdf_t([t1, t2, s], params, inner_spec),
-                0.0,
-                split,
-                inner_spec,
+                lambda t2: olbf_joint_pdf_t([t1, t2, s], params), 0.0, t1 - s, inner_spec
             )
             tail = integrate_1d(
-                lambda t2: olbf_joint_pdf_t([t1, t2, s], params, inner_spec),
-                split,
-                t1,
-                inner_spec,
+                lambda t2: olbf_joint_pdf_t([t1, t2, s], params), t1 - s, t1, inner_spec
             )
             return head + tail
 
-        return integrate_1d(inner, s, 1.0, spec)
+        return integrate_1d(inner, s, 1.0, _DEFAULT_SPEC)
     raise NotImplementedError("marginals implemented for n <= 3")
-
-
-# ---------------------------------------------------------------------------
-# Vectorised grid evaluation
-# ---------------------------------------------------------------------------
-
-
-def _z1_pdf_vec(t1: np.ndarray, params: OlbfParams) -> np.ndarray:
-    """``_z1_pdf`` on arrays; 1 - t_1 is taken as inf at t_1 = 1, giving the limit 0."""
-    M, mp = params.M, params.mp
-    om = np.where(t1 < 1.0, 1.0 - t1, np.inf)
-    return np.exp(-mp * t1 / om) * mp ** M / om ** (M + 1) * t1 ** (M - 1) / math.gamma(M)
-
-
-@lru_cache(maxsize=None)
-def _inner_rule() -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [0, 1] for each free variable of a grid marginal."""
-    return gauss_legendre_nodes(_INNER_NODES, 0.0, 1.0)
 
 
 def olbf_marginal_pdf_t_grid(n: int, ss, params: OlbfParams) -> np.ndarray:
     """Marginal density of the n-th scheduled transformed SINR on a grid.
 
-    Fixed-order Gauss-Legendre quadrature (``_INNER_NODES`` per free
-    variable) with the t_2 integral split at the kink t_2 = t_1 - s,
-    evaluating the subset sums of ``_G`` vectorised over grid x node
-    tensors.  Each distinct argument mp/(1 - t) gets one ``GammaLadder``;
-    rank 3 is built in blocks of ``GRID_CHUNK`` grid points to bound the
-    (points, nodes, nodes) tensors.
+    ``numerics.marginal_grid`` integrates ``_scheduled`` with ``INNER_NODES``
+    Gauss-Legendre nodes per free variable: t_1 = s + (1 - s) u and, at
+    rank 3, t_2 on [0, t_1 - s] and [t_1 - s, t_1], split at the kink
+    t_2 = t_1 - s.  Each distinct argument mp/(1 - t) gets one ``GammaLadder``.
     """
     ss = np.atleast_1d(np.asarray(ss, dtype=float))
     if np.any((ss < 0) | (ss > 1)):
         raise ValueError("grid points must lie in [0, 1]")
-    K = params.K
-    if n == 1:
-        F = _F_z1(ss, params)
-        return K * F ** (K - 1) * _z1_pdf_vec(ss, params)
-    u, wu = _inner_rule()
-    if n == 2:
-        s = ss[:, None]
-        t1 = s + (1.0 - s) * u[None, :]
-        jac = (1.0 - s) * wu[None, :]
-        c = _Corners([t1, s], _ladder, params)
-        F = np.clip(c.cdf(2), 0.0, None)
-        f = math.perm(K, 2) * F ** (K - 2) * _z1_pdf_vec(t1, params) * c.xi(2)
-        return np.sum(f * jac, axis=1)
-    if n != 3:
-        raise NotImplementedError("grid marginals implemented for n <= 3")
-    w = u[None, None, :]
-    ww = wu[None, None, :]
+    u, wu = inner_rule()
 
-    def segment(s, t1, start, width, base):
-        """The t_2 integral over [start, start + width], where the integrand is smooth."""
-        c = _Corners([t1, start + width * w, s], _ladder, params)
-        F = np.clip(c.cdf(3), 0.0, None)
-        f = F ** (K - 3) * base * c.xi(2) * c.xi(3)
-        return np.sum(f * width * ww, axis=2, keepdims=True)
+    def pieces(sb: np.ndarray):
+        """t_1 on free axis 1 and, at rank 3, t_2 on free axis 2, one side of the kink a piece."""
+        if n == 1:
+            yield [sb], []
+            return
+        s = sb.reshape(-1, *[1] * (n - 1))
+        axis1 = (-1,) + (1,) * (n - 2)
+        t1 = s + (1.0 - s) * u.reshape(axis1)
+        jac = (1.0 - s) * wu.reshape(axis1)
+        if n == 2:
+            yield [t1, s], [jac]
+            return
+        for start, width in ((0.0, t1 - s), (t1 - s, s)):
+            yield [t1, start + width * u, s], [jac * width, wu]
 
-    def block(sb: np.ndarray) -> np.ndarray:
-        s = sb[:, None, None]
-        t1 = s + (1.0 - s) * u[None, :, None]
-        jac1 = (1.0 - s) * wu[None, :, None]
-        base = _z1_pdf_vec(t1, params)
-        seg = segment(s, t1, 0.0, t1 - s, base)
-        seg = seg + segment(s, t1, t1 - s, s, base)
-        return math.perm(K, 3) * np.sum(seg * jac1, axis=1)[:, 0]
-
-    return map_chunks(block, ss)
+    return marginal_grid(n, params.M, ss, pieces, lambda ts: _scheduled(ts, _ladder, params))
 
 
 def olbf_marginal_pdf_sinr_grid(n: int, ys, params: OlbfParams) -> np.ndarray:
@@ -572,6 +504,4 @@ def olbf_sinr_grid(n: int, params: OlbfParams) -> DistributionGrid:
 
 def olbf_mean_sum_rate(params: OlbfParams) -> float:
     """Average sum rate sum_n E[ln(1 + y_n)] in nats, read off each rank's ``olbf_sinr_grid``."""
-    if params.M > 3:
-        raise NotImplementedError("mean sum rate implemented for M <= 3")
     return sum(olbf_sinr_grid(n, params).mean_log1p() for n in range(1, params.M + 1))

@@ -30,10 +30,9 @@ import numpy as np
 
 from . import __version__
 from .channel import SystemParams
-from .numerics import QuadratureError
+from .numerics import MAX_ANALYTIC_RANK, QuadratureError
 from .montecarlo import (
     CHUNK,
-    MAX_ANALYTIC_RANK,
     SCHEME_TABLE,
     SCHEMES,
     ExperimentConfig,

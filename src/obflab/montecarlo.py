@@ -32,7 +32,7 @@ from scipy import special
 from . import batch as _batch
 from . import schedulers as _sched
 from .channel import BeamformerMatrix, ChannelSet, SystemParams, draw_channel_batch, substream
-from .numerics import QuadratureError
+from .numerics import MAX_ANALYTIC_RANK, QuadratureError
 from .analytic_obf import ObfParams, obf_marginal_pdf_grid, obf_mean_sum_rate, obf_sinr_grid
 from .analytic_olbf import (
     OlbfParams, olbf_marginal_pdf_sinr_grid, olbf_mean_sum_rate, olbf_sinr_grid,
@@ -55,8 +55,6 @@ __all__ = [
 CHUNK = 4096  # trials per RNG substream; fixed so worker count cannot matter
 
 _AUDIT_STRIDE = 1000
-
-MAX_ANALYTIC_RANK = 3  # the closed-form marginals cover ranks 1-3
 
 
 @dataclass(frozen=True)
@@ -109,8 +107,16 @@ _OBF = Analytic(
     pdf=lambda *args: obf_marginal_pdf_grid(*args),
     mean_sum_rate=lambda ap: obf_mean_sum_rate(ap),
 )
+
+
+def _olbf_params(M, K, P, r) -> OlbfParams:
+    if r != M:
+        raise ValueError(f"OLBF serves all M = {M} beams, so r must be {M}, not {r}")
+    return OlbfParams(M=M, K=K, P=P)
+
+
 _OLBF = Analytic(
-    params=lambda M, K, P, r: OlbfParams(M=M, K=K, P=P),
+    params=_olbf_params,
     noise=lambda ap: ap.mp,
     grid=lambda *args: olbf_sinr_grid(*args),
     pdf=lambda *args: olbf_marginal_pdf_sinr_grid(*args),

@@ -1,7 +1,7 @@
-"""Special functions and adaptive quadrature shared by the analytic modules.
+"""Special functions and quadrature shared by the analytic modules.
 
 The analytic SINR distributions are built almost entirely out of upper
-incomplete gamma functions of integer order and low-dimensional adaptive
+incomplete gamma functions of integer order and low-dimensional
 quadrature.  The closed forms evaluate many orders of Gamma(s, x) at the
 same argument tensor, so the vectorised route is a ``GammaLadder``: built
 once per argument array, it shares one exponential per element across
@@ -9,8 +9,15 @@ every order it is asked for.  Both analytic modules need orders >= 1 only
 (OLBF through the subset sums of G_p(sigma; t_1), see ``analytic_olbf``),
 so the ladder has no E1/E_n anchors.  The scalar ``upper_incomplete_gamma``
 also serves non-positive orders, from ``scipy.special.exp1`` and ``expn``.
+
+The adaptive routines serve the reference paths.  The grid marginals of
+both schemes go through one fixed-order integrator, ``marginal_grid``: it
+applies ``inner_rule`` (``INNER_NODES`` Gauss-Legendre nodes) to each free
+variable of a scheme's joint density and holds the rank cap
+``MAX_ANALYTIC_RANK``.
+
 Everything here is a pure function of its arguments; a ladder memoises
-only within itself.
+only within itself, and ``inner_rule`` is computed once.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 from scipy import integrate, special
@@ -29,7 +36,10 @@ __all__ = [
     "upper_incomplete_gamma",
     "GammaLadder",
     "GRID_CHUNK",
-    "map_chunks",
+    "INNER_NODES",
+    "inner_rule",
+    "MAX_ANALYTIC_RANK",
+    "marginal_grid",
     "integrate_1d",
     "integrate_semi_infinite",
     "gauss_legendre_nodes",
@@ -48,6 +58,13 @@ _EXP_FLOOR = np.finfo(float).tiny
 # Grid points per block when a marginal grid is built on (points, nodes,
 # nodes) tensors; bounds the memory of the rank-3 grids.
 GRID_CHUNK = 64
+
+# Gauss-Legendre nodes per free variable of the grid marginals.
+INNER_NODES = 96
+
+# Highest rank with a grid marginal; rank n integrates n - 1 free variables
+# of INNER_NODES nodes each.
+MAX_ANALYTIC_RANK = 3
 
 
 @dataclass(frozen=True)
@@ -176,12 +193,6 @@ class GammaLadder:
             self._memo[self._top] = self._sum if fact == 1 else fact * self._sum
 
 
-def map_chunks(fn: Callable[[np.ndarray], np.ndarray], points: np.ndarray) -> np.ndarray:
-    """fn over consecutive blocks of at most GRID_CHUNK points, concatenated."""
-    starts = range(0, max(len(points), 1), GRID_CHUNK)
-    return np.concatenate([fn(points[i:i + GRID_CHUNK]) for i in starts])
-
-
 def integrate_1d(
     f: Callable[[float], float],
     a: float,
@@ -234,3 +245,47 @@ def gauss_legendre_nodes(n: int, a: float, b: float) -> tuple[np.ndarray, np.nda
     x, w = np.polynomial.legendre.leggauss(n)
     half = 0.5 * (b - a)
     return a + half * (x + 1.0), half * w
+
+
+@lru_cache(maxsize=None)
+def inner_rule() -> tuple[np.ndarray, np.ndarray]:
+    """``INNER_NODES`` Gauss-Legendre nodes and weights on [0, 1], read-only: the rule of
+    every free variable of a grid marginal."""
+    nodes, weights = gauss_legendre_nodes(INNER_NODES, 0.0, 1.0)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def marginal_grid(
+    n: int,
+    r: int,
+    points,
+    pieces: Callable[[np.ndarray], Iterable[tuple[list, list]]],
+    joint: Callable[[list], np.ndarray],
+) -> np.ndarray:
+    """Marginal density of the n-th of r ranks at each grid point, by a product rule.
+
+    The joint density of ranks 1..n is integrated over its n - 1 free
+    variables, in blocks of ``GRID_CHUNK`` points.  ``pieces(block)`` yields
+    the domain a piece at a time as (variables, weights): the variables that
+    ``joint(variables)`` reads, broadcast on (points, free axis 1, ..., free
+    axis n-1), and one weight array per free axis.  The free axes are summed
+    innermost first, each against its own weights, so no weight tensor
+    spans more than one free axis.
+    """
+    if not 1 <= n <= r:
+        raise ValueError(f"need 1 <= n <= r = {r}, got n = {n}")
+    if n > MAX_ANALYTIC_RANK:
+        raise NotImplementedError(f"grid marginals implemented for n <= {MAX_ANALYTIC_RANK}")
+
+    def block(pts: np.ndarray) -> np.ndarray:
+        total = 0.0
+        for variables, weights in pieces(pts):
+            f = joint(variables)
+            for axis in range(len(weights), 0, -1):
+                f = np.sum(f * weights[axis - 1], axis=axis, keepdims=True)
+            total = total + f
+        return np.reshape(total, -1)
+
+    starts = range(0, max(len(points), 1), GRID_CHUNK)
+    return np.concatenate([block(points[i:i + GRID_CHUNK]) for i in starts])

@@ -243,6 +243,18 @@ def test_analytic_unresolved_table_is_an_error(scheme, ask, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_analytic_olbf_rejects_r_below_m(tmp_path, capsys):
+    # OLBF always serves all M beams; an --r it cannot honour is a usage error
+    code = run_main([
+        "analytic", "--scheme", "olbf", "--m", "3", "--k", "10",
+        "--snr-db", "15", "--r", "2", "--sum-rate",
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: OLBF serves all M = 3 beams")
+
+
 def test_analytic_rank_above_three_notice(capsys):
     code = run_main([
         "analytic", "--scheme", "obf", "--m", "4", "--k", "10",

@@ -60,6 +60,23 @@ def test_olbf_scalar_api_matches_ladder_route(M):
     _close([olbf.olbf_cdf_z(t[:1], params) for t in ts], olbf._F_z1(ts[:, 0], params))
 
 
+@pytest.mark.parametrize("M", [3, 4])
+def test_joint_pdfs_match_the_ladder_route(M):
+    # each scheme's joint density has one body, _scheduled; the scalar API
+    # feeds it one point at a time and the grids feed it ladders
+    oparams = obf.ObfParams(M=M, K=10, P=P15, r=M)
+    ys = -np.sort(-np.random.default_rng(360 + M).exponential(4.0, size=(20, M)), axis=1)
+    columns = list(ys.T)
+    gs = [obf._ladder(y, oparams) for y in columns]
+    lparams = olbf.OlbfParams(M=M, K=10, P=P15)
+    ts = _olbf_points(M, np.random.default_rng(370 + M))  # both branches
+    for n in range(1, M + 1):
+        _close([obf.obf_joint_pdf_scheduled(y[:n], oparams) for y in ys],
+               obf._scheduled(columns[:n], gs[:n], oparams))
+        _close([olbf.olbf_joint_pdf_t(t[:n], lparams) for t in ts],
+               olbf._scheduled(list(ts.T[:n]), olbf._ladder, lparams))
+
+
 def test_olbf_scalar_api_reads_no_gamma_order_below_one(monkeypatch):
     orders = set()
 

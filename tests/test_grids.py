@@ -1,4 +1,5 @@
-"""The self-sizing Chebyshev tables: regression pins, outer-rule checks, chunk invariance and memory bounds."""
+"""The marginal grids and their self-sizing Chebyshev tables: regression pins, outer-rule
+checks, rank checks, the CDF clamp, chunk invariance and memory bounds."""
 
 import math
 import tracemalloc
@@ -7,15 +8,17 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+from obflab import analytic_olbf
 from obflab.analytic_obf import ObfParams, obf_marginal_pdf_grid, obf_mean_sum_rate, obf_sinr_grid
 from obflab.analytic_olbf import (
     OlbfParams,
+    olbf_joint_pdf_t,
     olbf_marginal_pdf_t_grid,
     olbf_mean_sum_rate,
     olbf_sinr_grid,
 )
 from obflab.grids import CHEB_CAP, CHEB_TOL, DistributionGrid
-from obflab.numerics import QuadratureError
+from obflab.numerics import GRID_CHUNK, QuadratureError
 
 P15 = 10 ** 1.5
 PEAK_MB = 150.0
@@ -63,6 +66,48 @@ def test_mean_sum_rate_pins():
     assert obf_mean_sum_rate(ObfParams(M=3, K=10, P=P15, r=3)) == pytest.approx(
         7.773191758344928, rel=1e-12
     )
+
+
+@pytest.mark.parametrize("error, call", [
+    (ValueError, lambda: obf_marginal_pdf_grid(3, [1.0], ObfParams(M=3, K=10, P=P15, r=2))),
+    (ValueError, lambda: obf_marginal_pdf_grid(0, [1.0], ObfParams(M=3, K=10, P=P15, r=3))),
+    (ValueError, lambda: olbf_marginal_pdf_t_grid(3, [0.5], OlbfParams(M=2, K=10, P=P15))),
+    (ValueError, lambda: olbf_marginal_pdf_t_grid(0, [0.5], OlbfParams(M=3, K=10, P=P15))),
+    (NotImplementedError,
+     lambda: obf_marginal_pdf_grid(4, [1.0], ObfParams(M=4, K=10, P=P15, r=4))),
+    (NotImplementedError,
+     lambda: olbf_marginal_pdf_t_grid(4, [0.5], OlbfParams(M=4, K=10, P=P15))),
+], ids=["obf-above-r", "obf-zero", "olbf-above-m", "olbf-zero", "obf-above-cap", "olbf-above-cap"])
+def test_grid_rank_out_of_range_raises(error, call):
+    with pytest.raises(error):
+        call()
+
+
+def test_olbf_cdf_roundoff_counts_as_zero_and_beyond_raises(monkeypatch):
+    # F_n below 1e-3 is replaced by a constant: -1e-12 is roundoff and must
+    # give exactly what 0 gives; -1e-8 is not, on the grid as at one point
+    params = OlbfParams(M=3, K=10, P=P15)
+    ss = np.array([0.05, 0.3, 0.6, 0.9])
+    cdf = analytic_olbf._Corners.cdf
+
+    def patched(value):
+        def low_to(self, n):
+            F = cdf(self, n)
+            return np.where(F < 1e-3, value, F)
+
+        monkeypatch.setattr(analytic_olbf._Corners, "cdf", low_to)
+
+    for n in (2, 3):
+        patched(0.0)
+        want = olbf_marginal_pdf_t_grid(n, ss, params)
+        assert np.all(want > 0)
+        patched(-1e-12)
+        assert np.array_equal(olbf_marginal_pdf_t_grid(n, ss, params), want)
+        patched(-1e-8)
+        with pytest.raises(ArithmeticError):
+            olbf_marginal_pdf_t_grid(n, ss, params)
+    with pytest.raises(ArithmeticError):
+        olbf_joint_pdf_t([0.3, 0.1, 0.05], params)
 
 
 def _olbf_log_rate(n, params):
@@ -138,11 +183,23 @@ def test_rank3_grid_peak_memory(rank3):
     assert peak / 1e6 <= PEAK_MB, f"{kind}: {peak / 1e6:.0f} MB"
 
 
-def test_rank3_grid_chunk_invariance(rank3):
+def _assert_chunk_invariant(pdf_fn, n, params, grid):
     # the grid's values came in doublings of 16, 16, 32, 64, ... points;
     # slices whose edges line up with neither those nor the chunking agree
-    kind, pdf_fn, params, grid, _ = rank3
     u = grid.points[1:]  # u = 1 is not evaluated
     edges = (0, 1, 50, 97, u.size)
-    parts = np.concatenate([pdf_fn(3, u[a:b], params) for a, b in zip(edges[:-1], edges[1:])])
+    parts = np.concatenate([pdf_fn(n, u[a:b], params) for a, b in zip(edges[:-1], edges[1:])])
     assert np.allclose(parts, grid.values[1:], rtol=1e-14, atol=0.0)
+
+
+def test_rank3_grid_chunk_invariance(rank3):
+    _, pdf_fn, params, grid, _ = rank3
+    _assert_chunk_invariant(pdf_fn, 3, params, grid)
+
+
+def test_olbf_rank2_grid_chunk_invariance():
+    # rank 2 runs in blocks of GRID_CHUNK points too
+    params = OlbfParams(M=3, K=10, P=P15)
+    grid = olbf_sinr_grid(2, params)
+    assert grid.n > GRID_CHUNK
+    _assert_chunk_invariant(olbf_marginal_pdf_t_grid, 2, params, grid)
