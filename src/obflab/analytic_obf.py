@@ -49,6 +49,7 @@ from .grids import DistributionGrid
 from .numerics import (
     GammaLadder,
     QuadratureSpec,
+    check_rank,
     inner_rule,
     integrate_semi_infinite,
     marginal_grid,
@@ -414,18 +415,20 @@ def obf_marginal_pdf_grid(n: int, ys, params: ObfParams) -> np.ndarray:
 
     ``numerics.marginal_grid`` integrates ``_scheduled`` with ``INNER_NODES``
     Gauss-Legendre nodes per free variable on the rational maps
-    y_{k-1} = y_k + t/(1-t), in place of adaptive subdivision.  At K = 10
-    and 15 dB it agrees with ``obf_marginal_pdf`` to 5e-6; its error grows
-    with the SNR, and the mass of the tabulated marginal shows it.  Each
+    y_{k-1} = y_k + sigma t/(1-t), in place of adaptive subdivision.  The
+    scale sigma = P/r is the per-stream SNR, the spread of each step, so the
+    nodes follow the density as the SNR grows; at M=3, K=10 the tabulated
+    marginals of ranks 2-3 have |mass - 1| below 1e-8 at 15 and 25 dB.  Each
     distinct argument (r/P)(1 + y) gets one ``GammaLadder``.
     """
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     if np.any(ys < 0):
         raise ValueError("grid points must be nonnegative")
     t, wt = inner_rule()
+    sigma = 1.0 / params.rp
     axes = [[-1 if i == ax else 1 for i in range(n)] for ax in range(1, n)]
-    steps = [(t / (1.0 - t)).reshape(shape) for shape in axes]
-    weights = [(wt / (1.0 - t) ** 2).reshape(shape) for shape in axes]
+    steps = [(sigma * t / (1.0 - t)).reshape(shape) for shape in axes]
+    weights = [(sigma * wt / (1.0 - t) ** 2).reshape(shape) for shape in axes]
 
     def pieces(yb: np.ndarray):
         """y_n on the points' axis, then y_{n-1} .. y_1 on free axes 1 .. n-1."""
@@ -448,5 +451,9 @@ def obf_sinr_grid(n: int, params: ObfParams) -> DistributionGrid:
 
 
 def obf_mean_sum_rate(params: ObfParams) -> float:
-    """Average sum rate sum_n E[ln(1 + y_n)] in nats, read off each rank's ``obf_sinr_grid``."""
+    """Average sum rate sum_n E[ln(1 + y_n)] in nats, read off each rank's ``obf_sinr_grid``.
+
+    A rank above ``MAX_ANALYTIC_RANK`` raises before any table is built.
+    """
+    check_rank(params.r, params.r)
     return sum(obf_sinr_grid(n, params).mean_log1p() for n in range(1, params.r + 1))

@@ -63,6 +63,7 @@ from .grids import DistributionGrid
 from .numerics import (
     GammaLadder,
     QuadratureSpec,
+    check_rank,
     inner_rule,
     integrate_1d,
     marginal_grid,
@@ -460,14 +461,18 @@ def olbf_marginal_pdf_t_grid(n: int, ss, params: OlbfParams) -> np.ndarray:
     """Marginal density of the n-th scheduled transformed SINR on a grid.
 
     ``numerics.marginal_grid`` integrates ``_scheduled`` with ``INNER_NODES``
-    Gauss-Legendre nodes per free variable: t_1 = s + (1 - s) u and, at
-    rank 3, t_2 on [0, t_1 - s] and [t_1 - s, t_1], split at the kink
-    t_2 = t_1 - s.  Each distinct argument mp/(1 - t) gets one ``GammaLadder``.
+    Gauss-Legendre nodes per free variable.  t_1 is mapped on the SINR
+    axis, y_1 = s/(1 - s) + sigma u/(1 - u) and t_1 = y_1/(1 + y_1), at the
+    per-beam SNR sigma = P/M, so the nodes follow the density as the SNR
+    grows.  At rank 3, t_2 lies on [0, t_1 - s] and [t_1 - s, t_1], split at
+    the kink t_2 = t_1 - s.  Each distinct argument mp/(1 - t) gets one
+    ``GammaLadder``.  s = 1 gives t_1 = 1 and weight 0: the density is 0 there.
     """
     ss = np.atleast_1d(np.asarray(ss, dtype=float))
     if np.any((ss < 0) | (ss > 1)):
         raise ValueError("grid points must lie in [0, 1]")
     u, wu = inner_rule()
+    sigma = params.P / params.M
 
     def pieces(sb: np.ndarray):
         """t_1 on free axis 1 and, at rank 3, t_2 on free axis 2, one side of the kink a piece."""
@@ -476,12 +481,19 @@ def olbf_marginal_pdf_t_grid(n: int, ss, params: OlbfParams) -> np.ndarray:
             return
         s = sb.reshape(-1, *[1] * (n - 1))
         axis1 = (-1,) + (1,) * (n - 2)
-        t1 = s + (1.0 - s) * u.reshape(axis1)
-        jac = (1.0 - s) * wu.reshape(axis1)
+        # with q = 1 - s and a = q sigma u/(1 - u), 1 + y_1 = (1 + a)/q, so
+        # t_1 - s = q a/(1 + a) and dt_1/du = sigma (q/((1 - u)(1 + a)))^2:
+        # nothing is infinite at s = 1
+        u1, w1 = u.reshape(axis1), wu.reshape(axis1)
+        q = 1.0 - s
+        a = q * sigma * u1 / (1.0 - u1)
+        gap = q * a / (1.0 + a)
+        t1 = s + gap
+        jac = sigma * w1 * (q / ((1.0 - u1) * (1.0 + a))) ** 2
         if n == 2:
             yield [t1, s], [jac]
             return
-        for start, width in ((0.0, t1 - s), (t1 - s, s)):
+        for start, width in ((0.0, gap), (gap, s)):
             yield [t1, start + width * u, s], [jac * width, wu]
 
     return marginal_grid(n, params.M, ss, pieces, lambda ts: _scheduled(ts, _ladder, params))
@@ -503,5 +515,9 @@ def olbf_sinr_grid(n: int, params: OlbfParams) -> DistributionGrid:
 
 
 def olbf_mean_sum_rate(params: OlbfParams) -> float:
-    """Average sum rate sum_n E[ln(1 + y_n)] in nats, read off each rank's ``olbf_sinr_grid``."""
+    """Average sum rate sum_n E[ln(1 + y_n)] in nats, read off each rank's ``olbf_sinr_grid``.
+
+    A rank above ``MAX_ANALYTIC_RANK`` raises before any table is built.
+    """
+    check_rank(params.M, params.M)
     return sum(olbf_sinr_grid(n, params).mean_log1p() for n in range(1, params.M + 1))

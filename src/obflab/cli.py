@@ -126,19 +126,23 @@ def write_report_csv(report: ExperimentReport, path: Path, manifest: RunManifest
 
 
 def read_report_csv(path: Path) -> tuple[dict, ExperimentReport]:
-    """Rebuild (manifest dict, ExperimentReport) from a sim CSV artifact."""
-    text = Path(path).read_text(encoding="utf-8").splitlines()
-    manifest = RunManifest.parse_embedded(text[0])
-    if text[1] != "trial,user_rank,user_index,sinr,sum_rate_trial":
-        raise ValueError("unexpected CSV header")
+    """Rebuild (manifest dict, ExperimentReport) from a sim CSV artifact.
+
+    The rows are parsed by ``np.loadtxt`` straight into one array of the
+    user_index, sinr and sum_rate_trial columns.
+    """
+    with open(path, encoding="utf-8") as f:
+        manifest = RunManifest.parse_embedded(f.readline().rstrip("\n"))
+        if f.readline().rstrip("\n") != "trial,user_rank,user_index,sinr,sum_rate_trial":
+            raise ValueError("unexpected CSV header")
+        columns = np.loadtxt(f, delimiter=",", usecols=(2, 3, 4), ndmin=2)
     cfg = manifest["config"]
-    rows = [line.split(",") for line in text[2:] if line]
     trials = cfg["trials"]
-    r = len(rows) // trials
-    users = np.array([int(row[2]) for row in rows], dtype=np.int64).reshape(trials, r)
-    sinrs = np.array([float(row[3]) for row in rows]).reshape(trials, r)
+    r = columns.shape[0] // trials
+    users = columns[:, 0].astype(np.int64).reshape(trials, r)
+    sinrs = columns[:, 1].reshape(trials, r)
     scale = LN2 if cfg.get("bits") else 1.0
-    rates = np.array([float(rows[i * r][4]) for i in range(trials)]) * scale
+    rates = columns[::r, 2] * scale
     config = ExperimentConfig(
         params=SystemParams(M=cfg["m"], K=cfg["k"], P=cfg["p_linear"], r=cfg["r"]),
         scheme=cfg["scheme"],
@@ -452,7 +456,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except QuadratureError as exc:  # an analytic table that cannot be resolved
+    except QuadratureError as exc:  # an analytic table unresolved or off its mass
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

@@ -4,7 +4,8 @@ A marginal density is tabulated on u = y/(1+y), which maps the SINR
 half-line onto [0, 1], at nested Chebyshev points of the 2nd kind, doubled
 until the coefficients show it resolved to ``CHEB_TOL``.  The KS CDF, the
 mass (not renormalised, so its distance from 1 is the density's own error)
-and the mean sum rate all read that one series.  ``obf_sinr_grid`` and
+and the mean sum rate all read that one series; a table whose mass is off 1
+by more than ``MASS_TOL`` is refused.  ``obf_sinr_grid`` and
 ``olbf_sinr_grid`` in the analytic modules cache one table per rank and
 parameter set.
 """
@@ -18,7 +19,7 @@ import numpy as np
 
 from .numerics import QuadratureError
 
-__all__ = ["DistributionGrid", "CHEB_TOL", "CHEB_CAP"]
+__all__ = ["DistributionGrid", "CHEB_TOL", "CHEB_CAP", "MASS_TOL"]
 
 # A table is resolved once the largest of its last four coefficients is
 # below CHEB_TOL, both absolutely and relative to its largest sample, so
@@ -27,6 +28,9 @@ __all__ = ["DistributionGrid", "CHEB_TOL", "CHEB_CAP"]
 # CHEB_CAP.
 CHEB_TOL = 1e-8
 CHEB_CAP = 4096
+# A resolved table whose mass is off 1 by more than MASS_TOL carries the
+# error of the density it sampled, and is refused rather than returned.
+MASS_TOL = 1e-6
 _CHEB_START = 16
 # cdf_at reads the CDF series at this many intervals of Chebyshev points,
 # with one FFT, and interpolates: its cost does not grow with n * values.
@@ -72,7 +76,8 @@ class DistributionGrid:
 
         pdf is called once per doubling, only on the new points, all in
         [0, 1); it is taken as 0 at u = 1.  Raises ``QuadratureError`` when
-        n = CHEB_CAP does not resolve it.
+        n = CHEB_CAP does not resolve it, or when the resolved table's mass
+        is off 1 by more than ``MASS_TOL``.
         """
         n = _CHEB_START
         values = np.concatenate([[0.0], pdf(_chebyshev_points(n)[1:])])
@@ -89,6 +94,10 @@ class DistributionGrid:
             grown[1::2] = pdf(_chebyshev_points(n)[1::2])
             values = grown
         cdf = np.polynomial.chebyshev.chebint(coeffs, lbnd=-1.0, scl=0.5)
+        mass = float(np.sum(cdf))
+        if not abs(mass - 1.0) <= MASS_TOL:
+            raise QuadratureError(f"density mass off 1 by more than {MASS_TOL} at n = {n}",
+                                  mass, abs(mass - 1.0))
         values.setflags(write=False)  # grids are cached and shared
         cdf.setflags(write=False)
         return cls(values, cdf, error)

@@ -350,7 +350,8 @@ def attach_analysis(report: ExperimentReport) -> ExperimentReport:
     to ``MAX_ANALYTIC_RANK`` samples per trial; other reports are returned
     unchanged.  Ranks 2..r are compared with their cached marginal tables,
     which the mean sum rate reads too, so each rank is tabulated once.  A
-    table that cannot be resolved leaves both fields None, with a warning.
+    table that cannot be resolved, or whose mass is off 1 by more than
+    ``grids.MASS_TOL``, leaves both fields None, with a warning.
     """
     config = report.config
     analytic = config.spec.analytic

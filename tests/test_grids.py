@@ -1,5 +1,6 @@
 """The marginal grids and their self-sizing Chebyshev tables: regression pins, outer-rule
-checks, rank checks, the CDF clamp, chunk invariance and memory bounds."""
+checks, inner-rule mass checks, rank checks, the CDF clamp, chunk invariance and memory
+bounds."""
 
 import math
 import tracemalloc
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from obflab import analytic_olbf
+from obflab import analytic_obf, analytic_olbf
 from obflab.analytic_obf import ObfParams, obf_marginal_pdf_grid, obf_mean_sum_rate, obf_sinr_grid
 from obflab.analytic_olbf import (
     OlbfParams,
@@ -17,11 +18,11 @@ from obflab.analytic_olbf import (
     olbf_mean_sum_rate,
     olbf_sinr_grid,
 )
-from obflab.grids import CHEB_CAP, CHEB_TOL, DistributionGrid
+from obflab.grids import CHEB_CAP, CHEB_TOL, MASS_TOL, DistributionGrid
 from obflab.numerics import GRID_CHUNK, QuadratureError
 
 P15 = 10 ** 1.5
-PEAK_MB = 150.0
+PEAK_MB = 40.0
 
 
 def test_tabulate_resolves_a_smooth_density():
@@ -49,6 +50,15 @@ def test_tabulate_raises_when_unresolved():
     assert calls == [16, 16, 32, 64, 128, 256, 512, 1024, CHEB_CAP // 2]
 
 
+def test_tabulate_refuses_a_resolved_table_off_its_mass():
+    # resolved at n = 64 like the exponential density above, but with mass 1 + 1e-5
+    with pytest.raises(QuadratureError, match="mass off 1"):
+        DistributionGrid.tabulate(lambda u: (1.0 + 1e-5) * np.exp(-u / (1.0 - u)) / (1.0 - u) ** 2)
+    grid = DistributionGrid.tabulate(lambda u: (1.0 + MASS_TOL / 2) * np.exp(-u / (1.0 - u))
+                                     / (1.0 - u) ** 2)
+    assert grid.mass == pytest.approx(1.0 + MASS_TOL / 2, rel=1e-12, abs=0)
+
+
 def test_tabulate_finds_a_peak_between_its_first_points():
     # at 25 dB the rank-1 density sits within 0.01 of u = 1, and the first
     # 17 points see at most 2e-8 of it: a table that stopped there would
@@ -59,13 +69,63 @@ def test_tabulate_finds_a_peak_between_its_first_points():
 
 
 def test_mean_sum_rate_pins():
-    # the OLBF value is the one test_mean_sum_rate_matches_adaptive_quadrature confirms
+    # the values test_mean_sum_rate_matches_adaptive_quadrature confirms; a 96-node
+    # inner rule on the same maps gives both within 3.5e-10 relative
     assert olbf_mean_sum_rate(OlbfParams(M=3, K=10, P=P15)) == pytest.approx(
-        6.666199994961286, rel=1e-12
+        6.666199992657418, rel=1e-12
     )
     assert obf_mean_sum_rate(ObfParams(M=3, K=10, P=P15, r=3)) == pytest.approx(
-        7.773191758344928, rel=1e-12
+        7.773190036522534, rel=1e-12
     )
+
+
+@pytest.mark.parametrize("snr_db", [15, 25])
+@pytest.mark.parametrize("grid, params", [
+    (olbf_sinr_grid, lambda P: OlbfParams(M=3, K=10, P=P)),
+    (obf_sinr_grid, lambda P: ObfParams(M=3, K=10, P=P, r=3)),
+], ids=["olbf", "obf"])
+def test_inner_rule_keeps_the_mass(grid, params, snr_db):
+    # the inner maps scale with the SNR, so the 48-node rule holds the mass
+    # above 15 dB too; with unscaled maps OBF lost 5.9e-2 of it at 25 dB
+    for n in (2, 3):
+        assert abs(grid(n, params(10 ** (snr_db / 10))).mass - 1.0) <= 1e-8
+
+
+@pytest.mark.parametrize("snr_db", [0, 15, 25, 30])
+def test_m2_obf_and_olbf_tables_agree(snr_db):
+    # at M = 2 the two schemes are one algorithm; with unscaled inner maps
+    # their rates differed by 4.1 % at 25 dB
+    P = 10 ** (snr_db / 10)
+    ob, ol = ObfParams(M=2, K=10, P=P, r=2), OlbfParams(M=2, K=10, P=P)
+    assert obf_mean_sum_rate(ob) == pytest.approx(olbf_mean_sum_rate(ol), rel=1e-6, abs=0)
+    y = P * np.linspace(0.05, 5.0, 100)
+    a, b = obf_sinr_grid(2, ob).cdf_at(y), olbf_sinr_grid(2, ol).cdf_at(y)
+    assert np.allclose(a, b, rtol=1e-6, atol=0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_olbf_grid_at_its_endpoints(n):
+    # s = 1 maps t_1 to 1 with weight 0 and the density to exactly 0
+    values = olbf_marginal_pdf_t_grid(n, [0.0, 1.0], OlbfParams(M=3, K=10, P=P15))
+    assert np.all(np.isfinite(values))
+    assert values[1] == 0.0
+
+
+@pytest.mark.parametrize("module, name, rate, params", [
+    (analytic_obf, "obf_sinr_grid", obf_mean_sum_rate, ObfParams(M=4, K=10, P=10.0, r=4)),
+    (analytic_olbf, "olbf_sinr_grid", olbf_mean_sum_rate, OlbfParams(M=4, K=10, P=10.0)),
+], ids=["obf", "olbf"])
+def test_mean_sum_rate_checks_the_cap_before_any_table(module, name, rate, params, monkeypatch):
+    calls, grid = [], getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return grid(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    with pytest.raises(NotImplementedError):
+        rate(params)
+    assert calls == []
 
 
 @pytest.mark.parametrize("error, call", [
