@@ -57,7 +57,7 @@ def batch_adaptive_obf(H: np.ndarray, P: float, r: int):
     scheduled[np.arange(B), k1] = True
     W[:, :, 0] = _take_users(Hbar, k1)
 
-    interf = np.abs(np.einsum("bkm,bm->bk", np.conj(Hbar), W[:, :, 0])) ** 2
+    interf = np.abs(np.einsum("bkm,bm->bk", Hbar, np.conj(W[:, :, 0]))) ** 2
     for n in range(2, r + 1):
         p2 = np.clip(1.0 - interf, 0.0, 1.0)
         cand = gains * p2 / (gains * (1.0 - p2) + noise)
@@ -72,7 +72,7 @@ def batch_adaptive_obf(H: np.ndarray, P: float, r: int):
         w = w / np.linalg.norm(w, axis=1, keepdims=True)
         W[:, :, n - 1] = w
         if n < r:
-            interf = interf + np.abs(np.einsum("bkm,bm->bk", np.conj(Hbar), w)) ** 2
+            interf = interf + np.abs(np.einsum("bkm,bm->bk", Hbar, np.conj(w))) ** 2
 
     g = np.take_along_axis(gains, users, axis=1)
     sinrs = g * p2_sched / (g * (1.0 - p2_sched) + noise)
@@ -133,7 +133,7 @@ def batch_zfdp(H: np.ndarray, P: float, r: int):
         nq = np.linalg.norm(q, axis=1, keepdims=True)
         Q[:, :, n] = np.where(nq > 0, q / np.where(nq == 0, 1.0, nq), 0.0)
         if n + 1 < r:
-            resid = resid - np.abs(np.einsum("bkm,bm->bk", np.conj(H), Q[:, :, n])) ** 2
+            resid = resid - np.abs(np.einsum("bkm,bm->bk", H, np.conj(Q[:, :, n]))) ** 2
     sinrs = P / r * gsel
     return users, sinrs, np.sum(np.log1p(sinrs), axis=1)
 

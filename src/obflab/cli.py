@@ -23,12 +23,11 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, textfmt
 from .channel import SystemParams
 from .numerics import MAX_ANALYTIC_RANK, QuadratureError
 from .montecarlo import (
@@ -96,33 +95,28 @@ def _manifest_line(manifest: RunManifest) -> str:
     return f"# manifest: {manifest.to_embedded_json()}"
 
 
-def _float_reprs(column: np.ndarray, scale: float = 1.0) -> list[str]:
-    """repr of each float of a scaled 1-D column; a list's repr holds its items' reprs."""
-    return repr((np.asarray(column, dtype=float) * scale).tolist())[1:-1].split(", ")
-
-
 def write_report_csv(report: ExperimentReport, path: Path, manifest: RunManifest,
                      bits: bool = False) -> None:
     """One row per (trial, user_rank): trial,user_rank,user_index,sinr,sum_rate_trial.
 
-    Rows are formatted a column at a time, CHUNK trials per block, and each
-    block is written before the next is formatted.
+    Each block of CHUNK trials is laid out as one byte block by ``textfmt``,
+    with the bytes ``str`` and ``repr`` give, and written before the next.
     """
     scale = 1.0 / LN2 if bits else 1.0
     trials, r = report.sinrs.shape
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"{_manifest_line(manifest)}\ntrial,user_rank,user_index,sinr,sum_rate_trial\n")
+    ranks = textfmt.int_field(np.arange(1, r + 1))
+    with open(path, "wb") as f:
+        f.write(f"{_manifest_line(manifest)}\ntrial,user_rank,user_index,sinr,sum_rate_trial\n"
+                .encode("utf-8"))
         for lo in range(0, trials, CHUNK):
             hi = min(lo + CHUNK, trials)
-            trial = list(map(str, range(lo, hi)))
-            rate = _float_reprs(report.sum_rates[lo:hi], scale)
-            lines = [""] * ((hi - lo) * r)
-            for j in range(r):  # rank j's rows are every r-th line of the block
-                lines[j::r] = map(",".join, zip(
-                    trial, repeat(str(j + 1)), map(str, report.users[lo:hi, j].tolist()),
-                    _float_reprs(report.sinrs[lo:hi, j]), rate,
-                ))
-            f.write("\n".join(lines) + "\n")
+            f.write(textfmt.join_rows([  # (trials, 1), (r,) and (trials, r) columns
+                textfmt.int_field(np.arange(lo, hi)[:, None]),
+                ranks,
+                textfmt.int_field(report.users[lo:hi]),
+                textfmt.float_field(report.sinrs[lo:hi]),
+                textfmt.float_field(report.sum_rates[lo:hi, None] * scale),
+            ]))
 
 
 def read_report_csv(path: Path) -> tuple[dict, ExperimentReport]:

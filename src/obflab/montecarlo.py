@@ -3,8 +3,9 @@
 Trials are processed in fixed-size chunks; chunk c of a run always draws
 its channels (and any selection randomness) from the substream
 (seed, c), so the sample stream is bit-identical whether chunks are
-executed serially or on a thread pool.  Results are assembled in chunk
-order before any reduction.
+executed serially or on a thread pool.  Each chunk writes its own rows
+of the preallocated outputs, so they are in trial order before any
+reduction.
 
 A small fraction of trials (1 in 1000) is re-run through the scalar
 schedulers as a structural audit: scheduled sets must match the batch
@@ -220,17 +221,19 @@ class ExperimentReport:
             raise ValueError("KS distances must lie in [0, 1]")
 
 
-def _run_chunk(config: ExperimentConfig, chunk_index: int, count: int):
-    """(channels of the chunk's audited trials, users, sinrs, rates) of one chunk.
+def _run_chunk(config: ExperimentConfig, chunk_index: int, users: np.ndarray, sinrs: np.ndarray,
+               rates: np.ndarray) -> np.ndarray:
+    """Run one chunk into its rows of users, sinrs and rates; return its audited channels.
 
     Only the audited rows of H are kept, copied, so that the chunk's
     (count, K, M) channel array is freed when the chunk ends.
     """
     p = config.params
     rng = substream(config.seed, chunk_index)
-    H = draw_channel_batch(p.K, p.M, rng, count)  # channels first, then any random picks
+    H = draw_channel_batch(p.K, p.M, rng, rates.size)  # channels first, then any random picks
+    users[...], sinrs[...], rates[...] = config.spec.kernel(H, p.P, config.effective_r, rng)
     first = -chunk_index * CHUNK % _AUDIT_STRIDE  # local index of the chunk's first audited trial
-    return (H[first::_AUDIT_STRIDE].copy(), *config.spec.kernel(H, p.P, config.effective_r, rng))
+    return H[first::_AUDIT_STRIDE].copy()
 
 
 def _audit_trial(config: ExperimentConfig, H_row: np.ndarray, users, sinrs) -> None:
@@ -254,27 +257,27 @@ def run_experiment(config: ExperimentConfig, threads: Optional[int] = None) -> E
     """Run all trials; deterministic for a given seed, any thread count."""
     t0 = time.perf_counter()
     n_chunks = (config.trials + CHUNK - 1) // CHUNK
-    sizes = [min(CHUNK, config.trials - c * CHUNK) for c in range(n_chunks)]
     if threads is None:
         threads = int(os.environ.get("OBFLAB_THREADS", "1"))
     threads = max(1, min(threads, n_chunks))
 
-    def work(c):
-        return _run_chunk(config, c, sizes[c])
+    users = np.empty((config.trials, config.effective_r), dtype=np.int64)
+    sinrs = np.empty((config.trials, config.effective_r))
+    rates = np.empty(config.trials)
+
+    def work(c):  # chunk c fills its own rows, so the chunks may run in any order
+        rows = slice(c * CHUNK, min((c + 1) * CHUNK, config.trials))
+        return _run_chunk(config, c, users[rows], sinrs[rows], rates[rows])
 
     if threads == 1:
-        results = [work(c) for c in range(n_chunks)]
+        audited = [work(c) for c in range(n_chunks)]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, range(n_chunks)))
-
-    users = np.concatenate([r[1] for r in results], axis=0)
-    sinrs = np.concatenate([r[2] for r in results], axis=0)
-    rates = np.concatenate([r[3] for r in results], axis=0)
+            audited = list(pool.map(work, range(n_chunks)))
 
     # structural audit on a deterministic sparse subset of trials; the
     # chunks' audited rows, in chunk order, are those of t = 0, 1000, ...
-    audited = np.concatenate([r[0] for r in results], axis=0)
+    audited = np.concatenate(audited, axis=0)
     for t, H_row in zip(range(0, config.trials, _AUDIT_STRIDE), audited, strict=True):
         _audit_trial(config, H_row, users[t], sinrs[t])
 

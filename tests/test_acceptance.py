@@ -301,6 +301,7 @@ def test_criterion_6b_olbf_candidacy_closed_forms():
           + ", ".join(f"{k}={v:.2e} ({counts[k]} pts)" for k, v in worst.items()))
 
 
+@pytest.mark.slow
 def test_criterion_6c_olbf_cdf_third_order_both_branches():
     rng = np.random.default_rng(603)
     worst, head, split = 0.0, 0, 0

@@ -260,6 +260,7 @@ def test_F_z2_closed_vs_quadrature_oracle(M):
         assert got == pytest.approx(rec, rel=1e-8, abs=1e-14)
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("M", [3, 4])
 def test_F_z3_both_branches_vs_quadrature_oracle(M):
     params = _params(M=M, K=max(10, M))

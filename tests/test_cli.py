@@ -11,7 +11,7 @@ import pytest
 
 from obflab.channel import SystemParams
 from obflab.cli import RunManifest, main, read_report_csv, write_report_csv
-from obflab.montecarlo import CHUNK, ExperimentConfig, _build_report
+from obflab.montecarlo import CHUNK, ExperimentConfig, ExperimentReport, _build_report
 
 
 def run_main(args):
@@ -97,6 +97,18 @@ def test_csv_writer_matches_the_row_formatter(r, bits, tmp_path):
         assert np.allclose(back.sum_rates, rates, rtol=1e-15, atol=0)
     else:
         assert np.array_equal(back.sum_rates, rates)
+
+    # ranks left unscheduled (user -1, SINR NaN), as a stopping rule leaves them;
+    # _build_report rejects NaN samples, so the report is built directly
+    users, sinrs = users.copy(), sinrs.copy()
+    users[1::2, r - 1], sinrs[1::2, r - 1] = -1, np.nan
+    rates = np.log1p(np.nan_to_num(sinrs)).sum(axis=1)
+    padded = ExperimentReport(config=config, users=users, sinrs=sinrs, sum_rates=rates,
+                              per_user=(), mean_sum_rate=float(rates.mean()),
+                              stderr_sum_rate=0.0, runtime_seconds=0.0)
+    write_report_csv(padded, out, manifest, bits=bits)
+    _reference_csv(padded, ref, manifest, bits)
+    assert out.read_bytes() == ref.read_bytes()
 
 
 def test_csv_reader_peak_memory(tmp_path):

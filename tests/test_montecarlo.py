@@ -142,6 +142,21 @@ def test_run_memory_does_not_grow_with_the_channels():
     assert large <= 1.1 * small, (small / 2**20, large / 2**20)
 
 
+def test_run_peak_memory_stays_near_its_outputs():
+    # the chunks write into the preallocated outputs; keeping the chunks'
+    # results and their concatenation alive together peaked at 3.2 times them
+    config = ExperimentConfig(params=SystemParams(M=3, K=10, P=P15, r=3), scheme="zfdp",
+                              trials=64 * CHUNK, seed=4)
+    tracemalloc.start()
+    try:
+        report = run_experiment(config, threads=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = report.users.nbytes + report.sinrs.nbytes + report.sum_rates.nbytes
+    assert peak <= 2.5 * outputs, peak / outputs
+
+
 def test_thread_env_fallback(monkeypatch):
     config = _config(trials=CHUNK + 50, seed=12)
     monkeypatch.setenv("OBFLAB_THREADS", "3")
