@@ -25,9 +25,34 @@ __all__ = [
 ]
 
 
+def _gains(H: np.ndarray) -> np.ndarray:
+    """Squared row norms (B, K), the bits of ``np.sum(np.abs(H) ** 2, axis=2)``.
+
+    numpy's reduction adds fewer than 8 terms left to right, as this loop
+    does over whole (B, K) planes; from 8 terms on it sums pairwise, so
+    that case keeps ``np.sum``.
+    """
+    a = np.abs(H)
+    np.multiply(a, a, out=a)
+    if H.shape[2] >= 8:
+        return np.sum(a, axis=2)
+    gains = a[:, :, 0].copy()
+    for m in range(1, H.shape[2]):
+        gains += a[:, :, m]
+    return gains
+
+
 def _normalize_rows(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    gains = np.sum(np.abs(H) ** 2, axis=2)
-    return gains, H / np.sqrt(gains)[:, :, None]
+    """Gains and unit rows ``H / sqrt(gains)``, as a product over the float view.
+
+    numpy divides complex by real as a product with the reciprocal, so the
+    bits are those of the complex division.
+    """
+    H = np.ascontiguousarray(H)
+    gains = _gains(H)
+    Hbar = np.empty_like(H)
+    np.multiply(H.view(float), (1.0 / np.sqrt(gains))[:, :, None], out=Hbar.view(float))
+    return gains, Hbar
 
 
 def _take_users(H: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -113,7 +138,7 @@ def batch_zfdp(H: np.ndarray, P: float, r: int):
     B, K, M = H.shape
     if not (1 <= r <= min(K, M)):
         raise ValueError("need 1 <= r <= min(K, M)")
-    gains = np.sum(np.abs(H) ** 2, axis=2)
+    gains = _gains(H)
 
     users = np.empty((B, r), dtype=np.int64)
     gsel = np.empty((B, r))
@@ -155,7 +180,7 @@ def batch_zfs(H: np.ndarray, P: float, r: int):
     B, K, M = H.shape
     if not (1 <= r <= min(K, M)):
         raise ValueError("need 1 <= r <= min(K, M)")
-    gains = np.sum(np.abs(H) ** 2, axis=2)
+    gains = _gains(H)
     rows = np.arange(B)
     snr = P / r
 
@@ -166,7 +191,7 @@ def batch_zfs(H: np.ndarray, P: float, r: int):
     d = np.zeros((B, r))
 
     for n in range(r):
-        e2 = np.sum(np.abs(E) ** 2, axis=2)
+        e2 = _gains(E) if n else gains  # E is still H at step 0
         ok = ~scheduled & np.isfinite(e2) & (e2 > ZF_RANK_TOL * gains)
         if not np.all(np.any(ok, axis=1)):
             raise ValueError(f"ZF step {n + 1}: no candidate increases the rank")

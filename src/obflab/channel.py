@@ -5,6 +5,10 @@ variance per entry (0.5 per real/imaginary part).  Generation is backed
 by counter-based Philox streams so that trial t of a run is always drawn
 from the substream (master_seed, t-block) regardless of how trials are
 batched or parallelised.
+
+``BLOCK_ENTRIES`` bounds the scratch that goes with a batch of channels:
+the draw fills each part through a buffer of at most that many reals, and
+the Monte-Carlo harness runs its kernels on blocks of that many entries.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
+    "BLOCK_ENTRIES",
     "SystemParams",
     "ChannelSet",
     "BeamformerMatrix",
@@ -26,6 +31,8 @@ __all__ = [
 ]
 
 ORTHO_TOL = 1e-10
+
+BLOCK_ENTRIES = 1 << 17  # reals per draw slice, and entries per kernel block: 2 MiB of complex
 
 
 @dataclass(frozen=True)
@@ -98,17 +105,23 @@ def substream(seed: int, index: int) -> np.random.Generator:
 def draw_channel_batch(K: int, M: int, rng: np.random.Generator, count: int = 1) -> np.ndarray:
     """Draw ``count`` IID K x M unit-variance complex Gaussian channels.
 
-    All real parts are drawn first, then all imaginary parts, each into one
-    reused buffer that is scaled straight into ``H``.  numpy divides a
-    complex array by a real c as a product with 1/c, so this gives the bits
-    of ``(re + 1j*im) / sqrt(2)`` from the same stream.
+    All real parts are drawn first, then all imaginary parts, each through
+    one reused buffer of at most ``BLOCK_ENTRIES`` reals (one trial if a
+    trial is larger), a run of trials at a time, scaled straight into ``H``.
+    ``standard_normal`` fills sequentially, so the slices hold the values of
+    one whole draw.  numpy divides a complex array by a real c as a product
+    with 1/c, so this gives the bits of ``(re + 1j*im) / sqrt(2)`` from the
+    same stream.
     """
     H = np.empty((count, K, M), dtype=complex)
-    buf = np.empty(H.shape)
+    step = max(1, BLOCK_ENTRIES // (K * M))
+    buf = np.empty((min(step, count), K, M))
     scale = 1.0 / np.sqrt(2.0)
     for part in (H.real, H.imag):
-        rng.standard_normal(out=buf)
-        np.multiply(buf, scale, out=part)
+        for lo in range(0, count, step):
+            out = part[lo:lo + step]
+            rng.standard_normal(out=buf[:len(out)])
+            np.multiply(buf[:len(out)], scale, out=out)
     return H
 
 

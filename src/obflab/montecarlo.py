@@ -5,7 +5,8 @@ its channels (and any selection randomness) from the substream
 (seed, c), so the sample stream is bit-identical whether chunks are
 executed serially or on a thread pool.  Each chunk writes its own rows
 of the preallocated outputs, so they are in trial order before any
-reduction.
+reduction.  A worker holds one chunk's channels and the temporaries of
+one kernel block of ``channel.BLOCK_ENTRIES`` entries (see ``_run_chunk``).
 
 A small fraction of trials (1 in 1000) is re-run through the scalar
 schedulers as a structural audit: scheduled sets must match the batch
@@ -18,6 +19,7 @@ What the harness knows of each scheme sits in one ``Scheme`` record of
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import time
@@ -32,7 +34,9 @@ from scipy import special
 
 from . import batch as _batch
 from . import schedulers as _sched
-from .channel import BeamformerMatrix, ChannelSet, SystemParams, draw_channel_batch, substream
+from .channel import (
+    BLOCK_ENTRIES, BeamformerMatrix, ChannelSet, SystemParams, draw_channel_batch, substream,
+)
 from .numerics import MAX_ANALYTIC_RANK, QuadratureError
 from .analytic_obf import ObfParams, obf_marginal_pdf_grid, obf_mean_sum_rate, obf_sinr_grid
 from .analytic_olbf import (
@@ -225,13 +229,23 @@ def _run_chunk(config: ExperimentConfig, chunk_index: int, users: np.ndarray, si
                rates: np.ndarray) -> np.ndarray:
     """Run one chunk into its rows of users, sinrs and rates; return its audited channels.
 
-    Only the audited rows of H are kept, copied, so that the chunk's
+    The chunk's channels are drawn whole, before any random picks, as the
+    stream order requires.  The kernel then runs on consecutive blocks of
+    about ``BLOCK_ENTRIES`` channel entries (at least one trial), so that
+    its temporaries stay one block's size; a random kernel takes its picks
+    from ``rng`` block by block, which is the same stream.  The kernels
+    treat trials independently, so the rows are those of one whole-chunk
+    call.  Only the audited rows of H are kept, copied, so that the chunk's
     (count, K, M) channel array is freed when the chunk ends.
     """
     p = config.params
     rng = substream(config.seed, chunk_index)
     H = draw_channel_batch(p.K, p.M, rng, rates.size)  # channels first, then any random picks
-    users[...], sinrs[...], rates[...] = config.spec.kernel(H, p.P, config.effective_r, rng)
+    step = max(1, BLOCK_ENTRIES // (p.K * p.M))
+    for lo in range(0, rates.size, step):
+        rows = slice(lo, lo + step)
+        users[rows], sinrs[rows], rates[rows] = config.spec.kernel(H[rows], p.P,
+                                                                   config.effective_r, rng)
     first = -chunk_index * CHUNK % _AUDIT_STRIDE  # local index of the chunk's first audited trial
     return H[first::_AUDIT_STRIDE].copy()
 
@@ -289,10 +303,13 @@ def run_experiment(config: ExperimentConfig, threads: Optional[int] = None) -> E
 def _build_report(config: ExperimentConfig, users: np.ndarray, sinrs: np.ndarray,
                   rates: np.ndarray) -> ExperimentReport:
     """Report with the sum-rate mean, its standard error and the per-rank samples."""
-    values = rates.tolist()  # fsum over numpy scalars takes about twice as long
-    mean = math.fsum(values) / rates.size
+    def values():  # floats, 8192 at a time: fsum over numpy scalars takes twice as long
+        return itertools.chain.from_iterable(rates[i:i + 8192].tolist()
+                                             for i in range(0, rates.size, 8192))
+
+    mean = math.fsum(values()) / rates.size
     if rates.size > 1:
-        var = math.fsum((x - mean) ** 2 for x in values) / (rates.size - 1)
+        var = math.fsum((x - mean) ** 2 for x in values()) / (rates.size - 1)
         stderr = math.sqrt(var / rates.size)
     else:
         stderr = 0.0

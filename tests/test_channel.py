@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from obflab import channel
 from obflab.channel import (
     BeamformerMatrix,
     ChannelSet,
@@ -45,10 +46,17 @@ def test_draw_channels_shape_and_determinism():
     assert cs1.K == 5 and cs1.M == 3
 
 
-@pytest.mark.parametrize("count", [1, 4096])
-def test_draw_matches_the_complex_formula_bit_for_bit(count):
-    # the draw fills one buffer per part; the stream and every bit must match
-    # the formula it replaces, and the random picks drawn after it too
+@pytest.mark.parametrize("count,block_entries", [
+    pytest.param(1, channel.BLOCK_ENTRIES, id="1"),
+    pytest.param(4096, channel.BLOCK_ENTRIES, id="4096"),  # one slice
+    pytest.param(100, 90, id="100-slices-of-3"),  # and a last slice of 1
+    pytest.param(7, 20, id="7-one-trial-per-slice"),  # a trial is larger than a slice
+])
+def test_draw_matches_the_complex_formula_bit_for_bit(monkeypatch, count, block_entries):
+    # the draw fills one buffer per part, a slice of trials at a time; the
+    # stream and every bit must match the one-buffer formula it replaces,
+    # and the random picks drawn after it too
+    monkeypatch.setattr(channel, "BLOCK_ENTRIES", block_entries)
     rng = substream(5, 3)
     H = draw_channel_batch(10, 3, rng, count)
     ref_rng = substream(5, 3)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from obflab import batch, grids, montecarlo, schedulers
+from obflab import batch, channel, grids, montecarlo, schedulers
 from obflab.analytic_obf import ObfParams
 from obflab.channel import SystemParams, draw_channel_batch, substream
 from obflab.montecarlo import (
@@ -155,6 +155,57 @@ def test_run_peak_memory_stays_near_its_outputs():
         tracemalloc.stop()
     outputs = report.users.nbytes + report.sinrs.nbytes + report.sum_rates.nbytes
     assert peak <= 2.5 * outputs, peak / outputs
+
+
+def _one_buffer_draw(K, M, rng, count):
+    # reference draw: each part through one buffer the size of the whole chunk
+    H = np.empty((count, K, M), dtype=complex)
+    buf = np.empty(H.shape)
+    for part in (H.real, H.imag):
+        rng.standard_normal(out=buf)
+        np.multiply(buf, 1.0 / np.sqrt(2.0), out=part)
+    return H
+
+
+@pytest.mark.parametrize("scheme", montecarlo.SCHEMES)
+@pytest.mark.parametrize("block_entries,trials", [
+    pytest.param(1000, CHUNK + 300, id="blocks-of-27-uneven"),
+    pytest.param(30, 300, id="one-trial-per-block"),  # K*M = 36 > block_entries
+])
+def test_blocked_chunks_match_one_kernel_call(monkeypatch, scheme, block_entries, trials):
+    # the pinned rates run at K <= 10, where a chunk is one block; here the
+    # chunks split, and every row must be that of one whole-chunk kernel call
+    monkeypatch.setattr(channel, "BLOCK_ENTRIES", block_entries)
+    monkeypatch.setattr(montecarlo, "BLOCK_ENTRIES", block_entries)
+    config = _config(scheme=scheme, M=3, K=12, P=P15, trials=trials, seed=31)
+    report = run_experiment(config, threads=2)
+    p, spec = config.params, config.spec
+    for c in range(math.ceil(trials / CHUNK)):
+        rows = slice(c * CHUNK, min((c + 1) * CHUNK, trials))
+        rng = substream(config.seed, c)
+        H = _one_buffer_draw(p.K, p.M, rng, rows.stop - rows.start)
+        users, sinrs, rates = spec.kernel(H, p.P, config.effective_r, rng)
+        assert np.array_equal(report.users[rows], users), c
+        assert np.array_equal(report.sinrs[rows].view(np.uint64), sinrs.view(np.uint64)), c
+        assert np.array_equal(report.sum_rates[rows].view(np.uint64), rates.view(np.uint64)), c
+
+
+@pytest.mark.parametrize("scheme", montecarlo.SCHEMES)
+def test_chunk_peak_memory_is_about_its_channels(scheme):
+    # after the whole-chunk draw a worker holds one block of temporaries; one
+    # kernel call on the whole chunk peaks at 1.8 to 5.2 times its channels
+    config = ExperimentConfig(params=SystemParams(M=4, K=100, P=P15, r=4), scheme=scheme,
+                              trials=CHUNK, seed=22)
+    r = config.effective_r
+    users, sinrs, rates = np.empty((CHUNK, r), dtype=np.int64), np.empty((CHUNK, r)), np.empty(CHUNK)
+    tracemalloc.start()
+    try:
+        montecarlo._run_chunk(config, 0, users, sinrs, rates)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    channels = CHUNK * 100 * 4 * np.dtype(complex).itemsize
+    assert peak <= 1.4 * channels, peak / channels
 
 
 def test_thread_env_fallback(monkeypatch):
