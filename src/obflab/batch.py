@@ -26,33 +26,15 @@ __all__ = [
 
 
 def _gains(H: np.ndarray) -> np.ndarray:
-    """Squared row norms (B, K), the bits of ``np.sum(np.abs(H) ** 2, axis=2)``.
-
-    numpy's reduction adds fewer than 8 terms left to right, as this loop
-    does over whole (B, K) planes; from 8 terms on it sums pairwise, so
-    that case keeps ``np.sum``.
-    """
+    """Squared row norms (B, K): ``np.sum(np.abs(H) ** 2, axis=2)``, squared in place."""
     a = np.abs(H)
     np.multiply(a, a, out=a)
-    if H.shape[2] >= 8:
-        return np.sum(a, axis=2)
-    gains = a[:, :, 0].copy()
-    for m in range(1, H.shape[2]):
-        gains += a[:, :, m]
-    return gains
+    return np.sum(a, axis=2)
 
 
 def _normalize_rows(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gains and unit rows ``H / sqrt(gains)``, as a product over the float view.
-
-    numpy divides complex by real as a product with the reciprocal, so the
-    bits are those of the complex division.
-    """
-    H = np.ascontiguousarray(H)
     gains = _gains(H)
-    Hbar = np.empty_like(H)
-    np.multiply(H.view(float), (1.0 / np.sqrt(gains))[:, :, None], out=Hbar.view(float))
-    return gains, Hbar
+    return gains, H / np.sqrt(gains)[:, :, None]
 
 
 def _take_users(H: np.ndarray, idx: np.ndarray) -> np.ndarray:

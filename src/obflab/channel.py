@@ -7,8 +7,8 @@ from the substream (master_seed, t-block) regardless of how trials are
 batched or parallelised.
 
 ``BLOCK_ENTRIES`` bounds the scratch that goes with a batch of channels:
-the draw fills each part through a buffer of at most that many reals, and
-the Monte-Carlo harness runs its kernels on blocks of that many entries.
+the draw fills each part that many entries at a time, and the Monte-Carlo
+harness runs its kernels on blocks of that many entries.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ __all__ = [
 
 ORTHO_TOL = 1e-10
 
-BLOCK_ENTRIES = 1 << 17  # reals per draw slice, and entries per kernel block: 2 MiB of complex
+# Channel entries per block: 1 MiB per real or imaginary part, 2 MiB of complex.
+BLOCK_ENTRIES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -106,22 +107,21 @@ def draw_channel_batch(K: int, M: int, rng: np.random.Generator, count: int = 1)
     """Draw ``count`` IID K x M unit-variance complex Gaussian channels.
 
     All real parts are drawn first, then all imaginary parts, each through
-    one reused buffer of at most ``BLOCK_ENTRIES`` reals (one trial if a
-    trial is larger), a run of trials at a time, scaled straight into ``H``.
-    ``standard_normal`` fills sequentially, so the slices hold the values of
-    one whole draw.  numpy divides a complex array by a real c as a product
-    with 1/c, so this gives the bits of ``(re + 1j*im) / sqrt(2)`` from the
-    same stream.
+    one reused buffer of ``BLOCK_ENTRIES`` reals at a time, scaled straight
+    into ``H``.  ``standard_normal`` fills sequentially, so the slices hold
+    the values of one whole draw.  numpy divides a complex array by a real
+    c as a product with 1/c, so this gives the bits of
+    ``(re + 1j*im) / sqrt(2)`` from the same stream.
     """
     H = np.empty((count, K, M), dtype=complex)
-    step = max(1, BLOCK_ENTRIES // (K * M))
-    buf = np.empty((min(step, count), K, M))
+    flat = H.reshape(-1)
+    buf = np.empty(min(BLOCK_ENTRIES, flat.size))
     scale = 1.0 / np.sqrt(2.0)
-    for part in (H.real, H.imag):
-        for lo in range(0, count, step):
-            out = part[lo:lo + step]
-            rng.standard_normal(out=buf[:len(out)])
-            np.multiply(buf[:len(out)], scale, out=out)
+    for part in (flat.real, flat.imag):
+        for lo in range(0, part.size, BLOCK_ENTRIES):
+            out = part[lo:lo + BLOCK_ENTRIES]
+            rng.standard_normal(out=buf[:out.size])
+            np.multiply(buf[:out.size], scale, out=out)
     return H
 
 

@@ -33,10 +33,9 @@ import numpy as np
 from scipy import special
 
 from . import batch as _batch
+from . import channel as _channel
 from . import schedulers as _sched
-from .channel import (
-    BLOCK_ENTRIES, BeamformerMatrix, ChannelSet, SystemParams, draw_channel_batch, substream,
-)
+from .channel import BeamformerMatrix, ChannelSet, SystemParams, draw_channel_batch, substream
 from .numerics import MAX_ANALYTIC_RANK, QuadratureError
 from .analytic_obf import ObfParams, obf_marginal_pdf_grid, obf_mean_sum_rate, obf_sinr_grid
 from .analytic_olbf import (
@@ -231,17 +230,17 @@ def _run_chunk(config: ExperimentConfig, chunk_index: int, users: np.ndarray, si
 
     The chunk's channels are drawn whole, before any random picks, as the
     stream order requires.  The kernel then runs on consecutive blocks of
-    about ``BLOCK_ENTRIES`` channel entries (at least one trial), so that
-    its temporaries stay one block's size; a random kernel takes its picks
-    from ``rng`` block by block, which is the same stream.  The kernels
-    treat trials independently, so the rows are those of one whole-chunk
-    call.  Only the audited rows of H are kept, copied, so that the chunk's
-    (count, K, M) channel array is freed when the chunk ends.
+    at most ``channel.BLOCK_ENTRIES`` channel entries (at least one trial),
+    so that its temporaries stay one block's size; a random kernel takes
+    its picks from ``rng`` block by block, which is the same stream.  The
+    kernels treat trials independently, so the rows are those of one
+    whole-chunk call.  Only the audited rows of H are kept, copied, so that
+    the chunk's (count, K, M) channel array is freed when the chunk ends.
     """
     p = config.params
     rng = substream(config.seed, chunk_index)
     H = draw_channel_batch(p.K, p.M, rng, rates.size)  # channels first, then any random picks
-    step = max(1, BLOCK_ENTRIES // (p.K * p.M))
+    step = max(1, _channel.BLOCK_ENTRIES // (p.K * p.M))
     for lo in range(0, rates.size, step):
         rows = slice(lo, lo + step)
         users[rows], sinrs[rows], rates[rows] = config.spec.kernel(H[rows], p.P,

@@ -49,11 +49,11 @@ def test_draw_channels_shape_and_determinism():
 @pytest.mark.parametrize("count,block_entries", [
     pytest.param(1, channel.BLOCK_ENTRIES, id="1"),
     pytest.param(4096, channel.BLOCK_ENTRIES, id="4096"),  # one slice
-    pytest.param(100, 90, id="100-slices-of-3"),  # and a last slice of 1
-    pytest.param(7, 20, id="7-one-trial-per-slice"),  # a trial is larger than a slice
+    pytest.param(100, 90, id="100-slices-of-90"),  # and a last slice of 30
+    pytest.param(7, 20, id="7-slices-of-20"),  # slices end inside a trial
 ])
 def test_draw_matches_the_complex_formula_bit_for_bit(monkeypatch, count, block_entries):
-    # the draw fills one buffer per part, a slice of trials at a time; the
+    # the draw fills one buffer per part, a slice of entries at a time; the
     # stream and every bit must match the one-buffer formula it replaces,
     # and the random picks drawn after it too
     monkeypatch.setattr(channel, "BLOCK_ENTRIES", block_entries)

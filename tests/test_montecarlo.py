@@ -176,7 +176,6 @@ def test_blocked_chunks_match_one_kernel_call(monkeypatch, scheme, block_entries
     # the pinned rates run at K <= 10, where a chunk is one block; here the
     # chunks split, and every row must be that of one whole-chunk kernel call
     monkeypatch.setattr(channel, "BLOCK_ENTRIES", block_entries)
-    monkeypatch.setattr(montecarlo, "BLOCK_ENTRIES", block_entries)
     config = _config(scheme=scheme, M=3, K=12, P=P15, trials=trials, seed=31)
     report = run_experiment(config, threads=2)
     p, spec = config.params, config.spec
