@@ -17,7 +17,6 @@ from .channel import (
     draw_channel_batch,
     draw_channels,
     null_space_basis,
-    project_complement,
     substream,
 )
 from .schedulers import (
@@ -33,7 +32,6 @@ from .schedulers import (
 from .analytic_obf import (
     ObfParams,
     obf_joint_pdf_scheduled,
-    obf_marginal_pdf,
     obf_marginal_pdf_grid,
     obf_mean_sum_rate,
     obf_selection_cdf,
@@ -45,7 +43,6 @@ from .analytic_olbf import (
     olbf_cdf_z,
     olbf_joint_pdf_t,
     olbf_marginal_pdf_sinr_grid,
-    olbf_marginal_pdf_t,
     olbf_mean_sum_rate,
     olbf_sinr_grid,
     olbf_unordered_pdf_z,
@@ -53,12 +50,10 @@ from .analytic_olbf import (
 from .grids import DistributionGrid
 from .montecarlo import (
     SCHEMES,
-    EmpiricalDistribution,
     ExperimentConfig,
     ExperimentReport,
     attach_analysis,
     ks_distance,
-    mean_sum_rate_mc,
     run_experiment,
 )
 
@@ -70,7 +65,6 @@ __all__ = [
     "draw_channel_batch",
     "draw_channels",
     "null_space_basis",
-    "project_complement",
     "substream",
     "ScheduleOutcome",
     "adaptive_obf",
@@ -82,7 +76,6 @@ __all__ = [
     "zfs_schedule",
     "ObfParams",
     "obf_joint_pdf_scheduled",
-    "obf_marginal_pdf",
     "obf_marginal_pdf_grid",
     "obf_mean_sum_rate",
     "obf_selection_cdf",
@@ -91,18 +84,15 @@ __all__ = [
     "olbf_cdf_z",
     "olbf_joint_pdf_t",
     "olbf_marginal_pdf_sinr_grid",
-    "olbf_marginal_pdf_t",
     "olbf_mean_sum_rate",
     "olbf_unordered_pdf_z",
     "DistributionGrid",
     "obf_sinr_grid",
     "olbf_sinr_grid",
     "SCHEMES",
-    "EmpiricalDistribution",
     "ExperimentConfig",
     "ExperimentReport",
     "attach_analysis",
     "ks_distance",
-    "mean_sum_rate_mc",
     "run_experiment",
 ]

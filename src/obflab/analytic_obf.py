@@ -30,8 +30,9 @@ callable it is passed, so the grid evaluators feed it ``GammaLadder``s
 over whole argument tensors and the scalar API (``obf_phi``,
 ``obf_selection_cdf``) feeds it one point at a time.  ``_scheduled`` is
 the one body of the joint density: ``obf_joint_pdf_scheduled`` calls it
-one point at a time and ``obf_marginal_pdf_grid`` on the node tensors of
-``numerics.marginal_grid``.
+one point at a time and ``obf_marginal_pdf_grid``, the only marginal
+density, on the node tensors of ``numerics.marginal_grid``.  Its
+adaptive-quadrature reference is a test oracle (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -48,10 +49,8 @@ from scipy import special
 from .grids import DistributionGrid
 from .numerics import (
     GammaLadder,
-    QuadratureSpec,
     check_rank,
     inner_rule,
-    integrate_semi_infinite,
     marginal_grid,
     upper_incomplete_gamma,
 )
@@ -64,14 +63,10 @@ __all__ = [
     "obf_phi",
     "obf_selection_cdf",
     "obf_joint_pdf_scheduled",
-    "obf_marginal_pdf",
     "obf_marginal_pdf_grid",
     "obf_sinr_grid",
     "obf_mean_sum_rate",
 ]
-
-_DEFAULT_SPEC = QuadratureSpec()
-
 
 @dataclass(frozen=True)
 class ObfParams:
@@ -378,31 +373,6 @@ def obf_joint_pdf_scheduled(ys, params: ObfParams) -> float:
     if ys[-1] < 0 or np.any(np.diff(ys) > 0):
         return 0.0
     return float(_scheduled(*_scalar_args(ys, params), params))
-
-
-def obf_marginal_pdf(n: int, y: float, params: ObfParams) -> float:
-    """Marginal density of the n-th scheduled user's SINR (adaptive reference path)."""
-    if y < 0:
-        return 0.0
-    if not 1 <= n <= params.r:
-        raise ValueError("need 1 <= n <= r")
-    if n == 1:
-        return params.K * obf_selection_cdf(1, [y], params) ** (params.K - 1) * obf_phi(
-            1, [y], params
-        )
-    if n == 2:
-        return integrate_semi_infinite(
-            lambda y1: obf_joint_pdf_scheduled([y1, y], params), y, _DEFAULT_SPEC
-        )
-    if n == 3:
-        def inner(y2):
-            return integrate_semi_infinite(
-                lambda y1: obf_joint_pdf_scheduled([y1, y2, y], params), y2,
-                _DEFAULT_SPEC.tightened(),
-            )
-
-        return integrate_semi_infinite(inner, y, _DEFAULT_SPEC)
-    raise NotImplementedError("marginals implemented for n <= 3")
 
 
 def _phi1_vec(y1: np.ndarray, params: ObfParams) -> np.ndarray:

@@ -34,9 +34,9 @@ of the tails
     xi_k(t) = sum_{S of t_2..t_{k-1}} (-1)^|S| G_{M-2}(t_k + sum S; t_1),
 
 with Gamma orders 1..M only.  The S = {} term of F_n is F_1, taken as a
-regularised lower incomplete gamma.  ``olbf_cdf_z`` with
-method="recursive" integrates the cross-section density over z_1 instead,
-an independent check of the closed forms.
+regularised lower incomplete gamma.  The test oracles (``tests/oracles.py``)
+check F_n by integrating the cross-section density over z_1, and the grid
+marginals by adaptive quadrature.
 
 ``_G`` is the one body of the closed forms, and ``_scheduled`` the one
 body of the joint density.  They read Gamma(s, x) only through callables
@@ -62,10 +62,8 @@ from scipy import special
 from .grids import DistributionGrid
 from .numerics import (
     GammaLadder,
-    QuadratureSpec,
     check_rank,
     inner_rule,
-    integrate_1d,
     marginal_grid,
     upper_incomplete_gamma,
 )
@@ -80,14 +78,11 @@ __all__ = [
     "olbf_xi",
     "olbf_cdf_z",
     "olbf_joint_pdf_t",
-    "olbf_marginal_pdf_t",
     "olbf_marginal_pdf_t_grid",
     "olbf_marginal_pdf_sinr_grid",
     "olbf_sinr_grid",
     "olbf_mean_sum_rate",
 ]
-
-_DEFAULT_SPEC = QuadratureSpec()
 
 # A z-CDF in [-_CDF_CLAMP, 0) is cancellation in the subset sums and counts
 # as 0; one below that raises.
@@ -189,22 +184,11 @@ def olbf_unordered_pdf_z(zs, params: OlbfParams) -> float:
     return float(val * slack ** (M - n) / math.gamma(M - n + 1))
 
 
-def _z1_pdf(t1: float, params: OlbfParams) -> float:
-    """Marginal density of z_1 (scaled total channel power)."""
-    M, mp = params.M, params.mp
-    if not 0.0 <= t1 < 1.0:
-        return 0.0
-    return (
-        math.exp(-mp * t1 / (1.0 - t1))
-        * mp ** M
-        / (1.0 - t1) ** (M + 1)
-        * t1 ** (M - 1)
-        / math.gamma(M)
-    )
-
-
 def _z1_pdf_vec(t1: np.ndarray, params: OlbfParams) -> np.ndarray:
-    """``_z1_pdf`` on arrays; 1 - t_1 is taken as inf at t_1 = 1, giving the limit 0."""
+    """Marginal density of z_1 (scaled total channel power).
+
+    1 - t_1 is taken as inf at t_1 = 1, giving the limit 0.
+    """
     M, mp = params.M, params.mp
     om = np.where(t1 < 1.0, 1.0 - t1, np.inf)
     return np.exp(-mp * t1 / om) * mp ** M / om ** (M + 1) * t1 ** (M - 1) / math.gamma(M)
@@ -307,84 +291,15 @@ def olbf_xi(k: int, ts, params: OlbfParams) -> float:
     if np.any(ts < 0) or np.any(ts[1:] > ts[0]) or ts[0] > 1.0:
         raise ValueError("need 0 <= t_i <= t_1 <= 1")
     if k == 1:
-        return _z1_pdf(ts[0], params)
+        return float(_z1_pdf_vec(ts[0], params))
     return float(_Corners(ts, _point, params).xi(k))
 
 
-def _cross_section(z1: float, tails, params: OlbfParams) -> float:
-    """int_0^{t_n}..int_0^{t_2} f(z_1, z_2, .., z_n) dz_2..dz_n for z_1 >= sum(tails).
-
-    Inclusion-exclusion collapses the box integral to an alternating sum
-    over subsets of the upper limits.
-    """
-    M = params.M
-    acc = 0.0
-    for size in range(len(tails) + 1):
-        for S in combinations(tails, size):
-            rem = z1 - math.fsum(S)
-            acc += (-1) ** size * rem ** (M - 1)
-    return (
-        math.exp(-params.mp * z1 / (1.0 - z1))
-        * params.mp ** M
-        / (1.0 - z1) ** (M + 1)
-        * acc
-        / math.gamma(M)
-    )
-
-
-def _W(z1: float, tails, params: OlbfParams) -> float:
-    """Pr-density of z_1 jointly with z_i <= t_i for the given tails."""
-    if not tails:
-        return _z1_pdf(z1, params)
-    if z1 >= math.fsum(tails):
-        return _cross_section(z1, tails, params)
-    acc = 0.0
-    n = len(tails)
-    for size in range(n):  # proper subsets only
-        for S in combinations(tails, size):
-            acc += (-1) ** size * _W_bar(z1, S, params)
-    return acc
-
-
-def _W_bar(z1: float, tails, params: OlbfParams) -> float:
-    """Pr-density of z_1 jointly with z_i > t_i for the given tails."""
-    if z1 < math.fsum(tails):
-        return 0.0
-    acc = 0.0
-    for size in range(len(tails) + 1):
-        for S in combinations(tails, size):
-            acc += (-1) ** size * _W(z1, S, params)
-    return acc
-
-
-def _cdf_recursive(t1: float, tails, params: OlbfParams) -> float:
-    """z-CDF by integrating the cross-section density ``_W`` over z_1 in [0, t_1].
-
-    ``_W`` covers z_1 below sum(tails) too, so this holds on either branch.
-    The integrand is piecewise smooth with breakpoints at the partial
-    sums of every subset of the tails; each piece between them is integrated
-    separately.
-    """
-    cuts = {0.0, t1}
-    for size in range(1, len(tails) + 1):
-        for S in combinations(tails, size):
-            s = math.fsum(S)
-            if 0.0 < s < t1:
-                cuts.add(s)
-    knots = sorted(cuts)
-    total = 0.0
-    for a, b in zip(knots[:-1], knots[1:]):
-        total += integrate_1d(lambda z1: _W(z1, tails, params), a, b, _DEFAULT_SPEC)
-    return total
-
-
-def olbf_cdf_z(ts, params: OlbfParams, method: str = "closed") -> float:
+def olbf_cdf_z(ts, params: OlbfParams) -> float:
     """Joint CDF of (z_1, ..., z_n) at ts = (t_1, ..., t_n).
 
-    ``method="closed"`` sums G_{M-1} over the subsets of the tails, at any
-    order and on either branch; ``method="recursive"`` integrates the
-    cross-section density over z_1 instead, which is slower but serves as
-    an independent check of the closed forms.
+    Sums G_{M-1} over the subsets of the tails, at any order and on either
+    branch.
     """
     ts = np.asarray(ts, dtype=float)
     n = ts.size
@@ -392,12 +307,8 @@ def olbf_cdf_z(ts, params: OlbfParams, method: str = "closed") -> float:
         raise ValueError("need 1 <= n <= M")
     if np.any(ts < 0) or np.any(ts[1:] > ts[0] + 1e-15) or ts[0] > 1.0:
         raise ValueError("need 0 <= t_i <= t_1 <= 1")
-    if method not in ("closed", "recursive"):
-        raise ValueError("method must be 'closed' or 'recursive'")
     if n == 1:
         return float(_F_z1(ts[0], params))
-    if method == "recursive":
-        return _cdf_recursive(float(ts[0]), [float(t) for t in ts[1:]], params)
     return float(_Corners(ts, _point, params).cdf(n))
 
 
@@ -426,35 +337,6 @@ def olbf_joint_pdf_t(ts, params: OlbfParams) -> float:
     if np.any(ts < 0) or np.any(ts[1:] > ts[0]) or ts[0] > 1.0:
         return 0.0
     return float(_scheduled([float(t) for t in ts], _point, params))
-
-
-def olbf_marginal_pdf_t(n: int, s: float, params: OlbfParams) -> float:
-    """Marginal density of the n-th scheduled transformed SINR (reference path).
-
-    Adaptive quadrature over the free variables; the t_2 integral at
-    order 3 is split at the branch point t_2 = t_1 - s.
-    """
-    if not 0.0 <= s <= 1.0:
-        return 0.0
-    if not 1 <= n <= params.M:
-        raise ValueError("need 1 <= n <= M")
-    if n == 1:
-        return params.K * olbf_cdf_z([s], params) ** (params.K - 1) * _z1_pdf(s, params)
-    if n == 2:
-        return integrate_1d(lambda t1: olbf_joint_pdf_t([t1, s], params), s, 1.0, _DEFAULT_SPEC)
-    if n == 3:
-        def inner(t1):
-            inner_spec = _DEFAULT_SPEC.tightened()
-            head = integrate_1d(
-                lambda t2: olbf_joint_pdf_t([t1, t2, s], params), 0.0, t1 - s, inner_spec
-            )
-            tail = integrate_1d(
-                lambda t2: olbf_joint_pdf_t([t1, t2, s], params), t1 - s, t1, inner_spec
-            )
-            return head + tail
-
-        return integrate_1d(inner, s, 1.0, _DEFAULT_SPEC)
-    raise NotImplementedError("marginals implemented for n <= 3")
 
 
 def olbf_marginal_pdf_t_grid(n: int, ss, params: OlbfParams) -> np.ndarray:

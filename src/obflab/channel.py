@@ -25,7 +25,6 @@ __all__ = [
     "draw_channels",
     "draw_channel_batch",
     "substream",
-    "project_complement",
     "null_space_basis",
     "null_space_basis_batch",
 ]
@@ -130,23 +129,6 @@ def draw_channels(params: SystemParams, seed: int, stream: int = 0) -> ChannelSe
     rng = substream(seed, stream)
     H = draw_channel_batch(params.K, params.M, rng, count=1)[0]
     return ChannelSet(H=H, seed=(int(seed), int(stream)))
-
-
-def project_complement(W, h: np.ndarray) -> np.ndarray:
-    """Project h onto the orthogonal complement of span(W): (I - W W^H) h.
-
-    W may be a BeamformerMatrix, an M x n array, or None/empty for the
-    identity projector.
-    """
-    h = np.asarray(h, dtype=complex)
-    if isinstance(W, BeamformerMatrix):
-        W = W.W
-    if W is None or (hasattr(W, "size") and W.size == 0):
-        return h.copy()
-    W = np.asarray(W, dtype=complex)
-    if W.shape[0] != h.shape[0]:
-        raise ValueError("dimension mismatch between W and h")
-    return h - W @ (W.conj().T @ h)
 
 
 def null_space_basis(v: np.ndarray) -> np.ndarray:

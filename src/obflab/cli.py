@@ -123,7 +123,9 @@ def read_report_csv(path: Path) -> tuple[dict, ExperimentReport]:
     """Rebuild (manifest dict, ExperimentReport) from a sim CSV artifact.
 
     The rows are parsed by ``np.loadtxt`` straight into one array of the
-    user_index, sinr and sum_rate_trial columns.
+    user_index, sinr and sum_rate_trial columns.  Raises ``ValueError``
+    unless there are exactly trials x r of them, r being the config's
+    samples per trial.
     """
     with open(path, encoding="utf-8") as f:
         manifest = RunManifest.parse_embedded(f.readline().rstrip("\n"))
@@ -132,11 +134,6 @@ def read_report_csv(path: Path) -> tuple[dict, ExperimentReport]:
         columns = np.loadtxt(f, delimiter=",", usecols=(2, 3, 4), ndmin=2)
     cfg = manifest["config"]
     trials = cfg["trials"]
-    r = columns.shape[0] // trials
-    users = columns[:, 0].astype(np.int64).reshape(trials, r)
-    sinrs = columns[:, 1].reshape(trials, r)
-    scale = LN2 if cfg.get("bits") else 1.0
-    rates = columns[::r, 2] * scale
     config = ExperimentConfig(
         params=SystemParams(M=cfg["m"], K=cfg["k"], P=cfg["p_linear"], r=cfg["r"]),
         scheme=cfg["scheme"],
@@ -144,6 +141,13 @@ def read_report_csv(path: Path) -> tuple[dict, ExperimentReport]:
         seed=manifest["seed"],
         force_r=cfg.get("force_r"),
     )
+    r = config.effective_r
+    if columns.shape[0] != trials * r:
+        raise ValueError(f"CSV holds {columns.shape[0]} rows, not {trials} trials x {r} ranks")
+    users = columns[:, 0].astype(np.int64).reshape(trials, r)
+    sinrs = columns[:, 1].reshape(trials, r)
+    scale = LN2 if cfg.get("bits") else 1.0
+    rates = columns[::r, 2] * scale
     return manifest, _build_report(config, users, sinrs, rates)
 
 

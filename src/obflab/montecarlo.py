@@ -48,11 +48,9 @@ __all__ = [
     "Scheme",
     "Analytic",
     "ExperimentConfig",
-    "EmpiricalDistribution",
     "ExperimentReport",
     "run_experiment",
     "ks_distance",
-    "mean_sum_rate_mc",
     "attach_analysis",
 ]
 
@@ -181,34 +179,12 @@ class ExperimentConfig:
         return self.spec.samples(self)
 
 
-@dataclass(frozen=True)
-class EmpiricalDistribution:
-    """Sorted sample set with its empirical CDF."""
-
-    samples: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.samples, dtype=float)
-        if s.ndim != 1 or s.size == 0:
-            raise ValueError("need a nonempty 1-D sample set")
-        if not np.all(np.isfinite(s)):
-            raise ValueError("samples must be finite")
-        if np.any(np.diff(s) < 0):
-            s = np.sort(s)
-        object.__setattr__(self, "samples", s)
-
-    @property
-    def n(self) -> int:
-        return self.samples.size
-
-
 @dataclass
 class ExperimentReport:
     config: ExperimentConfig
     users: np.ndarray        # (trials, r) scheduled/selected user indices
     sinrs: np.ndarray        # (trials, r) per-rank SINR samples
     sum_rates: np.ndarray    # (trials,) per-trial sum rate, nats
-    per_user: tuple          # EmpiricalDistribution per rank
     mean_sum_rate: float
     stderr_sum_rate: float
     runtime_seconds: float
@@ -301,7 +277,7 @@ def run_experiment(config: ExperimentConfig, threads: Optional[int] = None) -> E
 
 def _build_report(config: ExperimentConfig, users: np.ndarray, sinrs: np.ndarray,
                   rates: np.ndarray) -> ExperimentReport:
-    """Report with the sum-rate mean, its standard error and the per-rank samples."""
+    """Report with the samples, the sum-rate mean and its standard error."""
     def values():  # floats, 8192 at a time: fsum over numpy scalars takes twice as long
         return itertools.chain.from_iterable(rates[i:i + 8192].tolist()
                                              for i in range(0, rates.size, 8192))
@@ -312,40 +288,35 @@ def _build_report(config: ExperimentConfig, users: np.ndarray, sinrs: np.ndarray
         stderr = math.sqrt(var / rates.size)
     else:
         stderr = 0.0
-    per_user = tuple(EmpiricalDistribution(np.sort(sinrs[:, j])) for j in range(sinrs.shape[1]))
     return ExperimentReport(
         config=config,
         users=users,
         sinrs=sinrs,
         sum_rates=rates,
-        per_user=per_user,
         mean_sum_rate=mean,
         stderr_sum_rate=stderr,
         runtime_seconds=0.0,
     )
 
 
-def ks_distance(emp: EmpiricalDistribution, cdf: Callable) -> float:
-    """Kolmogorov-Smirnov distance between a sample set and a CDF.
+def ks_distance(samples, cdf: Callable) -> float:
+    """Kolmogorov-Smirnov distance between a 1-D sample set and a vectorised CDF.
 
     sup over the sorted samples x_i of max(|i/N - F(x_i)|,
-    |(i-1)/N - F(x_i)|).
+    |(i-1)/N - F(x_i)|).  The samples must be nonempty and finite.
     """
-    x = emp.samples
+    x = np.asarray(samples, dtype=float)
+    if x.ndim != 1 or x.size == 0:
+        raise ValueError("need a nonempty 1-D sample set")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("samples must be finite")
+    x = np.sort(x)
     n = x.size
     F = np.asarray(cdf(x), dtype=float)
-    if F.shape != x.shape:
-        F = np.array([float(cdf(v)) for v in x])
     hi = np.arange(1, n + 1) / n
     lo = np.arange(0, n) / n
     d = float(np.max(np.maximum(np.abs(hi - F), np.abs(lo - F))))
     return min(max(d, 0.0), 1.0)
-
-
-def mean_sum_rate_mc(config: ExperimentConfig, threads: Optional[int] = None) -> tuple[float, float]:
-    """(mean, stderr) of the per-trial sum rate in nats."""
-    report = run_experiment(config, threads)
-    return report.mean_sum_rate, report.stderr_sum_rate
 
 
 def _max_norm_cdf(M: int, K: int, noise: float) -> Callable:
@@ -386,6 +357,6 @@ def attach_analysis(report: ExperimentReport) -> ExperimentReport:
     except QuadratureError as exc:
         warnings.warn(f"analysis skipped: {exc}", RuntimeWarning, stacklevel=2)
         return report
-    report.ks_per_user = tuple(ks_distance(emp, cdf) for emp, cdf in zip(report.per_user, cdfs))
+    report.ks_per_user = tuple(ks_distance(report.sinrs[:, j], cdf) for j, cdf in enumerate(cdfs))
     report.analytic_mean_sum_rate = mean_rate
     return report

@@ -1,4 +1,4 @@
-"""Special functions and quadrature shared by the analytic modules.
+"""Special functions and the grid integrator shared by the analytic modules.
 
 The analytic SINR distributions are built almost entirely out of upper
 incomplete gamma functions of integer order and low-dimensional
@@ -10,11 +10,11 @@ every order it is asked for.  Both analytic modules need orders >= 1 only
 so the ladder has no E1/E_n anchors.  The scalar ``upper_incomplete_gamma``
 also serves non-positive orders, from ``scipy.special.exp1`` and ``expn``.
 
-The adaptive routines serve the reference paths.  The grid marginals of
-both schemes go through one fixed-order integrator, ``marginal_grid``: it
-applies ``inner_rule`` (``INNER_NODES`` Gauss-Legendre nodes on [0, 1]) to
-each free variable of a scheme's joint density, which maps the nodes onto
-its free SINRs at the scale of the per-stream SNR.  ``check_rank`` holds
+The grid marginals of both schemes go through one fixed-order integrator,
+``marginal_grid``: it applies ``inner_rule`` (``INNER_NODES``
+Gauss-Legendre nodes on [0, 1]) to each free variable of a scheme's joint
+density, which maps the nodes onto its free SINRs at the scale of the
+per-stream SNR.  ``check_rank`` holds
 the rank cap ``MAX_ANALYTIC_RANK``.
 
 Everything here is a pure function of its arguments; a ladder memoises
@@ -24,15 +24,13 @@ only within itself, and ``inner_rule`` is computed once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 __all__ = [
-    "QuadratureSpec",
     "QuadratureError",
     "upper_incomplete_gamma",
     "GammaLadder",
@@ -42,9 +40,6 @@ __all__ = [
     "MAX_ANALYTIC_RANK",
     "check_rank",
     "marginal_grid",
-    "integrate_1d",
-    "integrate_semi_infinite",
-    "gauss_legendre_nodes",
 ]
 
 # Non-positive orders of the scalar routine descend from E1 at or below
@@ -71,34 +66,12 @@ INNER_NODES = 48
 MAX_ANALYTIC_RANK = 3
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and subdivision budget for adaptive quadrature."""
-
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 2000
-
-    def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-
-    def tightened(self, decades: int = 1) -> "QuadratureSpec":
-        """Same budget with tolerances shrunk by a factor 10**decades."""
-        return QuadratureSpec(
-            self.rel_tol * 10.0 ** (-decades),
-            self.abs_tol * 10.0 ** (-decades),
-            self.max_subdivisions,
-        )
-
-
 class QuadratureError(RuntimeError):
-    """Raised when adaptive subdivision fails to meet the tolerances.
+    """Raised when a quadrature fails to meet its tolerance.
 
-    Carries the best estimate and its error bound so callers can decide
-    whether to accept a degraded result.
+    ``grids`` raises it for a table that does not resolve or whose mass is
+    off 1.  Carries the best estimate and its error bound so callers can
+    decide whether to accept a degraded result.
     """
 
     def __init__(self, message, estimate, error_bound):
@@ -197,65 +170,12 @@ class GammaLadder:
             self._memo[self._top] = self._sum if fact == 1 else fact * self._sum
 
 
-def integrate_1d(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    spec: QuadratureSpec = QuadratureSpec(),
-) -> float:
-    """Adaptive quadrature of f over the finite interval [a, b]."""
-    if a > b:
-        raise ValueError("integrate_1d requires a <= b")
-    if a == b:
-        return 0.0
-    out = integrate.quad(
-        f,
-        a,
-        b,
-        epsabs=spec.abs_tol,
-        epsrel=spec.rel_tol,
-        limit=spec.max_subdivisions,
-        full_output=1,
-    )
-    value, err = out[0], out[1]
-    if len(out) > 3:  # warning slot populated -> tolerance not met
-        raise QuadratureError("integrate_1d did not converge", value, err)
-    return value
-
-
-def integrate_semi_infinite(
-    f: Callable[[float], float],
-    a: float = 0.0,
-    spec: QuadratureSpec = QuadratureSpec(),
-) -> float:
-    """Integrate f over [a, inf) via the substitution y = a + u/(1-u).
-
-    The substitution maps [0, 1) onto the half line and concentrates
-    nodes near a, which suits the exponentially decaying integrands used
-    throughout this package.
-    """
-    if a < 0:
-        raise ValueError("integrate_semi_infinite requires a >= 0")
-
-    def g(u: float) -> float:
-        w = 1.0 - u
-        return f(a + u / w) / (w * w)
-
-    return integrate_1d(g, 0.0, 1.0, spec)
-
-
-def gauss_legendre_nodes(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights mapped to [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    half = 0.5 * (b - a)
-    return a + half * (x + 1.0), half * w
-
-
 @lru_cache(maxsize=None)
 def inner_rule() -> tuple[np.ndarray, np.ndarray]:
     """``INNER_NODES`` Gauss-Legendre nodes and weights on [0, 1], read-only: the rule of
     every free variable of a grid marginal."""
-    nodes, weights = gauss_legendre_nodes(INNER_NODES, 0.0, 1.0)
+    x, w = np.polynomial.legendre.leggauss(INNER_NODES)
+    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 

@@ -9,7 +9,6 @@ from obflab import analytic_obf as obf_analytic
 from obflab.analytic_obf import (
     ObfParams,
     obf_joint_pdf_scheduled,
-    obf_marginal_pdf,
     obf_marginal_pdf_grid,
     obf_mean_sum_rate,
     obf_phi,
@@ -19,6 +18,7 @@ from obflab.analytic_obf import (
     obf_x_to_v,
 )
 from obflab.numerics import upper_incomplete_gamma
+from oracles import obf_marginal_pdf
 
 P15 = 10.0 ** 1.5
 

@@ -10,7 +10,6 @@ from obflab.analytic_olbf import (
     olbf_cdf_z,
     olbf_joint_pdf_t,
     olbf_marginal_pdf_sinr_grid,
-    olbf_marginal_pdf_t,
     olbf_marginal_pdf_t_grid,
     olbf_mean_sum_rate,
     olbf_unordered_pdf_z,
@@ -20,6 +19,7 @@ from obflab.analytic_olbf import (
     v_to_z,
     z_to_v,
 )
+from oracles import olbf_cdf_recursive, olbf_marginal_pdf_t
 
 P15 = 10.0 ** 1.5
 
@@ -256,7 +256,7 @@ def test_F_z2_closed_vs_quadrature_oracle(M):
         got = olbf_cdf_z([t1, t2], params)
         want = _F_oracle([t1, t2], params)
         assert got == pytest.approx(want, rel=1e-6, abs=1e-14)
-        rec = olbf_cdf_z([t1, t2], params, method="recursive")
+        rec = olbf_cdf_recursive(t1, [t2], params)
         assert got == pytest.approx(rec, rel=1e-8, abs=1e-14)
 
 
@@ -277,7 +277,7 @@ def test_F_z3_both_branches_vs_quadrature_oracle(M):
         got = olbf_cdf_z([t1, t2, t3], params)
         want = _F_oracle([t1, t2, t3], params)
         assert got == pytest.approx(want, rel=1e-6, abs=1e-12)
-        rec = olbf_cdf_z([t1, t2, t3], params, method="recursive")
+        rec = olbf_cdf_recursive(t1, [t2, t3], params)
         assert got == pytest.approx(rec, rel=1e-7, abs=1e-12)
 
 
@@ -314,7 +314,7 @@ def test_F_z4_recursion_vs_nested_quadrature_oracle():
         got = olbf_cdf_z([t1, t2, t3, t4], params)
         want = oracle(t1, t2, t3, t4)
         assert got == pytest.approx(want, rel=1e-5, abs=1e-12)
-        rec = olbf_cdf_z([t1, t2, t3, t4], params, method="recursive")
+        rec = olbf_cdf_recursive(t1, [t2, t3, t4], params)
         assert got == pytest.approx(rec, rel=1e-5, abs=1e-12)
 
 
@@ -332,7 +332,7 @@ def test_F_z5_closed_vs_recursive_both_branches():
             continue
         counts[branch] += 1
         got = olbf_cdf_z([t1, *tails], params)
-        rec = olbf_cdf_z([t1, *tails], params, method="recursive")
+        rec = olbf_cdf_recursive(t1, tails, params)
         assert got == pytest.approx(rec, rel=1e-6, abs=0)  # values down to 1e-9
 
 

@@ -10,7 +10,6 @@ from obflab.channel import (
     draw_channel_batch,
     draw_channels,
     null_space_basis,
-    project_complement,
     substream,
 )
 from obflab.channel import null_space_basis_batch
@@ -100,21 +99,6 @@ def test_projection_direction_statistics_unitarily_invariant():
         gains.append(float(np.sum(np.abs(residual) ** 2)))
     d, p = stats.kstest(np.array(gains), "gamma", args=(M - 1,))
     assert p > 1e-3, (d, p)
-
-
-def test_project_complement_properties():
-    rng = substream(4, 0)
-    M = 4
-    for _ in range(50):
-        cols = rng.standard_normal((M, 2)) + 1j * rng.standard_normal((M, 2))
-        q, _ = np.linalg.qr(cols)
-        W = q[:, :2]
-        h = rng.standard_normal(M) + 1j * rng.standard_normal(M)
-        w = project_complement(W, h)
-        assert np.max(np.abs(W.conj().T @ w)) < 1e-10
-        assert np.linalg.norm(w) <= np.linalg.norm(h) + 1e-12
-        # idempotent: projecting the residual again changes nothing
-        assert np.allclose(project_complement(W, w), w, atol=1e-12)
 
 
 def test_null_space_basis_properties_and_determinism():

