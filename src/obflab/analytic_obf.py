@@ -80,8 +80,8 @@ class ObfParams:
             raise ValueError("need M >= r >= 1")
         if self.K < self.r:
             raise ValueError("need K >= r")
-        if self.P <= 0:
-            raise ValueError("P must be positive")
+        if not (math.isfinite(self.P) and self.P > 0):
+            raise ValueError(f"P must be positive and finite, got {self.P}")
 
     @property
     def rp(self) -> float:

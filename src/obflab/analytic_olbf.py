@@ -100,8 +100,8 @@ class OlbfParams:
             raise ValueError("need M >= 2")
         if self.K < self.M:
             raise ValueError("need K >= M")
-        if self.P <= 0:
-            raise ValueError("P must be positive")
+        if not (math.isfinite(self.P) and self.P > 0):
+            raise ValueError(f"P must be positive and finite, got {self.P}")
 
     @property
     def r(self) -> int:

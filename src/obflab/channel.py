@@ -13,6 +13,7 @@ harness runs its kernels on blocks of that many entries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,8 +50,8 @@ class SystemParams:
             raise ValueError(f"need K >= M >= 1, got K={self.K}, M={self.M}")
         if not (1 <= self.r <= self.M):
             raise ValueError(f"need 1 <= r <= M, got r={self.r}")
-        if self.P <= 0:
-            raise ValueError("P must be positive (linear scale)")
+        if not (math.isfinite(self.P) and self.P > 0):
+            raise ValueError(f"P must be positive and finite (linear scale), got {self.P}")
 
 
 @dataclass(frozen=True)

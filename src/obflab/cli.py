@@ -39,6 +39,7 @@ from .montecarlo import (
     _build_report,
     attach_analysis,
     run_experiment,
+    worker_count,
 )
 
 __all__ = [
@@ -95,28 +96,39 @@ def _manifest_line(manifest: RunManifest) -> str:
     return f"# manifest: {manifest.to_embedded_json()}"
 
 
+def _csv_head(manifest: RunManifest) -> bytes:
+    return (f"{_manifest_line(manifest)}\ntrial,user_rank,user_index,sinr,sum_rate_trial\n"
+            .encode("utf-8"))
+
+
+def _csv_block(first_trial: int, users: np.ndarray, sinrs: np.ndarray, rates: np.ndarray,
+               scale: float) -> bytes:
+    """The CSV rows of consecutive trials from ``first_trial``, laid out by ``textfmt``."""
+    trials, r = sinrs.shape
+    return textfmt.join_rows([  # (trials, 1), (r,) and (trials, r) columns
+        textfmt.int_field(np.arange(first_trial, first_trial + trials)[:, None]),
+        textfmt.int_field(np.arange(1, r + 1)),
+        textfmt.int_field(users),
+        textfmt.float_field(sinrs),
+        textfmt.float_field(rates[:, None] * scale),
+    ])
+
+
 def write_report_csv(report: ExperimentReport, path: Path, manifest: RunManifest,
                      bits: bool = False) -> None:
     """One row per (trial, user_rank): trial,user_rank,user_index,sinr,sum_rate_trial.
 
     Each block of CHUNK trials is laid out as one byte block by ``textfmt``,
-    with the bytes ``str`` and ``repr`` give, and written before the next.
+    with the bytes ``str`` and ``repr`` give, and written before the next;
+    ``obflab sim`` writes the same blocks as its chunks finish.
     """
     scale = 1.0 / LN2 if bits else 1.0
-    trials, r = report.sinrs.shape
-    ranks = textfmt.int_field(np.arange(1, r + 1))
     with open(path, "wb") as f:
-        f.write(f"{_manifest_line(manifest)}\ntrial,user_rank,user_index,sinr,sum_rate_trial\n"
-                .encode("utf-8"))
-        for lo in range(0, trials, CHUNK):
-            hi = min(lo + CHUNK, trials)
-            f.write(textfmt.join_rows([  # (trials, 1), (r,) and (trials, r) columns
-                textfmt.int_field(np.arange(lo, hi)[:, None]),
-                ranks,
-                textfmt.int_field(report.users[lo:hi]),
-                textfmt.float_field(report.sinrs[lo:hi]),
-                textfmt.float_field(report.sum_rates[lo:hi, None] * scale),
-            ]))
+        f.write(_csv_head(manifest))
+        for lo in range(0, report.sum_rates.size, CHUNK):
+            rows = slice(lo, lo + CHUNK)
+            f.write(_csv_block(lo, report.users[rows], report.sinrs[rows],
+                               report.sum_rates[rows], scale))
 
 
 def read_report_csv(path: Path) -> tuple[dict, ExperimentReport]:
@@ -196,8 +208,16 @@ def _config_echo(args, p_linear: float, r: int) -> dict:
     }
 
 
+def _linear_power(snr_db: float) -> float:
+    """10^(snr_db/10), or inf past the float range; the parameter records refuse inf."""
+    try:
+        return 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        return math.inf
+
+
 def cmd_sim(args) -> int:
-    p_linear = 10.0 ** (args.snr_db / 10.0)
+    p_linear = _linear_power(args.snr_db)
     r = args.force_r if args.force_r is not None else min(args.m, args.k)
     try:
         config = ExperimentConfig(
@@ -207,19 +227,31 @@ def cmd_sim(args) -> int:
             seed=args.seed,
             force_r=args.force_r,
         )
+        threads = worker_count(args.threads)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = run_experiment(config, threads=args.threads)
-    report = attach_analysis(report)
     manifest = RunManifest(
         command="sim", config=_config_echo(args, p_linear, r), seed=args.seed,
         version=__version__,
     )
     out = Path(args.out) if args.out else Path(f"sim_{args.scheme}_{args.seed}.{args.format}")
     if args.format == "csv":
-        write_report_csv(report, out, manifest, bits=args.bits)
+        # each chunk's block is written as soon as the chunk is audited; a
+        # failed run leaves no CSV behind
+        scale = 1.0 / LN2 if args.bits else 1.0
+        try:
+            with open(out, "wb") as f:
+                f.write(_csv_head(manifest))
+                report = run_experiment(
+                    config, threads=threads,
+                    on_chunk=lambda lo, *rows: f.write(_csv_block(lo, *rows, scale)))
+            report = attach_analysis(report)
+        except BaseException:
+            out.unlink(missing_ok=True)
+            raise
     else:
+        report = attach_analysis(run_experiment(config, threads=threads))
         _write_report_json(report, out, manifest, bits=args.bits)
     _write_summary(report, out.with_suffix(out.suffix + ".summary.json"), manifest, args.bits)
     print(f"wrote {out}")
@@ -238,7 +270,7 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 
 def cmd_analytic(args) -> int:
-    p_linear = 10.0 ** (args.snr_db / 10.0)
+    p_linear = _linear_power(args.snr_db)
     analytic = SCHEME_TABLE[ANALYTIC_SCHEMES[args.scheme]].analytic
     try:
         params = analytic.params(args.m, args.k, p_linear, args.m if args.r is None else args.r)
@@ -391,16 +423,21 @@ def _figure_rate_vs_users(out_dir: Path, trials: int, seed: int, threads) -> Non
 
 
 def cmd_figure(args) -> int:
+    try:
+        threads = worker_count(args.threads)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     out_dir = Path(args.out_dir) / args.name
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.name == "fig1":
-        _figure_overlay("adaptive-obf", out_dir, args.trials, args.seed, args.threads)
+        _figure_overlay("adaptive-obf", out_dir, args.trials, args.seed, threads)
     elif args.name == "fig3":
-        _figure_overlay("olbf", out_dir, args.trials, args.seed, args.threads)
+        _figure_overlay("olbf", out_dir, args.trials, args.seed, threads)
     elif args.name == "fig4":
-        _figure_rate_vs_power(out_dir, args.trials, args.seed, args.threads)
+        _figure_rate_vs_power(out_dir, args.trials, args.seed, threads)
     else:
-        _figure_rate_vs_users(out_dir, args.trials, args.seed, args.threads)
+        _figure_rate_vs_users(out_dir, args.trials, args.seed, threads)
     print(f"wrote {out_dir}/")
     return 0
 

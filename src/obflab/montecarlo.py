@@ -2,16 +2,21 @@
 
 Trials are processed in fixed-size chunks; chunk c of a run always draws
 its channels (and any selection randomness) from the substream
-(seed, c), so the sample stream is bit-identical whether chunks are
-executed serially or on a thread pool.  Each chunk writes its own rows
-of the preallocated outputs, so they are in trial order before any
-reduction.  A worker holds one chunk's channels and the temporaries of
-one kernel block of ``channel.BLOCK_ENTRIES`` entries (see ``_run_chunk``).
+(seed, c), so the sample stream is bit-identical on any number of
+workers.  Each chunk writes its own rows of the preallocated outputs, so
+they are in trial order before any reduction.  A worker holds one
+chunk's channels and the temporaries of one kernel block of
+``channel.BLOCK_ENTRIES`` entries (see ``_run_chunk``).
 
-A small fraction of trials (1 in 1000) is re-run through the scalar
-schedulers as a structural audit: scheduled sets must match the batch
-kernels, beamforming matrices must be orthonormal where the scheme
-guarantees it, and SINR/region invariants must hold.
+The run is a pipeline: the chunks run on a pool of worker threads, while
+the calling thread takes the finished chunks in chunk order.  For each
+one it re-runs the chunk's audited trials (1 in 1000) through the scalar
+schedulers as a structural audit, then hands the chunk's rows to the
+caller's ``on_chunk`` (``obflab sim`` writes its CSV block there).  The
+audit checks that scheduled sets match the batch kernels, that
+beamforming matrices are orthonormal where the scheme guarantees it, and
+that SINR/region invariants hold.  Any error cancels the chunks not yet
+started.
 
 What the harness knows of each scheme sits in one ``Scheme`` record of
 ``SCHEME_TABLE``; the code below reads the record, never the scheme name.
@@ -50,6 +55,7 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentReport",
     "run_experiment",
+    "worker_count",
     "ks_distance",
     "attach_analysis",
 ]
@@ -242,33 +248,61 @@ def _audit_trial(config: ExperimentConfig, H_row: np.ndarray, users, sinrs) -> N
         BeamformerMatrix(W=out.W)  # validates orthonormal columns
 
 
-def run_experiment(config: ExperimentConfig, threads: Optional[int] = None) -> ExperimentReport:
-    """Run all trials; deterministic for a given seed, any thread count."""
+def worker_count(threads: Optional[int]) -> int:
+    """The number of workers asked for: ``threads``, or else ``OBFLAB_THREADS`` (default 1).
+
+    Raises ``ValueError``, naming where the count came from, unless it is
+    an integer of at least 1.
+    """
+    source, value = (("threads", threads) if threads is not None
+                     else ("OBFLAB_THREADS", os.environ.get("OBFLAB_THREADS", "1")))
+    try:
+        count = int(value)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ValueError(f"{source} must be an integer of at least 1, got {value!r}")
+    return count
+
+
+def run_experiment(config: ExperimentConfig, threads: Optional[int] = None,
+                   on_chunk: Optional[Callable] = None) -> ExperimentReport:
+    """Run all trials; deterministic for a given seed, any thread count.
+
+    ``threads`` workers (see ``worker_count``) run the chunks.  The calling
+    thread takes each finished chunk in chunk order, audits its audited
+    trials, then calls ``on_chunk(first_trial, users, sinrs, rates)`` with
+    the chunk's rows.  On an error, in a worker, an audit or ``on_chunk``,
+    the chunks not yet started are cancelled and the error is raised once
+    the running ones end.
+    """
     t0 = time.perf_counter()
     n_chunks = (config.trials + CHUNK - 1) // CHUNK
-    if threads is None:
-        threads = int(os.environ.get("OBFLAB_THREADS", "1"))
-    threads = max(1, min(threads, n_chunks))
+    threads = min(worker_count(threads), n_chunks)
 
     users = np.empty((config.trials, config.effective_r), dtype=np.int64)
     sinrs = np.empty((config.trials, config.effective_r))
     rates = np.empty(config.trials)
 
+    def rows(c):
+        return slice(c * CHUNK, min((c + 1) * CHUNK, config.trials))
+
     def work(c):  # chunk c fills its own rows, so the chunks may run in any order
-        rows = slice(c * CHUNK, min((c + 1) * CHUNK, config.trials))
-        return _run_chunk(config, c, users[rows], sinrs[rows], rates[rows])
+        own = rows(c)
+        return _run_chunk(config, c, users[own], sinrs[own], rates[own])
 
-    if threads == 1:
-        audited = [work(c) for c in range(n_chunks)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            audited = list(pool.map(work, range(n_chunks)))
-
-    # structural audit on a deterministic sparse subset of trials; the
-    # chunks' audited rows, in chunk order, are those of t = 0, 1000, ...
-    audited = np.concatenate(audited, axis=0)
-    for t, H_row in zip(range(0, config.trials, _AUDIT_STRIDE), audited, strict=True):
-        _audit_trial(config, H_row, users[t], sinrs[t])
+    pool = ThreadPoolExecutor(max_workers=threads)
+    try:
+        for c, audited in enumerate(pool.map(work, range(n_chunks))):
+            done = rows(c)
+            # the chunk's audited rows are those of its trials t = 0 mod 1000
+            first = done.start + -done.start % _AUDIT_STRIDE
+            for t, H_row in zip(range(first, done.stop, _AUDIT_STRIDE), audited, strict=True):
+                _audit_trial(config, H_row, users[t], sinrs[t])
+            if on_chunk is not None:
+                on_chunk(done.start, users[done], sinrs[done], rates[done])
+    finally:
+        pool.shutdown(cancel_futures=True)
 
     report = _build_report(config, users, sinrs, rates)
     report.runtime_seconds = time.perf_counter() - t0

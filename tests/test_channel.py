@@ -25,6 +25,18 @@ def test_system_params_validation():
         SystemParams(M=3, K=10, P=-1.0, r=3)
 
 
+@pytest.mark.parametrize("P", [0.0, float("nan"), float("inf")])
+def test_params_records_refuse_a_power_that_is_not_finite_and_positive(P):
+    # NaN passed the old P <= 0 check; the audits then failed on NaN SINRs
+    from obflab.analytic_obf import ObfParams
+    from obflab.analytic_olbf import OlbfParams
+
+    for record in (lambda: SystemParams(M=3, K=10, P=P, r=3), lambda: ObfParams(3, 10, P, 3),
+                   lambda: OlbfParams(3, 10, P)):
+        with pytest.raises(ValueError, match="P must be positive and finite"):
+            record()
+
+
 def test_substream_determinism_and_independence():
     a = substream(42, 0).standard_normal(8)
     b = substream(42, 0).standard_normal(8)

@@ -3,12 +3,14 @@ import json
 import math
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from obflab import cli, montecarlo
 from obflab.channel import SystemParams
 from obflab.cli import RunManifest, main, read_report_csv, write_report_csv
 from obflab.montecarlo import CHUNK, ExperimentConfig, _build_report
@@ -178,6 +180,105 @@ def test_sim_artifacts_are_pinned(scheme, tmp_path):
     digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest()
                     for p in (out, tmp_path / "run.csv.summary.json"))
     assert digests == SIM_ARTIFACT_HASHES[scheme]
+
+
+@pytest.mark.parametrize("bits", [[], ["--bits"]], ids=["nats", "bits"])
+@pytest.mark.parametrize("threads", ["1", "3"])
+def test_streamed_csv_matches_the_report_writer(threads, bits, monkeypatch, tmp_path):
+    # sim writes each chunk's block as it finishes; the last chunk holds 7 trials
+    reports = []
+
+    def run(*args, **kwargs):
+        reports.append(montecarlo.run_experiment(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "run_experiment", run)
+    out, ref = tmp_path / "run.csv", tmp_path / "ref.csv"
+    assert run_main([
+        "sim", "--scheme", "zfdp", "--m", "3", "--k", "10", "--snr-db", "15",
+        "--trials", str(2 * CHUNK + 7), "--seed", "5", "--threads", threads,
+        "--out", str(out), *bits,
+    ]) == 0
+    with open(out, encoding="utf-8") as f:
+        embedded = RunManifest.parse_embedded(f.readline().rstrip("\n"))
+    manifest = RunManifest(command=embedded["command"], config=embedded["config"],
+                           seed=embedded["seed"], version=embedded["version"])
+    write_report_csv(reports[0], ref, manifest, bits=bool(bits))
+    assert out.read_bytes() == ref.read_bytes()
+
+
+def test_failed_sim_leaves_no_csv_and_no_threads(monkeypatch, tmp_path):
+    argv = ["sim", "--scheme", "zfdp", "--m", "3", "--k", "10", "--snr-db", "15",
+            "--trials", str(6 * CHUNK), "--seed", "2", "--threads", "1"]
+    before = threading.active_count()
+    assert run_main(argv + ["--out", str(tmp_path / "good.csv")]) == 0
+    assert threading.active_count() == before
+
+    real_chunk, chunks, failed = montecarlo._run_chunk, [], threading.Event()
+
+    def run_chunk(config, c, *rows):
+        chunks.append(c)
+        if c >= 2:  # hold the worker until the audit of chunk 1 has failed
+            failed.wait(timeout=30)
+        return real_chunk(config, c, *rows)
+
+    real_audit, audited = montecarlo._audit_trial, []
+
+    def audit(config, H_row, users, sinrs):
+        audited.append(H_row)
+        if len(audited) == 6:  # trial 5000, the first audited trial of chunk 1
+            failed.set()
+            raise AssertionError("audit failed in chunk 1")
+        real_audit(config, H_row, users, sinrs)
+
+    monkeypatch.setattr(montecarlo, "_run_chunk", run_chunk)
+    monkeypatch.setattr(montecarlo, "_audit_trial", audit)
+    out = tmp_path / "bad.csv"
+    with pytest.raises(AssertionError, match="chunk 1"):
+        run_main(argv + ["--out", str(out)])
+    assert not out.exists()
+    assert not (tmp_path / "bad.csv.summary.json").exists()
+    assert len(chunks) < 6, chunks  # the queued chunks were cancelled
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("argv,env", [
+    (["sim", "--threads", "0"], None),
+    (["sim", "--threads", "-2"], None),
+    (["sim"], "abc"),
+    (["figure", "fig4", "--threads", "0"], None),
+    (["figure", "fig4"], "abc"),
+])
+def test_bad_thread_count_is_a_usage_error(argv, env, monkeypatch, tmp_path, capsys):
+    if env is not None:
+        monkeypatch.setenv("OBFLAB_THREADS", env)
+    if argv[0] == "sim":
+        argv = argv + ["--scheme", "zfdp", "--m", "3", "--k", "10", "--snr-db", "15",
+                       "--trials", "100", "--seed", "1", "--out", str(tmp_path / "run.csv")]
+    else:
+        argv = argv + ["--trials", "100", "--out-dir", str(tmp_path)]
+    assert run_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and ("OBFLAB_THREADS" if env else "threads") in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("snr_db", ["nan", "inf", "4000"])
+@pytest.mark.parametrize("command", ["sim", "sum-rate", "cdf"])
+def test_non_finite_snr_is_a_usage_error(command, snr_db, tmp_path, capsys):
+    # nan used to fail the scalar audit and inf to write Infinity into the
+    # summary; analytic divided by zero at inf and tabulated up to the cap at
+    # nan; 4000 dB overflowed 10 ** (dB / 10) with a traceback
+    out = tmp_path / "out.csv"
+    if command == "sim":
+        argv = ["sim", "--scheme", "adaptive-obf", "--m", "3", "--k", "10",
+                "--trials", "100", "--seed", "1"]
+    else:
+        argv = ["analytic", "--scheme", "obf", "--m", "3", "--k", "10",
+                *(["--sum-rate"] if command == "sum-rate" else ["--user-rank", "2"])]
+    assert run_main(argv + ["--snr-db", snr_db, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: P must be positive and finite")
+    assert not out.exists()
 
 
 def test_sim_json_format(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -213,6 +214,58 @@ def test_thread_env_fallback(monkeypatch):
     monkeypatch.delenv("OBFLAB_THREADS")
     b = run_experiment(config)
     assert np.array_equal(a.sinrs, b.sinrs)
+
+
+@pytest.mark.parametrize("threads,env,source", [
+    (0, None, "threads"), (-2, None, "threads"),
+    (None, "0", "OBFLAB_THREADS"), (None, "abc", "OBFLAB_THREADS"),
+])
+def test_bad_thread_counts_are_refused(monkeypatch, threads, env, source):
+    # a count below 1 used to run one worker, and a non-integer variable
+    # ended in int()'s ValueError, which named neither
+    if env is not None:
+        monkeypatch.setenv("OBFLAB_THREADS", env)
+    with pytest.raises(ValueError, match=f"^{source} must be"):
+        run_experiment(_config(trials=50), threads=threads)
+
+
+def test_chunks_reach_the_sink_in_order_after_their_audits(monkeypatch):
+    # eight workers on fewer cores, switching threads often: the calling thread
+    # must see each chunk whole, after its audits, while later chunks still run
+    config = _config(scheme="zfdp", trials=11 * CHUNK + 5, seed=14)
+    events = []
+    real = montecarlo._audit_trial
+
+    def audit(cfg, H_row, users, sinrs):
+        events.append("a")
+        real(cfg, H_row, users, sinrs)
+
+    monkeypatch.setattr(montecarlo, "_audit_trial", audit)
+    blocks = []
+
+    def sink(first, users, sinrs, rates):
+        events.append("C")
+        blocks.append((first, users.copy(), sinrs.copy(), rates.copy()))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        report = run_experiment(config, threads=8, on_chunk=sink)
+    finally:
+        sys.setswitchinterval(interval)
+    order = "".join(events)
+    serial = run_experiment(config, threads=1)
+    assert [first for first, *_ in blocks] == [c * CHUNK for c in range(12)]
+    for first, users, sinrs, rates in blocks:
+        rows = slice(first, first + CHUNK)
+        assert np.array_equal(users, serial.users[rows])
+        assert np.array_equal(sinrs, serial.sinrs[rows])
+        assert np.array_equal(rates, serial.sum_rates[rows])
+    assert np.array_equal(report.sinrs, serial.sinrs)
+    # each chunk's audited trials (t = 0 mod 1000) come before its block
+    audits = [len(range(-c * CHUNK % 1000, min(CHUNK, config.trials - c * CHUNK), 1000))
+              for c in range(12)]
+    assert order == "".join("a" * n + "C" for n in audits)
 
 
 def test_same_seed_same_channels_across_schemes():
