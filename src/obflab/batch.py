@@ -4,6 +4,10 @@ Each kernel processes a whole batch of channel draws (B, K, M) at once
 and reproduces, trial for trial, what the single-channel schedulers in
 ``schedulers`` compute.  The greedy loops run over scheduling steps
 (at most M of them); everything across trials and users is numpy.
+The two zero-forcing baselines share one loop, ``_greedy_zf``, over a
+Gram-Schmidt basis of the scheduled rows: ZFDP reads its SINRs from the
+residual energies, ZFS from an inverse-Gram diagonal it updates by Schur
+complements as users are added.
 Every kernel returns (users, sinrs, rates) of shapes (B, r), (B, r) and
 (B,), rates in nats; random selection records no users (all 0).
 """
@@ -115,49 +119,24 @@ def batch_olbf(H: np.ndarray, P: float):
     return users, sinrs, np.sum(np.log1p(sinrs), axis=1)
 
 
-def batch_zfdp(H: np.ndarray, P: float, r: int):
-    """Greedy ZF dirty-paper baseline over a batch."""
-    B, K, M = H.shape
-    if not (1 <= r <= min(K, M)):
-        raise ValueError("need 1 <= r <= min(K, M)")
-    gains = _gains(H)
+def _greedy_zf(H: np.ndarray, P: float, r: int, schur: bool):
+    """The greedy loop of ZFDP (``schur=False``) and ZFS (``schur=True``).
 
-    users = np.empty((B, r), dtype=np.int64)
-    gsel = np.empty((B, r))
-    scheduled = np.zeros((B, K), dtype=bool)
-    Q = np.zeros((B, M, r), dtype=complex)
-    resid = gains.copy()
+    Per trial it keeps an orthonormal basis ``Q`` of the scheduled rows,
+    built by Gram-Schmidt in scheduling order, and every user's residual
+    energy off its span, ``resid_k = ||h_k||^2 - sum_i |<h_k, q_i>|^2``.  A
+    candidate is admissible while ``resid_k > ZF_RANK_TOL * ||h_k||^2``,
+    the scalar schedulers' rule; a step without one raises ValueError.
 
-    for n in range(r):
-        masked = np.where(scheduled, -np.inf, resid)
-        u = np.argmax(masked, axis=1)
-        users[:, n] = u
-        gsel[:, n] = np.maximum(resid[np.arange(B), u], 0.0)
-        scheduled[np.arange(B), u] = True
-        hu = _take_users(H, u)
-        coeffs = np.einsum("bmn,bm->bn", np.conj(Q[:, :, :n]), hu)
-        q = hu - np.einsum("bmn,bn->bm", Q[:, :, :n], coeffs)
-        nq = np.linalg.norm(q, axis=1, keepdims=True)
-        Q[:, :, n] = np.where(nq > 0, q / np.where(nq == 0, 1.0, nq), 0.0)
-        if n + 1 < r:
-            resid = resid - np.abs(np.einsum("bkm,bm->bk", H, np.conj(Q[:, :, n]))) ** 2
-    sinrs = P / r * gsel
-    return users, sinrs, np.sum(np.log1p(sinrs), axis=1)
-
-
-def batch_zfs(H: np.ndarray, P: float, r: int):
-    """Zero-forcing with greedy selection over a batch, by incremental projection.
-
-    Per trial it keeps each user's residual row ``E_k`` (its channel minus
-    the projection onto the scheduled rows), its coefficients ``C_k`` on the
-    scheduled rows and the inverse-Gram diagonal ``d`` of the scheduled set.
-    Adding candidate u with ``e_u^2 = ||E_u||^2`` gives it the ZF gain
-    ``e_u^2`` and moves each scheduled ``d_i`` to ``d_i + |C_ui|^2 / e_u^2``
-    (the Schur complement of the grown Gram matrix), so a step costs
-    O(B K n M) with no inversion.  The winner's unit residual ``q`` then
-    updates ``E``, ``C`` and ``d``.  The rank rule is the scalar
-    scheduler's: a candidate needs ``e_u^2 > ZF_RANK_TOL * ||h_u||^2``.
-    The final SINRs come from one (r x r) Gram inverse per trial.
+    ZFDP schedules the largest residual, whose SINR is ``P/r * resid_u``.
+    ZFS also keeps, per scheduled row i, every user's coefficient
+    ``C_i`` on it and the inverse-Gram diagonal ``d_i`` of the scheduled
+    set.  Adding candidate u would move each ``d_i`` to
+    ``d_i + |C_iu|^2 / resid_u`` (the Schur complement of the grown Gram
+    matrix) and add ``1 / resid_u``; ZFS schedules the candidate whose
+    grown SINRs ``P/r / d`` have the largest sum rate, and the winner's
+    move is the update of ``d``.  Its SINRs are ``P/r / d`` after the
+    last step, with no inversion.
     """
     B, K, M = H.shape
     if not (1 <= r <= min(K, M)):
@@ -167,43 +146,56 @@ def batch_zfs(H: np.ndarray, P: float, r: int):
     snr = P / r
 
     users = np.empty((B, r), dtype=np.int64)
+    gsel = np.empty((B, r))
     scheduled = np.zeros((B, K), dtype=bool)
-    E = H.copy()
-    C = np.zeros((B, K, r), dtype=complex)
-    d = np.zeros((B, r))
+    Q = np.empty((B, M, r), dtype=complex)
+    resid = gains
+    C, d = [], []  # ZFS only: (B, K) complex and (B,) per scheduled row
 
     for n in range(r):
-        e2 = _gains(E) if n else gains  # E is still H at step 0
-        ok = ~scheduled & np.isfinite(e2) & (e2 > ZF_RANK_TOL * gains)
+        ok = ~scheduled & np.isfinite(resid) & (resid > ZF_RANK_TOL * gains)
         if not np.all(np.any(ok, axis=1)):
             raise ValueError(f"ZF step {n + 1}: no candidate increases the rank")
-        e2 = np.where(ok, e2, 1.0)
-        rate = np.log1p(snr * e2)
-        if n:
-            grown = d[:, None, :n] + np.abs(C[:, :, :n]) ** 2 / e2[:, :, None]
-            rate = rate + np.sum(np.log1p(snr / grown), axis=2)
-        u = np.argmax(np.where(ok, rate, -np.inf), axis=1)
+        score = resid
+        if schur:
+            e2 = np.where(ok, resid, 1.0)
+            score = np.log1p(snr * e2)
+            for c, di in zip(C, d):
+                score += np.log1p(snr / (di[:, None] + (c.real ** 2 + c.imag ** 2) / e2))
+        u = np.argmax(np.where(ok, score, -np.inf), axis=1)
         users[:, n] = u
         scheduled[rows, u] = True
+        gsel[:, n] = eu2 = resid[rows, u]
+        if schur:
+            cu = [c[rows, u] for c in C]
+            for di, ci in zip(d, cu):
+                di += (ci.real ** 2 + ci.imag ** 2) / eu2
+            d.append(1.0 / eu2)
         if n + 1 == r:
             break
-        eu2 = e2[rows, u]
-        eu = np.sqrt(eu2)
-        cu = C[rows, u, :n]
-        d[:, :n] += np.abs(cu) ** 2 / eu2[:, None]
-        d[:, n] = 1.0 / eu2
-        q = E[rows, u] / eu[:, None]
-        alpha = np.einsum("bkm,bm->bk", E, np.conj(q))
-        E -= alpha[:, :, None] * q[:, None, :]
-        beta = alpha / eu[:, None]
-        C[:, :, :n] -= beta[:, :, None] * cu[:, None, :]
-        C[:, :, n] = beta
-
-    A = np.stack([_take_users(H, users[:, i]) for i in range(r)], axis=1)
-    G = np.einsum("bnm,bpm->bnp", A, np.conj(A))
-    inv_diag = np.real(np.diagonal(np.linalg.inv(G), axis1=1, axis2=2))
-    sinrs = P / r / inv_diag
+        hu = _take_users(H, u)
+        coeffs = np.einsum("bmn,bm->bn", np.conj(Q[:, :, :n]), hu)
+        q = hu - np.einsum("bmn,bn->bm", Q[:, :, :n], coeffs)
+        Q[:, :, n] = q = q / np.linalg.norm(q, axis=1, keepdims=True)
+        alpha = np.einsum("bkm,bm->bk", H, np.conj(q))
+        resid = resid - np.abs(alpha) ** 2
+        if schur:
+            beta = alpha / np.sqrt(eu2)[:, None]
+            for c, ci in zip(C, cu):
+                c -= beta * ci[:, None]
+            C.append(beta)
+    sinrs = snr / np.stack(d, axis=1) if schur else snr * gsel
     return users, sinrs, np.sum(np.log1p(sinrs), axis=1)
+
+
+def batch_zfdp(H: np.ndarray, P: float, r: int):
+    """Greedy ZF dirty-paper baseline over a batch: ``_greedy_zf`` without ``C`` and ``d``."""
+    return _greedy_zf(H, P, r, schur=False)
+
+
+def batch_zfs(H: np.ndarray, P: float, r: int):
+    """Zero-forcing with greedy selection over a batch: ``_greedy_zf`` with ``C`` and ``d``."""
+    return _greedy_zf(H, P, r, schur=True)
 
 
 def _random_distinct(rng: np.random.Generator, B: int, K: int, count: int) -> np.ndarray:

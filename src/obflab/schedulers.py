@@ -228,29 +228,32 @@ def greedy_zfdp_schedule(channels: ChannelSet, P: float, r: int) -> ScheduleOutc
     Successive encoding removes interference from earlier users, so user
     i's effective gain is the squared norm of its channel component
     orthogonal to the previously scheduled channels (the squared R
-    diagonal of the QR factorisation in scheduling order).
+    diagonal of the QR factorisation in scheduling order).  Runs exactly
+    r steps; as in ``zfs_schedule``, a candidate is admissible only if
+    that component keeps more than ``ZF_RANK_TOL`` of its energy, and a
+    step without an admissible candidate raises ValueError.
     """
     H = channels.H
     K, M = H.shape
     if not (1 <= r <= min(K, M)):
         raise ValueError("need 1 <= r <= min(K, M)")
+    gains = np.sum(np.abs(H) ** 2, axis=1)
 
     users: list[int] = []
     Q = np.zeros((M, 0), dtype=complex)
     gains_sched: list[float] = []
-    for _ in range(r):
+    for step in range(1, r + 1):
         proj = Q.conj().T @ H.T                        # (n, K)
-        resid = np.sum(np.abs(H) ** 2, axis=1) - np.sum(np.abs(proj) ** 2, axis=0)
-        resid = np.maximum(resid, 0.0)
-        allowed = np.ones(K, dtype=bool)
+        resid = gains - np.sum(np.abs(proj) ** 2, axis=0)
+        allowed = np.isfinite(resid) & (resid > ZF_RANK_TOL * gains)
         allowed[users] = False
+        if not np.any(allowed):
+            raise ValueError(f"ZF step {step}: no candidate increases the rank")
         u = _argmax_lowest_index(resid, allowed)
         users.append(u)
         gains_sched.append(float(resid[u]))
         q = H[u] - Q @ (Q.conj().T @ H[u])
-        nq = np.linalg.norm(q)
-        if nq > 0:
-            Q = np.concatenate([Q, (q / nq)[:, None]], axis=1)
+        Q = np.concatenate([Q, (q / np.linalg.norm(q))[:, None]], axis=1)
     sinrs = P / r * np.asarray(gains_sched)
     return ScheduleOutcome(tuple(users), Q, sinrs, sum_rate(sinrs), r)
 

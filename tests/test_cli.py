@@ -159,7 +159,7 @@ SIM_ARTIFACT_HASHES = {
                      "ab1488907858cf353b1e9601098745933577e0c5fb146e8450c3d8b3c0823cfa"),
     "olbf": ("0f2a2ab3cbea7d2dadd84da8d01e32e321247613d3f7dd715cb77d5d44807ba5",
              "c460934ee80fe7b279bdf9c70fa4b722e34abb7d9ead2ca8b2afb8d287b21fce"),
-    "zfs": ("24b39ac8842f21a79bfbd11799218104e509f35c9eb620da257120aca2736c4b",
+    "zfs": ("5315e9cdb879fbdd42b9a331c389bc7e933d05b199343ab4bbd15849f4e1485f",
             "029ecfee123754e3c546d23de2122ef5b11f10940f9c75c068aa3e361d52e095"),
     "zfdp": ("83631a8ed142dd852249d941f88a58d72d0ccf81926e84d0c62e5c33903e011b",
              "09d752d0e019709f4c048d7281c64d9dff0ce6192ccb952377c2b0810c0a80f8"),

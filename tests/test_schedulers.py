@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -196,7 +197,8 @@ def test_batch_kernels_match_scalar(scheme):
         assert rates[i] == pytest.approx(out.sum_rate, rel=1e-9)
 
 
-@pytest.mark.parametrize("M, K, r", [(2, 5, 2), (3, 10, 2), (3, 10, 3), (4, 4, 4), (4, 20, 3)])
+@pytest.mark.parametrize("M, K, r", [(1, 3, 1), (2, 5, 2), (3, 10, 2), (3, 10, 3), (4, 4, 4),
+                                     (4, 20, 3), (8, 20, 8)])
 @pytest.mark.parametrize("kernel, oracle", [(batch_zfs, zfs_schedule),
                                             (batch_zfdp, greedy_zfdp_schedule)],
                          ids=["zfs", "zfdp"])
@@ -240,3 +242,50 @@ def test_zfs_raises_when_no_candidate_raises_the_rank(kind):
         zfs_schedule(ChannelSet(H=H), 10.0, 3)
     with pytest.raises(ValueError, match="ZF step 3"):
         batch_zfs(H[None], 10.0, 3)
+
+
+@pytest.mark.parametrize("kind", ["zero", "collinear"])
+def test_zfdp_skips_rank_deficient_candidates(kind):
+    H = _rank_deficient(kind, 4)
+    out = greedy_zfdp_schedule(ChannelSet(H=H), 10.0, 3)
+    users, sinrs, _ = batch_zfdp(H[None], 10.0, 3)
+    assert tuple(users[0]) == out.users
+    deficient = {"zero": {1}, "collinear": {0, 2}}[kind]
+    assert not deficient <= set(out.users)
+    assert np.allclose(sinrs[0], out.sinrs, rtol=1e-9, atol=1e-12)
+    assert np.all(out.sinrs > 1e-3)
+
+
+@pytest.mark.parametrize("kind", ["zero", "collinear"])
+def test_zfdp_raises_when_no_candidate_raises_the_rank(kind):
+    H = _rank_deficient(kind, 3)
+    with pytest.raises(ValueError, match="ZF step 3: no candidate increases the rank"):
+        greedy_zfdp_schedule(ChannelSet(H=H), 10.0, 3)
+    with pytest.raises(ValueError, match="ZF step 3: no candidate increases the rank"):
+        batch_zfdp(H[None], 10.0, 3)
+
+
+def _zf_sinrs_mpmath(H: np.ndarray, users, P: float, r: int) -> np.ndarray:
+    """ZF SINRs (P/r) / [G^-1]_ii of the scheduled rows, G = A A^H, to 40 digits."""
+    with mpmath.workdps(40):
+        A = mpmath.matrix([[mpmath.mpc(complex(x)) for x in H[u]] for u in users])
+        G_inv = (A * A.H) ** -1
+        return np.array([float(mpmath.mpf(P) / r / mpmath.re(G_inv[i, i]))
+                         for i in range(len(users))])
+
+
+@pytest.mark.parametrize("K, M, r", [(10, 3, 3), (20, 8, 8), (100, 4, 4)])
+def test_zfs_sinrs_match_an_exact_gram_inverse(K, M, r):
+    # trial 0 holds a candidate that keeps only about 1e-10 of its energy
+    # off the first scheduled row: half that row plus an orthogonal 1e-5
+    P, trials = 10.0 ** 1.5, 12
+    H = draw_channel_batch(K, M, substream(23, K * M), count=trials)
+    h0 = H[0, np.argmax(np.sum(np.abs(H[0]) ** 2, axis=1))]
+    k = int(np.argmin(np.sum(np.abs(H[0]) ** 2, axis=1)))
+    p = H[0, k] - (np.vdot(h0, H[0, k]) / np.vdot(h0, h0)) * h0
+    H[0, k] = 0.5 * h0 + 0.5e-5 * np.linalg.norm(h0) * p / np.linalg.norm(p)
+    users, sinrs, _ = batch_zfs(H, P, r)
+    assert k not in users[0]
+    assert tuple(users[0]) == zfs_schedule(ChannelSet(H=H[0]), P, r).users
+    for i in range(trials):
+        assert sinrs[i] == pytest.approx(_zf_sinrs_mpmath(H[i], users[i], P, r), rel=1e-13, abs=0)
