@@ -37,8 +37,14 @@ def _gains(H: np.ndarray) -> np.ndarray:
 
 
 def _normalize_rows(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Squared row norms (B, K) and the unit rows: both parts of each entry times 1/sqrt(gain).
+
+    numpy divides a complex array by a real one as that product, so the rows
+    are those of ``H / np.sqrt(gains)[:, :, None]`` without its complex cast.
+    """
     gains = _gains(H)
-    return gains, H / np.sqrt(gains)[:, :, None]
+    scale = 1.0 / np.sqrt(gains)
+    return gains, (H.view(np.float64) * scale[:, :, None]).view(complex)
 
 
 def _take_users(H: np.ndarray, idx: np.ndarray) -> np.ndarray:

@@ -6,9 +6,11 @@ by counter-based Philox streams so that trial t of a run is always drawn
 from the substream (master_seed, t-block) regardless of how trials are
 batched or parallelised.
 
-``BLOCK_ENTRIES`` bounds the scratch that goes with a batch of channels:
-the draw fills each part that many entries at a time, and the Monte-Carlo
-harness runs its kernels on blocks of that many entries.
+A substream holds every real part of a batch first, then every imaginary
+part.  ``draw_channel_blocks`` uses that order to hand out a batch a block
+of trials at a time: it holds the batch's real parts plus one complex
+block, not the whole complex batch.  ``BLOCK_ENTRIES`` is the size of the
+blocks the Monte-Carlo harness asks for and runs its kernels on.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ __all__ = [
     "BeamformerMatrix",
     "draw_channels",
     "draw_channel_batch",
+    "draw_channel_blocks",
     "substream",
     "null_space_basis",
     "null_space_basis_batch",
@@ -32,7 +35,7 @@ __all__ = [
 
 ORTHO_TOL = 1e-10
 
-# Channel entries per block: 1 MiB per real or imaginary part, 2 MiB of complex.
+# Channel entries per kernel block: 2 MiB of complex channels.
 BLOCK_ENTRIES = 1 << 17
 
 
@@ -103,25 +106,42 @@ def substream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed), int(index)])))
 
 
-def draw_channel_batch(K: int, M: int, rng: np.random.Generator, count: int = 1) -> np.ndarray:
-    """Draw ``count`` IID K x M unit-variance complex Gaussian channels.
+def draw_channel_blocks(K: int, M: int, rng: np.random.Generator, count: int, step: int):
+    """Draw ``count`` IID K x M unit-variance complex Gaussian channels, ``step`` at a time.
 
-    All real parts are drawn first, then all imaginary parts, each through
-    one reused buffer of ``BLOCK_ENTRIES`` reals at a time, scaled straight
-    into ``H``.  ``standard_normal`` fills sequentially, so the slices hold
-    the values of one whole draw.  numpy divides a complex array by a real
-    c as a product with 1/c, so this gives the bits of
-    ``(re + 1j*im) / sqrt(2)`` from the same stream.
+    Yields ``(lo, H)`` for trials ``lo`` to ``lo + len(H)``, in order; each
+    ``H`` is a view of one reused (step, K, M) complex block, overwritten by
+    the next one.  Every real part of the batch is drawn first, into one
+    (count, K, M) plane; each block then takes its real parts from its rows
+    of the plane and draws its imaginary parts into the same, spent rows.
+    ``standard_normal`` fills sequentially, so the stream and the bits are
+    those of ``(re + 1j*im) / sqrt(2)`` with ``re`` and ``im`` drawn whole:
+    numpy divides by a real c as a product with 1/c.
+
+    The block is allocated before the plane, and the plane is freed before
+    the last block is yielded, so a one-block batch allocates and frees
+    what a whole-batch draw through a scratch part would, in that order.
+    (With glibc malloc in the other order, each 4096-trial chunk at M=3,
+    K=10 faulted in about 1.5 MB more of fresh pages.)
     """
-    H = np.empty((count, K, M), dtype=complex)
-    flat = H.reshape(-1)
-    buf = np.empty(min(BLOCK_ENTRIES, flat.size))
+    buf = np.empty((min(step, count), K, M), dtype=complex)
+    plane = np.empty((count, K, M))
+    rng.standard_normal(out=plane)
     scale = 1.0 / np.sqrt(2.0)
-    for part in (flat.real, flat.imag):
-        for lo in range(0, part.size, BLOCK_ENTRIES):
-            out = part[lo:lo + BLOCK_ENTRIES]
-            rng.standard_normal(out=buf[:out.size])
-            np.multiply(buf[:out.size], scale, out=out)
+    for lo in range(0, count, step):
+        part = plane[lo:lo + step]
+        H = buf[:len(part)]
+        np.multiply(part, scale, out=H.real)
+        rng.standard_normal(out=part)
+        np.multiply(part, scale, out=H.imag)
+        if lo + step >= count:  # the last block's kernel runs without the plane
+            del plane, part
+        yield lo, H
+
+
+def draw_channel_batch(K: int, M: int, rng: np.random.Generator, count: int = 1) -> np.ndarray:
+    """Draw ``count`` IID K x M unit-variance complex Gaussian channels: one whole block."""
+    (_, H), = draw_channel_blocks(K, M, rng, count, count)
     return H
 
 

@@ -1,12 +1,13 @@
 """Seeded Monte-Carlo harness with worker-count-invariant determinism.
 
 Trials are processed in fixed-size chunks; chunk c of a run always draws
-its channels (and any selection randomness) from the substream
-(seed, c), so the sample stream is bit-identical on any number of
-workers.  Each chunk writes its own rows of the preallocated outputs, so
-they are in trial order before any reduction.  A worker holds one
-chunk's channels and the temporaries of one kernel block of
-``channel.BLOCK_ENTRIES`` entries (see ``_run_chunk``).
+its channels from the substream (seed, c), and any selection randomness
+from that substream's first child, so the sample stream is bit-identical
+on any number of workers.  Each chunk writes its own rows of the
+preallocated outputs, so they are in trial order before any reduction.
+A worker holds the real parts of one chunk's channels, one kernel block
+of ``channel.BLOCK_ENTRIES`` complex entries and that block's kernel
+temporaries (see ``_run_chunk``).
 
 The run is a pipeline: the chunks run on a pool of worker threads, while
 the calling thread takes the finished chunks in chunk order.  For each
@@ -40,7 +41,8 @@ from scipy import special
 from . import batch as _batch
 from . import channel as _channel
 from . import schedulers as _sched
-from .channel import BeamformerMatrix, ChannelSet, SystemParams, draw_channel_batch, substream
+from .channel import BeamformerMatrix, ChannelSet, SystemParams, draw_channel_blocks, substream
+from .channel import draw_channel_batch  # noqa: F401  (perfbench's tracer hooks this name)
 from .numerics import MAX_ANALYTIC_RANK, QuadratureError
 from .analytic_obf import ObfParams, obf_marginal_pdf_grid, obf_mean_sum_rate, obf_sinr_grid
 from .analytic_olbf import (
@@ -210,25 +212,30 @@ def _run_chunk(config: ExperimentConfig, chunk_index: int, users: np.ndarray, si
                rates: np.ndarray) -> np.ndarray:
     """Run one chunk into its rows of users, sinrs and rates; return its audited channels.
 
-    The chunk's channels are drawn whole, before any random picks, as the
-    stream order requires.  The kernel then runs on consecutive blocks of
-    at most ``channel.BLOCK_ENTRIES`` channel entries (at least one trial),
-    so that its temporaries stay one block's size; a random kernel takes
-    its picks from ``rng`` block by block, which is the same stream.  The
+    The kernel runs on consecutive blocks of at most
+    ``channel.BLOCK_ENTRIES`` channel entries (at least one trial), drawn
+    by ``draw_channel_blocks``: the worker holds the chunk's real parts and
+    one block, and the kernel's temporaries stay one block's size.  The
     kernels treat trials independently, so the rows are those of one
-    whole-chunk call.  Only the audited rows of H are kept, copied, so that
-    the chunk's (count, K, M) channel array is freed when the chunk ends.
+    whole-chunk call.  The chunk's substream still owes imaginary parts
+    while a block's kernel runs, so a random kernel takes its picks, block
+    by block, from the substream's first child.  Each block's audited rows
+    are copied out before the next block overwrites them.
     """
     p = config.params
     rng = substream(config.seed, chunk_index)
-    H = draw_channel_batch(p.K, p.M, rng, rates.size)  # channels first, then any random picks
-    step = max(1, _channel.BLOCK_ENTRIES // (p.K * p.M))
-    for lo in range(0, rates.size, step):
-        rows = slice(lo, lo + step)
-        users[rows], sinrs[rows], rates[rows] = config.spec.kernel(H[rows], p.P,
-                                                                   config.effective_r, rng)
+    picks = rng.spawn(1)[0]
     first = -chunk_index * CHUNK % _AUDIT_STRIDE  # local index of the chunk's first audited trial
-    return H[first::_AUDIT_STRIDE].copy()
+    want = np.arange(first, rates.size, _AUDIT_STRIDE)
+    audited = np.empty((want.size, p.K, p.M), dtype=complex)
+    step = max(1, _channel.BLOCK_ENTRIES // (p.K * p.M))
+    for lo, H in draw_channel_blocks(p.K, p.M, rng, rates.size, step):
+        rows = slice(lo, lo + len(H))
+        users[rows], sinrs[rows], rates[rows] = config.spec.kernel(H, p.P, config.effective_r,
+                                                                   picks)
+        mine = (want >= lo) & (want < rows.stop)
+        audited[mine] = H[want[mine] - lo]
+    return audited
 
 
 def _audit_trial(config: ExperimentConfig, H_row: np.ndarray, users, sinrs) -> None:

@@ -171,13 +171,31 @@ def olbf(channels: ChannelSet, P: float) -> ScheduleOutcome:
     return ScheduleOutcome(tuple(users), W, sinrs, sum_rate(sinrs), M)
 
 
+def _zf_gains(A: np.ndarray) -> np.ndarray:
+    """ZF gains 1 / (G^{-1})_{ii} of stacked row sets A (..., n, M), G = A A^H.
+
+    One batched inverse; a set whose Gram matrix is singular, or whose
+    inverse diagonal is not positive and finite, gets NaN gains.
+    """
+    G = A @ np.conj(np.swapaxes(A, -1, -2))
+    try:
+        inv_diag = np.real(np.diagonal(np.linalg.inv(G), axis1=-2, axis2=-1))
+    except np.linalg.LinAlgError:  # some set is singular: invert the sets one at a time
+        if A.ndim == 2:
+            return np.full(A.shape[0], np.nan)
+        return np.stack([_zf_gains(a) for a in A])
+    bad = np.any((inv_diag <= 0) | ~np.isfinite(inv_diag), axis=-1, keepdims=True)
+    return 1.0 / np.where(bad, np.nan, inv_diag)
+
+
 def zfs_schedule(channels: ChannelSet, P: float, r: int) -> ScheduleOutcome:
     """Zero-forcing beamforming with greedy user selection.
 
     Each step adds the user maximising the zero-forcing sum rate of the
-    grown set under pseudo-inverse beamformers and a uniform P/r split.
-    Runs exactly r steps.  A candidate is admissible only if its own ZF
-    gain in the grown set, 1 / (G^{-1})_{nn}, is finite and above
+    grown set under pseudo-inverse beamformers and a uniform P/r split;
+    the Gram matrices of all candidate sets of a step are inverted in one
+    batched call.  Runs exactly r steps.  A candidate is admissible only if
+    its own ZF gain in the grown set, 1 / (G^{-1})_{nn}, is finite and above
     ``ZF_RANK_TOL * ||h_u||^2``; a step without an admissible candidate
     raises ValueError.
     """
@@ -187,35 +205,17 @@ def zfs_schedule(channels: ChannelSet, P: float, r: int) -> ScheduleOutcome:
         raise ValueError("need 1 <= r <= min(K, M)")
     gains = np.sum(np.abs(H) ** 2, axis=1)
 
-    def zf_gains(rows: list[int]) -> np.ndarray | None:
-        A = H[rows]
-        G = A @ A.conj().T
-        try:
-            inv_diag = np.real(np.diagonal(np.linalg.inv(G)))
-        except np.linalg.LinAlgError:
-            return None
-        if np.any(inv_diag <= 0) or not np.all(np.isfinite(inv_diag)):
-            return None
-        return 1.0 / inv_diag
-
     users: list[int] = []
     for step in range(1, r + 1):
-        best_u, best_rate = None, -np.inf
-        for u in range(K):
-            if u in users:
-                continue
-            g = zf_gains(users + [u])
-            if g is None or not g[-1] > ZF_RANK_TOL * gains[u]:
-                continue
-            rate = sum_rate(P / r * g)
-            if rate > best_rate:
-                best_u, best_rate = u, rate
-        if best_u is None:
+        cand = np.setdiff1d(np.arange(K), users)
+        g = _zf_gains(H[[users + [u] for u in cand]])  # (candidates, step)
+        ok = g[:, -1] > ZF_RANK_TOL * gains[cand]
+        if not np.any(ok):
             raise ValueError(f"ZF step {step}: no candidate increases the rank")
-        users.append(best_u)
+        best = int(np.argmax(np.where(ok, np.sum(np.log1p(P / r * g), axis=1), -np.inf)))
+        users.append(int(cand[best]))
 
-    g = zf_gains(users)
-    sinrs = P / r * g
+    sinrs = P / r * g[best]
     A = H[users]
     Wraw = A.conj().T @ np.linalg.inv(A @ A.conj().T)
     W = Wraw / np.linalg.norm(Wraw, axis=0, keepdims=True)

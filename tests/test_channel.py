@@ -8,6 +8,7 @@ from obflab.channel import (
     ChannelSet,
     SystemParams,
     draw_channel_batch,
+    draw_channel_blocks,
     draw_channels,
     null_space_basis,
     substream,
@@ -59,24 +60,33 @@ def test_draw_channels_shape_and_determinism():
 
 @pytest.mark.parametrize("count,block_entries", [
     pytest.param(1, channel.BLOCK_ENTRIES, id="1"),
-    pytest.param(4096, channel.BLOCK_ENTRIES, id="4096"),  # one slice
-    pytest.param(100, 90, id="100-slices-of-90"),  # and a last slice of 30
-    pytest.param(7, 20, id="7-slices-of-20"),  # slices end inside a trial
+    pytest.param(4096, channel.BLOCK_ENTRIES, id="4096"),  # one block
+    pytest.param(100, 90, id="100-slices-of-90"),  # blocks of 3 trials, and a last one of 1
+    pytest.param(7, 20, id="7-slices-of-20"),  # one trial per block, K*M > block_entries
 ])
-def test_draw_matches_the_complex_formula_bit_for_bit(monkeypatch, count, block_entries):
-    # the draw fills one buffer per part, a slice of entries at a time; the
-    # stream and every bit must match the one-buffer formula it replaces,
-    # and the random picks drawn after it too
-    monkeypatch.setattr(channel, "BLOCK_ENTRIES", block_entries)
-    rng = substream(5, 3)
-    H = draw_channel_batch(10, 3, rng, count)
+def test_draw_matches_the_complex_formula_bit_for_bit(count, block_entries):
+    # the whole batch, and the blocks a chunk of trials is drawn in, hold every
+    # real part first and then every imaginary part; the stream and every bit
+    # must match the one-buffer formula, and the random picks drawn after it too
     ref_rng = substream(5, 3)
     re = ref_rng.standard_normal((count, 10, 3))
     im = ref_rng.standard_normal((count, 10, 3))
     ref = (re + 1j * im) / np.sqrt(2.0)
+    after = ref_rng.random()
+
+    rng = substream(5, 3)
+    H = draw_channel_batch(10, 3, rng, count)
     assert H.dtype == np.complex128 and H.shape == ref.shape
     assert np.array_equal(H.view(np.uint64), ref.view(np.uint64))
-    assert rng.random() == ref_rng.random()
+    assert rng.random() == after
+
+    step = max(1, block_entries // 30)
+    rng = substream(5, 3)
+    blocks = [(lo, H.copy()) for lo, H in draw_channel_blocks(10, 3, rng, count, step)]
+    assert [lo for lo, _ in blocks] == list(range(0, count, step))
+    H = np.concatenate([H for _, H in blocks])
+    assert np.array_equal(H.view(np.uint64), ref.view(np.uint64))
+    assert rng.random() == after
 
 
 def test_channel_entry_statistics():

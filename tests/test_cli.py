@@ -163,10 +163,10 @@ SIM_ARTIFACT_HASHES = {
             "029ecfee123754e3c546d23de2122ef5b11f10940f9c75c068aa3e361d52e095"),
     "zfdp": ("83631a8ed142dd852249d941f88a58d72d0ccf81926e84d0c62e5c33903e011b",
              "09d752d0e019709f4c048d7281c64d9dff0ce6192ccb952377c2b0810c0a80f8"),
-    "random-obf": ("5e457aa4e79b8c43ca148455299a7204500bd1b3d2cdf5bb57ae46854cf3d62c",
-                   "7ab17db90a97e748b330f2e623bf6e4260337b7fc30deac803155f54275f58ef"),
-    "random-olbf": ("fa91b57514305cd9bcacfe605a2e269734dc3dd296369b831ba1d28bbeec6a59",
-                    "2243cc183fe6ae5d806c57240e59301d0c8eec672233f44d17c8409aad27b88a"),
+    "random-obf": ("bb38916b21c9bdb068066b6c250167359aee3b9371ce25cdccc2feaef5f516b1",
+                   "9f16e1a5f87479696b1967fa10e02344dde66646eb24d7f61f704b5de72229dc"),
+    "random-olbf": ("7895e0734cd678760aed949fdf721a1195978abc8c1b3b83c3f911070de89567",
+                    "7ca557dcd136a97a74a6fc79810db948e5e03a6e084272784960195e578a6f82"),
 }
 
 

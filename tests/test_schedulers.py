@@ -72,6 +72,37 @@ def _olbf_oracle(H: np.ndarray, P: float):
     return users, np.array(sinrs)
 
 
+def _zfs_one_inverse_per_candidate(H: np.ndarray, P: float, r: int):
+    """The greedy ZFS selection with one Gram inverse per candidate set."""
+    K, M = H.shape
+    gains = np.sum(np.abs(H) ** 2, axis=1)
+
+    def zf_gains(rows):
+        A = H[rows]
+        try:
+            inv_diag = np.real(np.diagonal(np.linalg.inv(A @ A.conj().T)))
+        except np.linalg.LinAlgError:
+            return None
+        if np.any(inv_diag <= 0) or not np.all(np.isfinite(inv_diag)):
+            return None
+        return 1.0 / inv_diag
+
+    users = []
+    for _ in range(r):
+        best_u, best_rate = None, -np.inf
+        for u in range(K):
+            if u in users:
+                continue
+            g = zf_gains(users + [u])
+            if g is None or not g[-1] > 1e-12 * gains[u]:
+                continue
+            rate = sum_rate(P / r * g)
+            if rate > best_rate:
+                best_u, best_rate = u, rate
+        users.append(best_u)
+    return tuple(users), P / r * zf_gains(users)
+
+
 def test_sum_rate_trivial():
     assert sum_rate([0.0, 0.0]) == 0.0
     assert sum_rate([math.e - 1.0]) == pytest.approx(1.0)
@@ -210,6 +241,18 @@ def test_zf_kernels_match_scalar_across_shapes(kernel, oracle, M, K, r):
         out = oracle(ChannelSet(H=H[i]), P, r)
         assert tuple(users[i]) == out.users
         assert np.allclose(sinrs[i], out.sinrs, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("M, K", [(3, 10), (4, 20), (8, 20)])
+def test_zfs_batched_inverse_matches_one_inverse_per_candidate(M, K):
+    # the scalar audit inverts each step's candidate Gram matrices in one call
+    P, trials = 10.0 ** 1.5, 100
+    H = draw_channel_batch(K, M, substream(29, M * 100 + K), count=trials)
+    for i in range(trials):
+        out = zfs_schedule(ChannelSet(H=H[i]), P, M)
+        users, sinrs = _zfs_one_inverse_per_candidate(H[i], P, M)
+        assert out.users == users
+        assert out.sinrs == pytest.approx(sinrs, rel=1e-14, abs=0)
 
 
 def _rank_deficient(kind: str, K: int) -> np.ndarray:
