@@ -24,8 +24,6 @@ from .schedulers import (
     adaptive_obf,
     greedy_zfdp_schedule,
     olbf,
-    random_selection_obf,
-    random_selection_olbf,
     sum_rate,
     zfs_schedule,
 )
@@ -70,8 +68,6 @@ __all__ = [
     "adaptive_obf",
     "greedy_zfdp_schedule",
     "olbf",
-    "random_selection_obf",
-    "random_selection_olbf",
     "sum_rate",
     "zfs_schedule",
     "ObfParams",

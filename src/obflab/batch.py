@@ -1,8 +1,9 @@
 """Vectorised trial kernels.
 
-Each kernel processes a whole batch of channel draws (B, K, M) at once
-and reproduces, trial for trial, what the single-channel schedulers in
-``schedulers`` compute.  The greedy loops run over scheduling steps
+Each kernel processes a whole batch of channel draws (B, K, M) at once.
+The greedy kernels reproduce, trial for trial, what the single-channel
+schedulers in ``schedulers`` compute; the random-selection kernels are
+the package's only implementation of random selection.  The greedy loops run over scheduling steps
 (at most M of them); everything across trials and users is numpy.
 The two zero-forcing baselines share one loop, ``_greedy_zf``, over a
 Gram-Schmidt basis of the scheduled rows: ZFDP reads its SINRs from the
@@ -215,7 +216,13 @@ def _unindexed(vs: np.ndarray):
 
 
 def batch_random_obf(H: np.ndarray, P: float, r: int, rng: np.random.Generator):
-    """Unordered candidacy SINR vectors (B, r) under random OBF selection."""
+    """Unordered candidacy SINR vectors (B, r) under random OBF selection.
+
+    Per trial, r distinct users are drawn uniformly; the first r-1 build
+    the orthogonal beams as the greedy scheduler would, and the last is
+    the probe, whose candidacy SINR is evaluated at every step with the
+    r-way power split.  Each row is non-increasing by construction.
+    """
     B, K, M = H.shape
     picks = _random_distinct(rng, B, K, r)
     gains, Hbar = _normalize_rows(H)
@@ -243,7 +250,13 @@ def batch_random_obf(H: np.ndarray, P: float, r: int, rng: np.random.Generator):
 
 
 def batch_random_olbf(H: np.ndarray, P: float, rng: np.random.Generator):
-    """Unordered candidacy SINR vectors (B, M) under random OLBF selection."""
+    """Unordered candidacy SINR vectors (B, M) under random OLBF selection.
+
+    Per trial, the first drawn user is the probe: v_1 is its SINR in the
+    first-user role.  A second drawn user fixes the orthonormal beam set,
+    and v_n for n >= 2 is the probe's SINR on beam n of that set.  In the
+    z = v/(1+v) domain each row satisfies z_2 + ... + z_M <= z_1.
+    """
     B, K, M = H.shape
     picks = _random_distinct(rng, B, K, 2)
     probe, basis_user = picks[:, 0], picks[:, 1]

@@ -16,7 +16,7 @@ blocks the Monte-Carlo harness asks for and runs its kernels on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -9,10 +9,16 @@ Three subcommands:
 * ``obflab figure``   — produce the bundled CSV data behind the four
   standard plots (per-user density overlays and sum-rate sweeps).
 
+Each subcommand first checks its flags and returns the job that does the
+work; ``main`` turns a ``ValueError`` raised by the checks into exit 2,
+before any file or directory is made, and a ``QuadratureError`` raised by
+the job into exit 4.
+
 Artifacts are UTF-8 CSV (or JSON for ``sim --format json``).  Every
-artifact embeds its RunManifest as a leading comment line; the manifest
-deliberately excludes wall-clock fields so that re-running with the
-same flags and seed reproduces the file byte for byte.
+artifact embeds its RunManifest as a leading comment line (``_artifact``
+lays out every CSV); the manifest deliberately excludes wall-clock fields
+so that re-running with the same flags and seed reproduces the file byte
+for byte.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +61,7 @@ LN2 = math.log(2.0)
 ANALYTIC_SCHEMES = {"obf": "adaptive-obf", "olbf": "olbf"}  # `analytic --scheme` names
 FIG4_SCHEMES = ("adaptive-obf", "olbf", "zfs")
 FIG5_SCHEMES = ("zfdp", "adaptive-obf", "olbf")
+SIM_HEADER = "trial,user_rank,user_index,sinr,sum_rate_trial"
 
 
 @dataclass(frozen=True)
@@ -67,7 +75,7 @@ class RunManifest:
     command: str
     config: dict
     seed: int
-    version: str = ""
+    version: str = __version__
 
     @property
     def content_hash(self) -> str:
@@ -92,13 +100,15 @@ class RunManifest:
         return json.loads(line[len(prefix):])
 
 
-def _manifest_line(manifest: RunManifest) -> str:
-    return f"# manifest: {manifest.to_embedded_json()}"
+def _artifact(manifest: RunManifest, header: str, rows=()) -> bytes:
+    """A CSV artifact's bytes: the manifest comment, the header, then one line per row.
 
-
-def _csv_head(manifest: RunManifest) -> bytes:
-    return (f"{_manifest_line(manifest)}\ntrial,user_rank,user_index,sinr,sum_rate_trial\n"
-            .encode("utf-8"))
+    A row's strings are written as they are, its numbers by ``repr``;
+    every line ends in a newline.
+    """
+    lines = [f"# manifest: {manifest.to_embedded_json()}", header]
+    lines += [",".join(v if isinstance(v, str) else repr(v) for v in row) for row in rows]
+    return "".join(line + "\n" for line in lines).encode("utf-8")
 
 
 def _csv_block(first_trial: int, users: np.ndarray, sinrs: np.ndarray, rates: np.ndarray,
@@ -124,7 +134,7 @@ def write_report_csv(report: ExperimentReport, path: Path, manifest: RunManifest
     """
     scale = 1.0 / LN2 if bits else 1.0
     with open(path, "wb") as f:
-        f.write(_csv_head(manifest))
+        f.write(_artifact(manifest, SIM_HEADER))
         for lo in range(0, report.sum_rates.size, CHUNK):
             rows = slice(lo, lo + CHUNK)
             f.write(_csv_block(lo, report.users[rows], report.sinrs[rows],
@@ -141,7 +151,7 @@ def read_report_csv(path: Path) -> tuple[dict, ExperimentReport]:
     """
     with open(path, encoding="utf-8") as f:
         manifest = RunManifest.parse_embedded(f.readline().rstrip("\n"))
-        if f.readline().rstrip("\n") != "trial,user_rank,user_index,sinr,sum_rate_trial":
+        if f.readline().rstrip("\n") != SIM_HEADER:
             raise ValueError("unexpected CSV header")
         columns = np.loadtxt(f, delimiter=",", usecols=(2, 3, 4), ndmin=2)
     cfg = manifest["config"]
@@ -163,49 +173,10 @@ def read_report_csv(path: Path) -> tuple[dict, ExperimentReport]:
     return manifest, _build_report(config, users, sinrs, rates)
 
 
-def _write_summary(report: ExperimentReport, path: Path, manifest: RunManifest,
-                   bits: bool) -> None:
-    scale = 1.0 / LN2 if bits else 1.0
-    summary = {
-        "manifest": json.loads(manifest.to_embedded_json()),
-        "mean_sum_rate": report.mean_sum_rate * scale,
-        "stderr_sum_rate": report.stderr_sum_rate * scale,
-        "rate_unit": "bits" if bits else "nats",
-        "ks_per_user": list(report.ks_per_user) if report.ks_per_user else None,
-        "analytic_mean_sum_rate": (
-            report.analytic_mean_sum_rate * scale
-            if report.analytic_mean_sum_rate is not None
-            else None
-        ),
-    }
-    path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-
-
-def _write_report_json(report: ExperimentReport, path: Path, manifest: RunManifest,
-                       bits: bool) -> None:
-    scale = 1.0 / LN2 if bits else 1.0
-    payload = {
-        "manifest": json.loads(manifest.to_embedded_json()),
-        "trial": [int(t) for t in range(report.sinrs.shape[0])],
-        "users": report.users.tolist(),
-        "sinrs": report.sinrs.tolist(),
-        "sum_rate_trial": (report.sum_rates * scale).tolist(),
-    }
-    path.write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def _config_echo(args, p_linear: float, r: int) -> dict:
-    return {
-        "scheme": args.scheme,
-        "m": args.m,
-        "k": args.k,
-        "snr_db": args.snr_db,
-        "p_linear": p_linear,
-        "r": r,
-        "force_r": args.force_r,
-        "trials": args.trials,
-        "bits": args.bits,
-    }
+def _write_json(path: Path, manifest: RunManifest, payload: dict, indent=None) -> None:
+    """A JSON artifact: the payload's keys and the manifest under "manifest", sorted."""
+    payload = {"manifest": json.loads(manifest.to_embedded_json()), **payload}
+    path.write_text(json.dumps(payload, sort_keys=True, indent=indent) + "\n", encoding="utf-8")
 
 
 def _linear_power(snr_db: float) -> float:
@@ -216,46 +187,66 @@ def _linear_power(snr_db: float) -> float:
         return math.inf
 
 
-def cmd_sim(args) -> int:
+def cmd_sim(args):
+    """Check the sim flags; return the job that runs the experiment and writes it."""
     p_linear = _linear_power(args.snr_db)
     r = args.force_r if args.force_r is not None else min(args.m, args.k)
-    try:
-        config = ExperimentConfig(
-            params=SystemParams(M=args.m, K=args.k, P=p_linear, r=r),
-            scheme=args.scheme,
-            trials=args.trials,
-            seed=args.seed,
-            force_r=args.force_r,
-        )
-        threads = worker_count(args.threads)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    manifest = RunManifest(
-        command="sim", config=_config_echo(args, p_linear, r), seed=args.seed,
-        version=__version__,
+    config = ExperimentConfig(
+        params=SystemParams(M=args.m, K=args.k, P=p_linear, r=r),
+        scheme=args.scheme,
+        trials=args.trials,
+        seed=args.seed,
+        force_r=args.force_r,
     )
+    threads = worker_count(args.threads)
+    manifest = RunManifest(command="sim", seed=args.seed, config={
+        "scheme": args.scheme,
+        "m": args.m,
+        "k": args.k,
+        "snr_db": args.snr_db,
+        "p_linear": p_linear,
+        "r": r,
+        "force_r": args.force_r,
+        "trials": args.trials,
+        "bits": args.bits,
+    })
     out = Path(args.out) if args.out else Path(f"sim_{args.scheme}_{args.seed}.{args.format}")
-    if args.format == "csv":
-        # each chunk's block is written as soon as the chunk is audited; a
-        # failed run leaves no CSV behind
-        scale = 1.0 / LN2 if args.bits else 1.0
-        try:
-            with open(out, "wb") as f:
-                f.write(_csv_head(manifest))
-                report = run_experiment(
-                    config, threads=threads,
-                    on_chunk=lambda lo, *rows: f.write(_csv_block(lo, *rows, scale)))
-            report = attach_analysis(report)
-        except BaseException:
-            out.unlink(missing_ok=True)
-            raise
-    else:
-        report = attach_analysis(run_experiment(config, threads=threads))
-        _write_report_json(report, out, manifest, bits=args.bits)
-    _write_summary(report, out.with_suffix(out.suffix + ".summary.json"), manifest, args.bits)
-    print(f"wrote {out}")
-    return 0
+    scale = 1.0 / LN2 if args.bits else 1.0
+
+    def job() -> int:
+        if args.format == "csv":
+            # each chunk's block is written as soon as the chunk is audited; a
+            # failed run leaves no CSV behind
+            try:
+                with open(out, "wb") as f:
+                    f.write(_artifact(manifest, SIM_HEADER))
+                    report = run_experiment(
+                        config, threads=threads,
+                        on_chunk=lambda lo, *rows: f.write(_csv_block(lo, *rows, scale)))
+                report = attach_analysis(report)
+            except BaseException:
+                out.unlink(missing_ok=True)
+                raise
+        else:
+            report = attach_analysis(run_experiment(config, threads=threads))
+            _write_json(out, manifest, {
+                "trial": list(range(args.trials)),
+                "users": report.users.tolist(),
+                "sinrs": report.sinrs.tolist(),
+                "sum_rate_trial": (report.sum_rates * scale).tolist(),
+            })
+        analytic = report.analytic_mean_sum_rate
+        _write_json(out.with_suffix(out.suffix + ".summary.json"), manifest, {
+            "mean_sum_rate": report.mean_sum_rate * scale,
+            "stderr_sum_rate": report.stderr_sum_rate * scale,
+            "rate_unit": "bits" if args.bits else "nats",
+            "ks_per_user": list(report.ks_per_user) if report.ks_per_user else None,
+            "analytic_mean_sum_rate": None if analytic is None else analytic * scale,
+        }, indent=2)
+        print(f"wrote {out}")
+        return 0
+
+    return job
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -269,44 +260,33 @@ def _parse_grid(spec: str) -> np.ndarray:
     return grid
 
 
-def cmd_analytic(args) -> int:
+def cmd_analytic(args):
+    """Check the analytic flags; return the job that prints the rate or writes the table."""
     p_linear = _linear_power(args.snr_db)
     analytic = SCHEME_TABLE[ANALYTIC_SCHEMES[args.scheme]].analytic
-    try:
-        params = analytic.params(args.m, args.k, p_linear, args.m if args.r is None else args.r)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    params = analytic.params(args.m, args.k, p_linear, args.m if args.r is None else args.r)
     rank = params.r if args.sum_rate else args.user_rank  # the highest rank to tabulate
     if rank is None:
-        print("error: --user-rank is required unless --sum-rate is given", file=sys.stderr)
-        return 2
+        raise ValueError("--user-rank is required unless --sum-rate is given")
     if not 1 <= rank <= params.r:
-        print(f"error: user rank must lie in 1..{params.r}", file=sys.stderr)
-        return 2
-    if rank > MAX_ANALYTIC_RANK:
-        print(
-            f"numeric fallback: the marginal tables cover user ranks 1-{MAX_ANALYTIC_RANK} "
-            f"only; rank {rank} is not tabulated by this command",
-            file=sys.stderr,
-        )
-        return 3
-    if args.sum_rate:
-        rate = analytic.mean_sum_rate(params)
-        if args.bits:
-            rate /= LN2
-        print(repr(rate))
-        return 0
-    try:
-        grid = _parse_grid(args.grid)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    pdf = analytic.pdf(rank, grid, params)
-    cdf = analytic.grid(rank, params).cdf_at(grid)
-    manifest = RunManifest(
-        command="analytic",
-        config={
+        raise ValueError(f"user rank must lie in 1..{params.r}")
+    grid = None if args.sum_rate else _parse_grid(args.grid)
+
+    def job() -> int:
+        if rank > MAX_ANALYTIC_RANK:
+            print(
+                f"numeric fallback: the marginal tables cover user ranks 1-{MAX_ANALYTIC_RANK} "
+                f"only; rank {rank} is not tabulated by this command",
+                file=sys.stderr,
+            )
+            return 3
+        if args.sum_rate:
+            rate = analytic.mean_sum_rate(params)
+            print(repr(rate / LN2 if args.bits else rate))
+            return 0
+        pdf = analytic.pdf(rank, grid, params)
+        cdf = analytic.grid(rank, params).cdf_at(grid)
+        manifest = RunManifest(command="analytic", seed=0, config={
             "scheme": args.scheme,
             "m": args.m,
             "k": args.k,
@@ -315,16 +295,14 @@ def cmd_analytic(args) -> int:
             "r": params.r,
             "user_rank": rank,
             "grid": args.grid,
-        },
-        seed=0,
-        version=__version__,
-    )
-    lines = [_manifest_line(manifest), "y,pdf,cdf"]
-    lines += [f"{y!r},{p!r},{c!r}" for y, p, c in zip(grid.tolist(), pdf.tolist(), cdf.tolist())]
-    out = Path(args.out) if args.out else Path(f"analytic_{args.scheme}_rank{rank}.csv")
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"wrote {out}")
-    return 0
+        })
+        out = Path(args.out) if args.out else Path(f"analytic_{args.scheme}_rank{rank}.csv")
+        out.write_bytes(_artifact(manifest, "y,pdf,cdf",
+                                  zip(grid.tolist(), pdf.tolist(), cdf.tolist())))
+        print(f"wrote {out}")
+        return 0
+
+    return job
 
 
 def _run_fixed_r(scheme, M, K, P, r, trials, seed, threads) -> ExperimentReport:
@@ -334,6 +312,11 @@ def _run_fixed_r(scheme, M, K, P, r, trials, seed, threads) -> ExperimentReport:
         seed=seed, force_r=r if SCHEME_TABLE[scheme].forceable else None,
     )
     return run_experiment(config, threads=threads)
+
+
+def _rate_fields(report: ExperimentReport) -> tuple:
+    """A sum-rate figure row's nats, bits and stderr (nats) fields."""
+    return report.mean_sum_rate, report.mean_sum_rate / LN2, report.stderr_sum_rate
 
 
 def _figure_overlay(scheme: str, out_dir: Path, trials: int, seed: int, threads) -> None:
@@ -346,100 +329,85 @@ def _figure_overlay(scheme: str, out_dir: Path, trials: int, seed: int, threads)
         manifest = RunManifest(
             command="figure", config={"scheme": scheme, "m": M, "k": K,
                                       "snr_db": 15.0, "trials": trials},
-            seed=seed, version=__version__,
+            seed=seed,
         )
-        hist_lines = [_manifest_line(manifest), "user_rank,bin_left,bin_right,density"]
-        pdf_lines = [_manifest_line(manifest), "user_rank,y,pdf"]
         params = analytic.params(M, K, P, M)
+        hist_rows, pdf_rows = [], []
         for rank in range(1, M + 1):
-            samples = report.sinrs[:, rank - 1]
-            density, edges = np.histogram(samples, bins=100, density=True)
-            hist_lines += [
-                f"{rank},{float(edges[i])!r},{float(edges[i + 1])!r},{float(density[i])!r}"
-                for i in range(density.size)
-            ]
+            density, edges = np.histogram(report.sinrs[:, rank - 1], bins=100, density=True)
+            hist_rows += [(rank, *row) for row in zip(edges[:-1].tolist(), edges[1:].tolist(),
+                                                      density.tolist())]
             ys = np.linspace(0.0, float(edges[-1]), 200)
             pdf = analytic.pdf(rank, ys, params)
-            pdf_lines += [f"{rank},{y!r},{v!r}" for y, v in zip(ys.tolist(), pdf.tolist())]
-        (out_dir / f"hist_m{M}.csv").write_text("\n".join(hist_lines) + "\n", "utf-8")
-        (out_dir / f"analytic_m{M}.csv").write_text("\n".join(pdf_lines) + "\n", "utf-8")
+            pdf_rows += [(rank, *row) for row in zip(ys.tolist(), pdf.tolist())]
+        (out_dir / f"hist_m{M}.csv").write_bytes(
+            _artifact(manifest, "user_rank,bin_left,bin_right,density", hist_rows))
+        (out_dir / f"analytic_m{M}.csv").write_bytes(
+            _artifact(manifest, "user_rank,y,pdf", pdf_rows))
 
 
 def _figure_rate_vs_power(out_dir: Path, trials: int, seed: int, threads) -> None:
     """fig4 data: sum rate vs P for M = r in {2, 4}, K = M."""
-    manifest = RunManifest(
-        command="figure", config={"name": "fig4", "trials": trials}, seed=seed,
-        version=__version__,
-    )
-    lines = [
-        _manifest_line(manifest),
-        "p_db,m,scheme,sum_rate_nats,sum_rate_bits,stderr_nats",
-    ]
+    manifest = RunManifest(command="figure", config={"name": "fig4", "trials": trials},
+                           seed=seed)
+    rows = []
     for M in (2, 4):
         for p_db in range(-10, 22, 2):
             P = 10.0 ** (p_db / 10.0)
             for scheme in FIG4_SCHEMES:
                 rep = _run_fixed_r(scheme, M, M, P, M, trials, seed, threads)
-                mean, err = rep.mean_sum_rate, rep.stderr_sum_rate
-                lines.append(
-                    f"{p_db},{M},{scheme},{mean!r},{mean / LN2!r},{err!r}"
-                )
-    (out_dir / "fig4.csv").write_text("\n".join(lines) + "\n", "utf-8")
+                rows.append((p_db, M, scheme, *_rate_fields(rep)))
+    (out_dir / "fig4.csv").write_bytes(_artifact(
+        manifest, "p_db,m,scheme,sum_rate_nats,sum_rate_bits,stderr_nats", rows))
 
 
 def _figure_rate_vs_users(out_dir: Path, trials: int, seed: int, threads) -> None:
     """fig5 data: sum rate vs K for M = r = 3, P in {0, 10} dB."""
-    manifest = RunManifest(
-        command="figure", config={"name": "fig5", "trials": trials}, seed=seed,
-        version=__version__,
-    )
-    lines = [
-        _manifest_line(manifest),
-        "k,p_db,scheme,sum_rate_nats,sum_rate_bits,stderr_nats,analytic_nats",
-    ]
-    ratio_rows = {}
+    manifest = RunManifest(command="figure", config={"name": "fig5", "trials": trials},
+                           seed=seed)
+    rows, ratio_rows = [], []
     for p_db in (0, 10):
         P = 10.0 ** (p_db / 10.0)
         for K in range(3, 21):
             means = {}
             for scheme in FIG5_SCHEMES:
                 rep = _run_fixed_r(scheme, 3, K, P, 3, trials, seed, threads)
-                mean, err = rep.mean_sum_rate, rep.stderr_sum_rate
-                means[scheme] = mean
+                means[scheme] = rep.mean_sum_rate
                 analytic = SCHEME_TABLE[scheme].analytic
-                rate = "" if analytic is None else repr(
-                    analytic.mean_sum_rate(analytic.params(3, K, P, 3)))
-                lines.append(f"{K},{p_db},{scheme},{mean!r},{mean / LN2!r},{err!r},{rate}")
-            ratio_rows[(K, p_db)] = (
-                means["adaptive-obf"] / means["zfdp"],
-                means["olbf"] / means["zfdp"],
-            )
-    (out_dir / "fig5.csv").write_text("\n".join(lines) + "\n", "utf-8")
-    rlines = [_manifest_line(manifest), "k,p_db,ratio_adaptive_obf,ratio_olbf"]
-    rlines += [
-        f"{K},{p},{a!r},{b!r}" for (K, p), (a, b) in sorted(ratio_rows.items())
-    ]
-    (out_dir / "fig5_ratios.csv").write_text("\n".join(rlines) + "\n", "utf-8")
+                rate = "" if analytic is None else analytic.mean_sum_rate(
+                    analytic.params(3, K, P, 3))
+                rows.append((K, p_db, scheme, *_rate_fields(rep), rate))
+            ratio_rows.append((K, p_db, means["adaptive-obf"] / means["zfdp"],
+                               means["olbf"] / means["zfdp"]))
+    (out_dir / "fig5.csv").write_bytes(_artifact(
+        manifest, "k,p_db,scheme,sum_rate_nats,sum_rate_bits,stderr_nats,analytic_nats", rows))
+    (out_dir / "fig5_ratios.csv").write_bytes(_artifact(
+        manifest, "k,p_db,ratio_adaptive_obf,ratio_olbf", sorted(ratio_rows)))
 
 
-def cmd_figure(args) -> int:
-    try:
-        threads = worker_count(args.threads)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+FIGURES = {  # `figure` name -> writer(out_dir, trials, seed, threads)
+    "fig1": partial(_figure_overlay, "adaptive-obf"),
+    "fig3": partial(_figure_overlay, "olbf"),
+    "fig4": _figure_rate_vs_power,
+    "fig5": _figure_rate_vs_users,
+}
+
+
+def cmd_figure(args):
+    """Check the figure flags; return the job that runs the figure and writes its files."""
+    threads = worker_count(args.threads)
+    # every run of a figure takes these trials and this seed: check them on one config
+    ExperimentConfig(params=SystemParams(M=1, K=1, P=1.0, r=1), scheme="zfdp",
+                     trials=args.trials, seed=args.seed)
     out_dir = Path(args.out_dir) / args.name
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if args.name == "fig1":
-        _figure_overlay("adaptive-obf", out_dir, args.trials, args.seed, threads)
-    elif args.name == "fig3":
-        _figure_overlay("olbf", out_dir, args.trials, args.seed, threads)
-    elif args.name == "fig4":
-        _figure_rate_vs_power(out_dir, args.trials, args.seed, threads)
-    else:
-        _figure_rate_vs_users(out_dir, args.trials, args.seed, threads)
-    print(f"wrote {out_dir}/")
-    return 0
+
+    def job() -> int:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        FIGURES[args.name](out_dir, args.trials, args.seed, threads)
+        print(f"wrote {out_dir}/")
+        return 0
+
+    return job
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -477,7 +445,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ana.set_defaults(func=cmd_analytic)
 
     fig = sub.add_parser("figure", help="emit the CSV bundle behind a standard plot")
-    fig.add_argument("name", choices=("fig1", "fig3", "fig4", "fig5"))
+    fig.add_argument("name", choices=tuple(FIGURES))
     fig.add_argument("--trials", type=int, default=100000)
     fig.add_argument("--seed", type=int, default=1)
     fig.add_argument("--out-dir", default="figures")
@@ -487,10 +455,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        job = args.func(args)  # the flags' checks; nothing is written yet
+    except ValueError as exc:  # a usage error
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        return job()
     except QuadratureError as exc:  # an analytic table unresolved or off its mass
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -42,7 +42,6 @@ from . import batch as _batch
 from . import channel as _channel
 from . import schedulers as _sched
 from .channel import BeamformerMatrix, ChannelSet, SystemParams, draw_channel_blocks, substream
-from .channel import draw_channel_batch  # noqa: F401  (perfbench's tracer hooks this name)
 from .numerics import MAX_ANALYTIC_RANK, QuadratureError
 from .analytic_obf import ObfParams, obf_marginal_pdf_grid, obf_mean_sum_rate, obf_sinr_grid
 from .analytic_olbf import (
@@ -171,6 +170,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0:  # numpy's SeedSequence takes no negative entropy
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.force_r is not None and not self.spec.forceable:
             raise ValueError("force_r applies to adaptive-obf only")
         if self.params.M < self.spec.min_m:

@@ -1,6 +1,8 @@
 """Greedy user scheduling algorithms (single-channel reference versions).
 
-Four schedulers are provided:
+These are the scalar audits of the batch kernels in ``batch``: the
+Monte-Carlo harness re-runs one trial in a thousand through them.  Four
+schedulers are provided:
 
 * ``adaptive_obf`` -- greedy orthogonal beamforming where each new beam is
   the normalised projection of the winning user's channel direction onto
@@ -13,11 +15,11 @@ Four schedulers are provided:
 * ``zfs_schedule`` / ``greedy_zfdp_schedule`` -- zero-forcing and
   zero-forcing dirty-paper baselines with greedy user selection.
 
-``random_selection_obf`` / ``random_selection_olbf`` produce the
-*unordered* candidacy SINR vectors of a randomly chosen probe user, the
-raw object the analytic joint densities describe: beams are built from
-other randomly selected users and the probe's candidacy SINR is recorded
-at every scheduling position.
+Random selection, whose unordered candidacy SINRs are the raw object
+the analytic joint densities describe, exists only as the batch kernels
+``batch.batch_random_obf`` / ``batch.batch_random_olbf``; no scalar
+version shares their random draws, so the harness audits their outputs'
+invariants instead.
 
 All SINRs are the scheduler's own metric (interference counted from the
 beams known at the evaluation step), which is exactly the quantity the
@@ -38,8 +40,6 @@ __all__ = [
     "olbf",
     "zfs_schedule",
     "greedy_zfdp_schedule",
-    "random_selection_obf",
-    "random_selection_olbf",
     "sum_rate",
     "ZF_RANK_TOL",
 ]
@@ -256,67 +256,3 @@ def greedy_zfdp_schedule(channels: ChannelSet, P: float, r: int) -> ScheduleOutc
         Q = np.concatenate([Q, (q / np.linalg.norm(q))[:, None]], axis=1)
     sinrs = P / r * np.asarray(gains_sched)
     return ScheduleOutcome(tuple(users), Q, sinrs, sum_rate(sinrs), r)
-
-
-def random_selection_obf(
-    channels: ChannelSet, P: float, r: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Unordered candidacy SINRs (v_1 .. v_r) under random selection.
-
-    r distinct users are drawn uniformly; the first r-1 build the
-    orthogonal beams exactly as the greedy scheduler would, and the last
-    one acts as the probe whose candidacy SINR is evaluated at every
-    step with the r-way power split.  The output is non-increasing by
-    construction.
-    """
-    H = channels.H
-    K, M = H.shape
-    if not (1 <= r <= min(K, M)):
-        raise ValueError("need 1 <= r <= min(K, M)")
-    picks = rng.permutation(K)[:r]
-    beam_users, probe = picks[: r - 1], picks[r - 1]
-    gains = np.sum(np.abs(H) ** 2, axis=1)
-    Hbar = H / np.sqrt(gains)[:, None]
-
-    W = np.zeros((M, 0), dtype=complex)
-    for u in beam_users:
-        w = Hbar[u] - W @ (W.conj().T @ Hbar[u])
-        W = np.concatenate([W, (w / np.linalg.norm(w))[:, None]], axis=1)
-
-    g = gains[probe]
-    noise = r / P
-    vs = [g * P / r]
-    for n in range(2, r + 1):
-        interf = float(np.sum(np.abs(W[:, : n - 1].conj().T @ Hbar[probe]) ** 2))
-        p2 = min(max(1.0 - interf, 0.0), 1.0)
-        vs.append(_table_sinr(g, p2, noise))
-    return np.asarray(vs)
-
-
-def random_selection_olbf(
-    channels: ChannelSet, P: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Unordered candidacy SINRs (v_1 .. v_M) for OLBF under random selection.
-
-    The first drawn user is the probe: v_1 is its SINR in the first-user
-    role (beam aligned with its own channel).  A second drawn user fixes
-    the orthonormal beam set, and v_n for n >= 2 is the probe's SINR on
-    beam n of that set.  In the z = v/(1+v) domain the output always
-    satisfies z_2 + ... + z_M <= z_1.
-    """
-    H = channels.H
-    K, M = H.shape
-    if K < 2:
-        raise ValueError("need at least two users (probe + basis user)")
-    probe, basis_user = rng.permutation(K)[:2]
-    gains = np.sum(np.abs(H) ** 2, axis=1)
-    Hbar = H / np.sqrt(gains)[:, None]
-    W2 = null_space_basis(Hbar[basis_user])
-
-    g = gains[probe]
-    noise = M / P
-    vs = [g * P / M]
-    for beam in range(M - 1):
-        q2 = float(np.abs(np.conj(W2[:, beam]) @ Hbar[probe]) ** 2)
-        vs.append(_table_sinr(g, q2, noise))
-    return np.asarray(vs)

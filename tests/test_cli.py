@@ -170,6 +170,78 @@ SIM_ARTIFACT_HASHES = {
 }
 
 
+# SHA-256 of each file of `obflab figure NAME --trials 200 --seed 1`
+FIGURE_HASHES = {
+    "fig1": {
+        "analytic_m2.csv": "cd2186b794e1cef70acb9c7ea178bb88c58e8090e16222002d1cf5bacf538900",
+        "analytic_m3.csv": "846416eed703fef45023d3ccbf7fe14f05a4802ebd407787cdd6d80fc94ac68f",
+        "hist_m2.csv": "825a3f562e8c65995899427c4a3dd1c542529ae111745e05bdcc4694a8c4daf1",
+        "hist_m3.csv": "4be2bb5ab57cd4714edb9fa4a2053772c4d4eb1a3c3ad74161d1463dea6217e0",
+    },
+    "fig3": {
+        "analytic_m2.csv": "b7a228fb7ae3211aa8081d0b3627f59a8e73b75437ba3252697d50d7ae6e95cc",
+        "analytic_m3.csv": "4355d509073c035b677c6987eed987b4c4135b7f5db078b757b39f9e7032bcb4",
+        "hist_m2.csv": "598370b238d1dbed8755379efb08da7112f52791979ea5f3632ef158f119addb",
+        "hist_m3.csv": "b0cbe448334f3ac48a19c0d1a35cf20a3958869773210b1e73e94d0bb3c133f8",
+    },
+    "fig4": {
+        "fig4.csv": "65cba563f899732d93d7fd76b3b3a775599cea228ac11ec96014104eafb1835c",
+    },
+    "fig5": {
+        "fig5.csv": "475d7de5113398563143dbb49b30cc6d247a4e7fad10a4855aa7215c048fa5ba",
+        "fig5_ratios.csv": "0f0ab836e9132af79f5e983cab771fa7908528393bad12a481acab4d791e484e",
+    },
+}
+
+# SHA-256 of the `analytic --m 3 --k 10 --snr-db 15` CSV at --user-rank 2
+# --grid 0:20:50, and of its --sum-rate stdout
+ANALYTIC_HASHES = {
+    "obf": ("26c119f35e40a666da8cbc95fe28743da8a2982dc2dd78afe9fa9cda7a988f96",
+            "c07127f6f87223e8595f12402b212ce30630b9306cf58e9b13623a290cd17a14"),
+    "olbf": ("12a9374367ceb365620ce3e1e78222c61b200da235db7e59e46f99ca57796a9c",
+             "b21f208ba2850909473bd7ce69d519415902be177f39eee87846801c9f3f7910"),
+}
+
+# SHA-256 of the JSON and summary of the adaptive-obf run of SIM_ARTIFACT_HASHES
+# with --format json
+SIM_JSON_HASHES = ("dedff66a14dfc12a8cb12ce57d580d36723c1dc38cb7fd41b55f0585aeb3cf3f",
+                   "ab1488907858cf353b1e9601098745933577e0c5fb146e8450c3d8b3c0823cfa")
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name", list(FIGURE_HASHES))
+def test_figure_artifacts_are_pinned(name, tmp_path):
+    assert run_main(["figure", name, "--trials", "200", "--seed", "1",
+                     "--out-dir", str(tmp_path)]) == 0
+    assert {p.name: _sha256(p.read_bytes())
+            for p in (tmp_path / name).iterdir()} == FIGURE_HASHES[name]
+
+
+@pytest.mark.parametrize("scheme", list(ANALYTIC_HASHES))
+def test_analytic_artifacts_are_pinned(scheme, tmp_path, capsys):
+    argv = ["analytic", "--scheme", scheme, "--m", "3", "--k", "10", "--snr-db", "15"]
+    out = tmp_path / "pdf.csv"
+    assert run_main(argv + ["--user-rank", "2", "--grid", "0:20:50", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert run_main(argv + ["--sum-rate"]) == 0
+    digests = (_sha256(out.read_bytes()), _sha256(capsys.readouterr().out.encode()))
+    assert digests == ANALYTIC_HASHES[scheme]
+
+
+def test_sim_json_artifacts_are_pinned(tmp_path):
+    out = tmp_path / "run.json"
+    assert run_main([
+        "sim", "--scheme", "adaptive-obf", "--m", "3", "--k", "10", "--snr-db", "15",
+        "--trials", "5000", "--seed", "7", "--format", "json", "--out", str(out),
+    ]) == 0
+    digests = tuple(_sha256(p.read_bytes())
+                    for p in (out, tmp_path / "run.json.summary.json"))
+    assert digests == SIM_JSON_HASHES
+
+
 @pytest.mark.parametrize("scheme", list(SIM_ARTIFACT_HASHES))
 def test_sim_artifacts_are_pinned(scheme, tmp_path):
     out = tmp_path / "run.csv"
@@ -248,18 +320,26 @@ def test_failed_sim_leaves_no_csv_and_no_threads(monkeypatch, tmp_path):
     (["sim"], "abc"),
     (["figure", "fig4", "--threads", "0"], None),
     (["figure", "fig4"], "abc"),
+    # numpy's SeedSequence used to refuse a negative seed inside a worker, and
+    # figure made its directory before its first run refused 0 trials
+    (["sim", "--seed", "-1"], None),
+    (["figure", "fig1", "--seed", "-3"], None),
+    (["figure", "fig4", "--trials", "0"], None),
 ])
 def test_bad_thread_count_is_a_usage_error(argv, env, monkeypatch, tmp_path, capsys):
+    # the message names the environment variable or the last flag of argv
+    named = "OBFLAB_THREADS" if env else argv[-2].lstrip("-")
     if env is not None:
         monkeypatch.setenv("OBFLAB_THREADS", env)
     if argv[0] == "sim":
-        argv = argv + ["--scheme", "zfdp", "--m", "3", "--k", "10", "--snr-db", "15",
-                       "--trials", "100", "--seed", "1", "--out", str(tmp_path / "run.csv")]
+        rest = {"--scheme": "zfdp", "--m": "3", "--k": "10", "--snr-db": "15",
+                "--trials": "100", "--seed": "1", "--out": str(tmp_path / "run.csv")}
     else:
-        argv = argv + ["--trials", "100", "--out-dir", str(tmp_path)]
+        rest = {"--trials": "100", "--out-dir": str(tmp_path)}
+    argv = argv + [a for flag, value in rest.items() if flag not in argv for a in (flag, value)]
     assert run_main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and ("OBFLAB_THREADS" if env else "threads") in err
+    assert err.startswith("error: ") and named in err
     assert list(tmp_path.iterdir()) == []
 
 

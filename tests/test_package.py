@@ -28,6 +28,27 @@ def test_no_adaptive_quadrature_in_the_package(path):
     assert not found, f"{path.name} imports {found}"
 
 
+def _module_imports(tree: ast.Module):
+    """(bound name, what it names) for each import statement at module level."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            yield from ((a.asname or a.name.split(".")[0], a.name) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from ((a.asname or a.name, f"{node.module or '.'}.{a.name}")
+                        for a in node.names)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_module_imports(path):
+    # no linter runs on the package: an import its module neither uses nor exports is dead
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    module = "obflab" if path.stem == "__init__" else f"obflab.{path.stem}"
+    kept = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    kept |= set(getattr(importlib.import_module(module), "__all__", ()))
+    unused = [target for name, target in _module_imports(tree) if name not in kept]
+    assert not unused, f"{path.name} never uses {unused}"
+
+
 @pytest.mark.parametrize("module", ["obflab", *(f"obflab.{m}" for m in MODULES)])
 def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)

@@ -4,14 +4,12 @@ import mpmath
 import numpy as np
 import pytest
 
-from obflab.batch import batch_zfdp, batch_zfs
+from obflab.batch import batch_random_obf, batch_random_olbf, batch_zfdp, batch_zfs
 from obflab.channel import ChannelSet, draw_channel_batch, null_space_basis, substream
 from obflab.schedulers import (
     adaptive_obf,
     greedy_zfdp_schedule,
     olbf,
-    random_selection_obf,
-    random_selection_olbf,
     sum_rate,
     zfs_schedule,
 )
@@ -194,23 +192,21 @@ def test_zfdp_first_user_is_best_gain():
 
 def test_random_selection_obf_ordering_and_support():
     P = 10.0
-    rng = substream(9, 0)
-    for seed in range(50):
-        H = draw_channel_batch(6, 3, substream(seed, 7))[0]
-        vs = random_selection_obf(ChannelSet(H=H), P, 3, rng)
-        assert vs.shape == (3,)
-        assert np.all(np.diff(vs) <= 1e-12)
-        assert np.all(vs >= 0)
+    H = draw_channel_batch(6, 3, substream(7, 0), count=50)
+    users, vs, rates = batch_random_obf(H, P, 3, substream(9, 0))
+    assert vs.shape == (50, 3)
+    assert np.all(np.diff(vs, axis=1) <= 1e-12)
+    assert np.all(vs >= 0)
+    assert np.allclose(rates, np.log1p(vs).sum(axis=1))
 
 
 def test_random_selection_olbf_region():
     P = 10.0
-    rng = substream(9, 1)
-    for seed in range(50):
-        H = draw_channel_batch(6, 3, substream(seed, 8))[0]
-        vs = random_selection_olbf(ChannelSet(H=H), P, rng)
-        z = vs / (1.0 + vs)
-        assert z[1:].sum() <= z[0] + 1e-12
+    H = draw_channel_batch(6, 3, substream(8, 0), count=50)
+    _, vs, _ = batch_random_olbf(H, P, substream(9, 1))
+    assert vs.shape == (50, 3)
+    z = vs / (1.0 + vs)
+    assert np.all(z[:, 1:].sum(axis=1) <= z[:, 0] + 1e-12)
 
 
 @pytest.mark.parametrize(
