@@ -5,10 +5,10 @@ The greedy kernels reproduce, trial for trial, what the single-channel
 schedulers in ``schedulers`` compute; the random-selection kernels are
 the package's only implementation of random selection.  The greedy loops run over scheduling steps
 (at most M of them); everything across trials and users is numpy.
-The two zero-forcing baselines share one loop, ``_greedy_zf``, over a
-Gram-Schmidt basis of the scheduled rows: ZFDP reads its SINRs from the
-residual energies, ZFS from an inverse-Gram diagonal it updates by Schur
-complements as users are added.
+The kernels read the raw rows and normalise only the rows they pick;
+``_project`` takes every row's inner products with a set of beams in one
+real matmul.  Adaptive OBF, ZFDP and ZFS share one Gram-Schmidt loop,
+``_greedy``, and differ only in how they score a candidate.
 Every kernel returns (users, sinrs, rates) of shapes (B, r), (B, r) and
 (B,), rates in nats; random selection records no users (all 0).
 """
@@ -31,26 +31,37 @@ __all__ = [
 
 
 def _gains(H: np.ndarray) -> np.ndarray:
-    """Squared row norms (B, K): ``np.sum(np.abs(H) ** 2, axis=2)``, squared in place."""
+    """Squared row norms (B, K), summed antenna by antenna: below M = 8 the bits of
+    ``np.sum(np.abs(H) ** 2, axis=2)``; from M = 8 numpy sums pairwise, a few ulp apart."""
     a = np.abs(H)
     np.multiply(a, a, out=a)
-    return np.sum(a, axis=2)
+    g = a[:, :, 0].copy()
+    for m in range(1, H.shape[2]):
+        g += a[:, :, m]
+    if not np.all(np.isfinite(g)):  # as ``channel.ChannelSet`` refuses them
+        raise ValueError("channel entries must be finite")
+    return g
 
 
-def _normalize_rows(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Squared row norms (B, K) and the unit rows: both parts of each entry times 1/sqrt(gain).
+def _project(H: np.ndarray, W: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Every <h_k, w_j> = sum_m h_km conj(w_mj): (B, K, M) rows on (B, M, n) beams -> (B, K, n),
+    as one real matmul of H's float view (B, K, 2M) with the (B, 2M, 2n) real form of
+    conj(W), into ``out`` (B, K, 2n) float when given."""
+    H = np.ascontiguousarray(H)
+    B, M, n = W.shape
+    R = np.empty((B, M, 2, n, 2))
+    R[:, :, 0, :, 0] = R[:, :, 1, :, 1] = W.real
+    R[:, :, 1, :, 0] = W.imag
+    R[:, :, 0, :, 1] = -W.imag
+    return np.matmul(H.view(np.float64), R.reshape(B, 2 * M, 2 * n), out=out).view(complex)
 
-    numpy divides a complex array by a real one as that product, so the rows
-    are those of ``H / np.sqrt(gains)[:, :, None]`` without its complex cast.
-    """
-    gains = _gains(H)
-    scale = 1.0 / np.sqrt(gains)
-    return gains, (H.view(np.float64) * scale[:, :, None]).view(complex)
 
-
-def _take_users(H: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Select one row per trial: (B, K, M)[arange, idx] -> (B, M)."""
-    return H[np.arange(H.shape[0]), idx]
+def _unit_rows(H: np.ndarray, idx: np.ndarray, gains: np.ndarray) -> np.ndarray:
+    """The picked rows (B, K, M)[arange, idx] -> (B, M) of ``H / np.sqrt(gains)[:, :, None]``,
+    which numpy forms as both parts times 1/sqrt(gain), as here."""
+    rows = np.arange(H.shape[0])
+    scale = 1.0 / np.sqrt(gains[rows, idx])
+    return (H[rows, idx].view(np.float64) * scale[:, None]).view(complex)
 
 
 def batch_adaptive_obf(H: np.ndarray, P: float, r: int):
@@ -58,151 +69,140 @@ def batch_adaptive_obf(H: np.ndarray, P: float, r: int):
 
     Returns (users, sinrs, rates): (B, r) int, (B, r) float, (B,) float.
     """
-    B, K, M = H.shape
-    if not (1 <= r <= min(K, M)):
-        raise ValueError("need 1 <= r <= min(K, M)")
-    gains, Hbar = _normalize_rows(H)
-    noise = r / P
-
-    users = np.empty((B, r), dtype=np.int64)
-    p2_sched = np.empty((B, r))
-    scheduled = np.zeros((B, K), dtype=bool)
-    W = np.zeros((B, M, r), dtype=complex)
-
-    k1 = np.argmax(gains, axis=1)
-    users[:, 0] = k1
-    p2_sched[:, 0] = 1.0
-    scheduled[np.arange(B), k1] = True
-    W[:, :, 0] = _take_users(Hbar, k1)
-
-    interf = np.abs(np.einsum("bkm,bm->bk", Hbar, np.conj(W[:, :, 0]))) ** 2
-    for n in range(2, r + 1):
-        p2 = np.clip(1.0 - interf, 0.0, 1.0)
-        cand = gains * p2 / (gains * (1.0 - p2) + noise)
-        cand = np.where(scheduled, -np.inf, cand)
-        u = np.argmax(cand, axis=1)
-        users[:, n - 1] = u
-        p2_sched[:, n - 1] = np.clip(1.0 - interf[np.arange(B), u], 0.0, 1.0)
-        scheduled[np.arange(B), u] = True
-        hu = _take_users(Hbar, u)
-        coeffs = np.einsum("bmn,bm->bn", np.conj(W[:, :, : n - 1]), hu)
-        w = hu - np.einsum("bmn,bn->bm", W[:, :, : n - 1], coeffs)
-        w = w / np.linalg.norm(w, axis=1, keepdims=True)
-        W[:, :, n - 1] = w
-        if n < r:
-            interf = interf + np.abs(np.einsum("bkm,bm->bk", Hbar, np.conj(w))) ** 2
-
-    g = np.take_along_axis(gains, users, axis=1)
-    sinrs = g * p2_sched / (g * (1.0 - p2_sched) + noise)
-    return users, sinrs, np.sum(np.log1p(sinrs), axis=1)
+    return _greedy(H, P, r, "obf")
 
 
 def batch_olbf(H: np.ndarray, P: float):
-    """OLBF over a batch; always schedules exactly M users."""
+    """OLBF over a batch; always schedules exactly M users.
+
+    One ``_project`` onto the beams that the first user's unit row fixes gives
+    every energy ``p`` on each beam; the SINR there is ``p / (||h||^2 - p + M/P)``.
+    """
     B, K, M = H.shape
     if K < M:
         raise ValueError("OLBF requires K >= M")
-    gains, Hbar = _normalize_rows(H)
+    gains = _gains(H)
+    rows = np.arange(B)
     noise = M / P
 
     users = np.empty((B, M), dtype=np.int64)
     sinrs = np.empty((B, M))
-    scheduled = np.zeros((B, K), dtype=bool)
+    bar = np.zeros((B, K))  # -inf once scheduled
 
     k1 = np.argmax(gains, axis=1)
     users[:, 0] = k1
-    sinrs[:, 0] = gains[np.arange(B), k1] * P / M
-    scheduled[np.arange(B), k1] = True
-    W2 = null_space_basis_batch(_take_users(Hbar, k1))
-
+    sinrs[:, 0] = gains[rows, k1] * P / M
+    bar[rows, k1] = -np.inf
+    f = _project(H, null_space_basis_batch(_unit_rows(H, k1, gains))).view(np.float64)
+    np.multiply(f, f, out=f)
+    energy = np.add(f[:, :, 0::2], f[:, :, 1::2], out=f[:, :, 0::2])  # (B, K, M-1)
+    score = np.empty((B, K))
     for beam in range(M - 1):
-        q2 = np.abs(np.einsum("bkm,bm->bk", Hbar, np.conj(W2[:, :, beam]))) ** 2
-        cand = gains * q2 / (gains * (1.0 - q2) + noise)
-        cand = np.where(scheduled, -np.inf, cand)
-        u = np.argmax(cand, axis=1)
+        p = energy[:, :, beam]
+        np.subtract(gains, p, out=score)
+        score += noise
+        np.divide(p, score, out=score)
+        score += bar
+        u = np.argmax(score, axis=1)
         users[:, beam + 1] = u
-        sinrs[:, beam + 1] = cand[np.arange(B), u]
-        scheduled[np.arange(B), u] = True
+        sinrs[:, beam + 1] = score[rows, u]
+        bar[rows, u] = -np.inf
     return users, sinrs, np.sum(np.log1p(sinrs), axis=1)
 
 
-def _greedy_zf(H: np.ndarray, P: float, r: int, schur: bool):
-    """The greedy loop of ZFDP (``schur=False``) and ZFS (``schur=True``).
+def _greedy(H: np.ndarray, P: float, r: int, scheme: str):
+    """The greedy loop of adaptive OBF (``"obf"``), ZFDP (``"zfdp"``) and ZFS (``"zfs"``).
 
-    Per trial it keeps an orthonormal basis ``Q`` of the scheduled rows,
-    built by Gram-Schmidt in scheduling order, and every user's residual
-    energy off its span, ``resid_k = ||h_k||^2 - sum_i |<h_k, q_i>|^2``.  A
-    candidate is admissible while ``resid_k > ZF_RANK_TOL * ||h_k||^2``,
-    the scalar schedulers' rule; a step without one raises ValueError.
-
-    ZFDP schedules the largest residual, whose SINR is ``P/r * resid_u``.
-    ZFS also keeps, per scheduled row i, every user's coefficient
-    ``C_i`` on it and the inverse-Gram diagonal ``d_i`` of the scheduled
-    set.  Adding candidate u would move each ``d_i`` to
-    ``d_i + |C_iu|^2 / resid_u`` (the Schur complement of the grown Gram
-    matrix) and add ``1 / resid_u``; ZFS schedules the candidate whose
-    grown SINRs ``P/r / d`` have the largest sum rate, and the winner's
-    move is the update of ``d``.  Its SINRs are ``P/r / d`` after the
-    last step, with no inversion.
+    Per trial it keeps a Gram-Schmidt basis ``Q`` of the scheduled rows and each user's
+    energy on its span, ``proj_k = sum_i |<h_k, q_i>|^2`` (one ``_project`` a step), and
+    off it, ``resid_k = ||h_k||^2 - proj_k``.  Step one takes the largest ``||h_k||^2``.
+    OBF scores ``resid_k / (proj_k + r/P)``, its SINR; ZFDP scores ``resid_k``, for an SINR
+    of ``P/r * resid_u``.  A ZF candidate is admissible while ``resid_k > ZF_RANK_TOL *
+    ||h_k||^2``, the scalar schedulers' rule; a step without one raises ValueError.  ZFS
+    keeps, per scheduled row i, each user's coefficient ``C_i`` and the inverse-Gram
+    diagonal ``d_i``: adding u would move ``d_i`` to ``d_i + |C_iu|^2 / resid_u`` (a Schur
+    complement) and add ``1 / resid_u``, and ZFS schedules the u whose SINRs ``P/r / d``
+    have the largest sum rate.  The scheduled user's residual is measured again as
+    ``||h_u - Q Q^H h_u||^2``, which keeps its digits when it is small.
     """
     B, K, M = H.shape
     if not (1 <= r <= min(K, M)):
         raise ValueError("need 1 <= r <= min(K, M)")
+    obf = scheme == "obf"
     gains = _gains(H)
     rows = np.arange(B)
-    snr = P / r
+    snr, noise = P / r, r / P
 
     users = np.empty((B, r), dtype=np.int64)
     gsel = np.empty((B, r))
-    scheduled = np.zeros((B, K), dtype=bool)
-    Q = np.empty((B, M, r), dtype=complex)
-    resid = gains
+    Q = np.empty((B, r, M), dtype=complex)  # one basis row per scheduled user
+    proj = np.zeros((B, K))
+    score = np.empty((B, K))
+    den = np.empty((B, K)) if obf else None
+    af = np.empty((B, K, 2))  # <h_k, q_n> as (real, imaginary)
+    # OBF: 0, or -inf once scheduled; ZF: the rank floor, or +inf once scheduled
+    bar = np.zeros((B, K)) if obf else ZF_RANK_TOL * gains
     C, d = [], []  # ZFS only: (B, K) complex and (B,) per scheduled row
 
     for n in range(r):
-        ok = ~scheduled & np.isfinite(resid) & (resid > ZF_RANK_TOL * gains)
-        if not np.all(np.any(ok, axis=1)):
+        resid = np.subtract(gains, proj, out=score)
+        if obf:
+            if n:
+                score /= np.add(proj, noise, out=den)
+            score += bar
+        else:
+            ok = resid > bar
+            if scheme == "zfs":
+                e2 = np.where(ok, resid, 1.0)
+                np.log1p(snr * e2, out=score)
+                for c, di in zip(C, d):
+                    score += np.log1p(snr / (di[:, None] + (c.real ** 2 + c.imag ** 2) / e2))
+            score *= ok  # admissible scores are > 0
+        u = np.argmax(score, axis=1)
+        flat = rows * K + u
+        if not obf and not np.all(score.reshape(-1)[flat] > 0):
             raise ValueError(f"ZF step {n + 1}: no candidate increases the rank")
-        score = resid
-        if schur:
-            e2 = np.where(ok, resid, 1.0)
-            score = np.log1p(snr * e2)
-            for c, di in zip(C, d):
-                score += np.log1p(snr / (di[:, None] + (c.real ** 2 + c.imag ** 2) / e2))
-        u = np.argmax(np.where(ok, score, -np.inf), axis=1)
         users[:, n] = u
-        scheduled[rows, u] = True
-        gsel[:, n] = eu2 = resid[rows, u]
-        if schur:
-            cu = [c[rows, u] for c in C]
+        bar.reshape(-1)[flat] = -np.inf if obf else np.inf
+        q = np.take(H.reshape(B * K, M), flat, axis=0)
+        if n:
+            q -= np.einsum("bim,bi->bm", Q[:, :n], np.einsum("bim,bm->bi", Q[:, :n].conj(), q))
+            eu2 = np.einsum("bi,bi->b", q.view(np.float64), q.view(np.float64))
+        else:
+            eu2 = gains.reshape(-1)[flat]
+        gsel[:, n] = eu2
+        if scheme == "zfs":
+            cu = [c.reshape(-1)[flat] for c in C]
             for di, ci in zip(d, cu):
                 di += (ci.real ** 2 + ci.imag ** 2) / eu2
             d.append(1.0 / eu2)
         if n + 1 == r:
             break
-        hu = _take_users(H, u)
-        coeffs = np.einsum("bmn,bm->bn", np.conj(Q[:, :, :n]), hu)
-        q = hu - np.einsum("bmn,bn->bm", Q[:, :, :n], coeffs)
-        Q[:, :, n] = q = q / np.linalg.norm(q, axis=1, keepdims=True)
-        alpha = np.einsum("bkm,bm->bk", H, np.conj(q))
-        resid = resid - np.abs(alpha) ** 2
-        if schur:
-            beta = alpha / np.sqrt(eu2)[:, None]
+        Q[:, n] = q / np.sqrt(eu2)[:, None]
+        _project(H, Q[:, n, :, None], out=af)
+        if scheme == "zfs":
+            beta = (af * (1.0 / np.sqrt(eu2))[:, None, None]).view(complex)[:, :, 0]
             for c, ci in zip(C, cu):
                 c -= beta * ci[:, None]
             C.append(beta)
-    sinrs = snr / np.stack(d, axis=1) if schur else snr * gsel
+        np.multiply(af, af, out=af)
+        proj += af[:, :, 0]
+        proj += af[:, :, 1]
+    if obf:
+        sinrs = gsel / (np.take_along_axis(gains, users, axis=1) - gsel + noise)
+    else:
+        sinrs = snr / np.stack(d, axis=1) if scheme == "zfs" else snr * gsel
     return users, sinrs, np.sum(np.log1p(sinrs), axis=1)
 
 
 def batch_zfdp(H: np.ndarray, P: float, r: int):
-    """Greedy ZF dirty-paper baseline over a batch: ``_greedy_zf`` without ``C`` and ``d``."""
-    return _greedy_zf(H, P, r, schur=False)
+    """Greedy ZF dirty-paper baseline over a batch: ``_greedy`` with the residual score."""
+    return _greedy(H, P, r, "zfdp")
 
 
 def batch_zfs(H: np.ndarray, P: float, r: int):
-    """Zero-forcing with greedy selection over a batch: ``_greedy_zf`` with ``C`` and ``d``."""
-    return _greedy_zf(H, P, r, schur=True)
+    """Zero-forcing with greedy selection over a batch: ``_greedy`` with the Schur sum rate."""
+    return _greedy(H, P, r, "zfs")
 
 
 def _random_distinct(rng: np.random.Generator, B: int, K: int, count: int) -> np.ndarray:
@@ -225,19 +225,19 @@ def batch_random_obf(H: np.ndarray, P: float, r: int, rng: np.random.Generator):
     """
     B, K, M = H.shape
     picks = _random_distinct(rng, B, K, r)
-    gains, Hbar = _normalize_rows(H)
+    gains = _gains(H)
     noise = r / P
 
     W = np.zeros((B, M, r - 1), dtype=complex)
     for j in range(r - 1):
-        hu = _take_users(Hbar, picks[:, j])
+        hu = _unit_rows(H, picks[:, j], gains)
         coeffs = np.einsum("bmn,bm->bn", np.conj(W[:, :, :j]), hu)
         w = hu - np.einsum("bmn,bn->bm", W[:, :, :j], coeffs)
         W[:, :, j] = w / np.linalg.norm(w, axis=1, keepdims=True)
 
     probe = picks[:, r - 1]
     g = gains[np.arange(B), probe]
-    hp = _take_users(Hbar, probe)
+    hp = _unit_rows(H, probe, gains)
     comp = np.abs(np.einsum("bmn,bm->bn", np.conj(W), hp)) ** 2  # (B, r-1)
     vs = np.empty((B, r))
     vs[:, 0] = g * P / r
@@ -260,12 +260,12 @@ def batch_random_olbf(H: np.ndarray, P: float, rng: np.random.Generator):
     B, K, M = H.shape
     picks = _random_distinct(rng, B, K, 2)
     probe, basis_user = picks[:, 0], picks[:, 1]
-    gains, Hbar = _normalize_rows(H)
+    gains = _gains(H)
     noise = M / P
 
-    W2 = null_space_basis_batch(_take_users(Hbar, basis_user))
+    W2 = null_space_basis_batch(_unit_rows(H, basis_user, gains))
     g = gains[np.arange(B), probe]
-    hp = _take_users(Hbar, probe)
+    hp = _unit_rows(H, probe, gains)
     q2 = np.abs(np.einsum("bmn,bm->bn", np.conj(W2), hp)) ** 2  # (B, M-1)
     vs = np.empty((B, M))
     vs[:, 0] = g * P / M

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import threading
@@ -155,13 +156,13 @@ def test_csv_reader_peak_memory(tmp_path):
 # trials, seed 7; the manifest embeds the package version, so a version bump
 # changes them
 SIM_ARTIFACT_HASHES = {
-    "adaptive-obf": ("5c9622c2e3113086b92ea06dc99d7fc57bba143dacb2cd56c1f83459b9efbe5d",
-                     "ab1488907858cf353b1e9601098745933577e0c5fb146e8450c3d8b3c0823cfa"),
-    "olbf": ("0f2a2ab3cbea7d2dadd84da8d01e32e321247613d3f7dd715cb77d5d44807ba5",
-             "c460934ee80fe7b279bdf9c70fa4b722e34abb7d9ead2ca8b2afb8d287b21fce"),
-    "zfs": ("5315e9cdb879fbdd42b9a331c389bc7e933d05b199343ab4bbd15849f4e1485f",
+    "adaptive-obf": ("c72dade383d102ce2b66a85f0f0962dcc67808a1135867f49caa8123c8977521",
+                     "b3938a52a563b36e4b28cc248e9f53634d535263b9e9911a1b92dbad52a7c093"),
+    "olbf": ("7ebbef9a949e245abe06bef85b13d1b3b16dd065c645a300ca4326895e02a77e",
+             "be43113607ef1fffc6c44a2eea39edebfd4abfcfb7d44f0b5c50a5637245761c"),
+    "zfs": ("48ed05287ce343b3fb3310cd251a0a854a69e72de2dfe906113972b269ba02aa",
             "029ecfee123754e3c546d23de2122ef5b11f10940f9c75c068aa3e361d52e095"),
-    "zfdp": ("83631a8ed142dd852249d941f88a58d72d0ccf81926e84d0c62e5c33903e011b",
+    "zfdp": ("8281c8ac045d78f621ad1621dc04ab16205c149616e64f2d6ea6cc31a7f389ad",
              "09d752d0e019709f4c048d7281c64d9dff0ce6192ccb952377c2b0810c0a80f8"),
     "random-obf": ("bb38916b21c9bdb068066b6c250167359aee3b9371ce25cdccc2feaef5f516b1",
                    "9f16e1a5f87479696b1967fa10e02344dde66646eb24d7f61f704b5de72229dc"),
@@ -173,23 +174,23 @@ SIM_ARTIFACT_HASHES = {
 # SHA-256 of each file of `obflab figure NAME --trials 200 --seed 1`
 FIGURE_HASHES = {
     "fig1": {
-        "analytic_m2.csv": "cd2186b794e1cef70acb9c7ea178bb88c58e8090e16222002d1cf5bacf538900",
-        "analytic_m3.csv": "846416eed703fef45023d3ccbf7fe14f05a4802ebd407787cdd6d80fc94ac68f",
-        "hist_m2.csv": "825a3f562e8c65995899427c4a3dd1c542529ae111745e05bdcc4694a8c4daf1",
-        "hist_m3.csv": "4be2bb5ab57cd4714edb9fa4a2053772c4d4eb1a3c3ad74161d1463dea6217e0",
+        "analytic_m2.csv": "6243294df50d22158c269cf1344dc3656850e205da085ea1d918e31ea73ab708",
+        "analytic_m3.csv": "d8fecb9b9d5ce5674e313a0535f08b7e066c74caa8d453298df0a3af9b0b0655",
+        "hist_m2.csv": "8692251cc962d77005e3fff0c86b882f3607895b3f9e370a2743a7f5d5ca7a39",
+        "hist_m3.csv": "c657f8f5bcdd0f73615b4e7d3826f5c1508c3c7e5c6d2906bb22f34e03f880d5",
     },
     "fig3": {
-        "analytic_m2.csv": "b7a228fb7ae3211aa8081d0b3627f59a8e73b75437ba3252697d50d7ae6e95cc",
-        "analytic_m3.csv": "4355d509073c035b677c6987eed987b4c4135b7f5db078b757b39f9e7032bcb4",
-        "hist_m2.csv": "598370b238d1dbed8755379efb08da7112f52791979ea5f3632ef158f119addb",
-        "hist_m3.csv": "b0cbe448334f3ac48a19c0d1a35cf20a3958869773210b1e73e94d0bb3c133f8",
+        "analytic_m2.csv": "6cec695c923b0e74edec237b23d05809302db9ea5bbd38d7a62d476540e1808c",
+        "analytic_m3.csv": "bc6f750c5218677dffe39f1551e15f83ac48e4ea7389630a697e1a6fe7c7bdf2",
+        "hist_m2.csv": "0e506a821e402a7481d7f34604415616700d2c80d722a9f083035e24ee3e843a",
+        "hist_m3.csv": "7d6b2f78b71eaf521faf20d0e809e93e943b51c83d69be48aa43072967655527",
     },
     "fig4": {
-        "fig4.csv": "65cba563f899732d93d7fd76b3b3a775599cea228ac11ec96014104eafb1835c",
+        "fig4.csv": "3690b026eee06266237bb6fd8bc93b02e6ae4c7754783b8a24466862594fbc05",
     },
     "fig5": {
-        "fig5.csv": "475d7de5113398563143dbb49b30cc6d247a4e7fad10a4855aa7215c048fa5ba",
-        "fig5_ratios.csv": "0f0ab836e9132af79f5e983cab771fa7908528393bad12a481acab4d791e484e",
+        "fig5.csv": "4accb61a212a63c30e86613376de826fd0b6c98a8e1c54164a106f568ca5453e",
+        "fig5_ratios.csv": "bd0b30b9743f9b98499ef973116ed74c6f4e1304d9b8b81315c20c83b52beb80",
     },
 }
 
@@ -204,8 +205,8 @@ ANALYTIC_HASHES = {
 
 # SHA-256 of the JSON and summary of the adaptive-obf run of SIM_ARTIFACT_HASHES
 # with --format json
-SIM_JSON_HASHES = ("dedff66a14dfc12a8cb12ce57d580d36723c1dc38cb7fd41b55f0585aeb3cf3f",
-                   "ab1488907858cf353b1e9601098745933577e0c5fb146e8450c3d8b3c0823cfa")
+SIM_JSON_HASHES = ("c9c80a18b133c1025a1300466e49023cf2bd8fff8b83682895ab3e31094c5e5f",
+                   "b3938a52a563b36e4b28cc248e9f53634d535263b9e9911a1b92dbad52a7c093")
 
 
 def _sha256(data: bytes) -> str:
@@ -559,6 +560,21 @@ def test_cli_usage_error_exit_code_from_argparse():
         capture_output=True,
     )
     assert proc.returncode == 2
+
+
+def test_sim_csv_does_not_depend_on_blas_threads(tmp_path):
+    # the kernels call BLAS from the pool workers; one BLAS thread must give the same bytes
+    args = ["sim", "--scheme", "olbf", "--m", "4", "--k", "100", "--snr-db", "15",
+            "--trials", "9000", "--seed", "3", "--threads", "2"]
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run_main(args + ["--out", str(a)]) == 0
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "obflab.cli", *args, "--out", str(b)],
+                          env=env, capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert _sha256(b.read_bytes()) == _sha256(a.read_bytes())
 
 
 def test_figure_fig1_outputs(tmp_path):

@@ -4,7 +4,14 @@ import mpmath
 import numpy as np
 import pytest
 
-from obflab.batch import batch_random_obf, batch_random_olbf, batch_zfdp, batch_zfs
+from obflab.batch import (
+    _gains,
+    batch_adaptive_obf,
+    batch_random_obf,
+    batch_random_olbf,
+    batch_zfdp,
+    batch_zfs,
+)
 from obflab.channel import ChannelSet, draw_channel_batch, null_space_basis, substream
 from obflab.schedulers import (
     adaptive_obf,
@@ -13,7 +20,7 @@ from obflab.schedulers import (
     sum_rate,
     zfs_schedule,
 )
-from obflab.montecarlo import SCHEME_TABLE
+from obflab.montecarlo import CHUNK, SCHEME_TABLE
 
 
 def _greedy_obf_oracle(H: np.ndarray, P: float, r: int):
@@ -239,6 +246,66 @@ def test_zf_kernels_match_scalar_across_shapes(kernel, oracle, M, K, r):
         assert np.allclose(sinrs[i], out.sinrs, rtol=1e-9, atol=1e-12)
 
 
+_OBF_SHAPES = [(2, 5, 2), (3, 10, 2), (3, 10, 3), (4, 4, 4), (4, 100, 4), (8, 20, 8)]
+
+
+@pytest.mark.parametrize("scheme, M, K, r", [("adaptive-obf", *s) for s in _OBF_SHAPES]
+                         + [("olbf", M, K, r) for M, K, r in _OBF_SHAPES if r == M])
+def test_obf_kernels_match_scalar_across_shapes(scheme, M, K, r):
+    P, trials = 10.0 ** 1.5, 300
+    spec = SCHEME_TABLE[scheme]
+    H = draw_channel_batch(K, M, substream(19, M * 100 + K), count=trials)
+    users, sinrs, _ = spec.kernel(H, P, r, None)
+    for i in range(trials):
+        out = spec.oracle(ChannelSet(H=H[i]), P, r)
+        assert tuple(users[i]) == out.users
+        assert np.allclose(sinrs[i], out.sinrs, rtol=1e-9, atol=1e-12)
+
+
+def _gram_schmidt_mpmath(H: np.ndarray, users):
+    """Per scheduled row, ||h_u||^2 and its energy off the rows before it, to 40 digits."""
+    with mpmath.workdps(40):
+        basis, out = [], []
+        for u in users:
+            v = [mpmath.mpc(complex(x)) for x in H[u]]
+            g = mpmath.fsum(abs(x) ** 2 for x in v)
+            for b in basis:
+                c = mpmath.fsum(x * mpmath.conj(y) for x, y in zip(v, b))
+                v = [x - c * y for x, y in zip(v, b)]
+            e = mpmath.fsum(abs(x) ** 2 for x in v)
+            basis.append([x / mpmath.sqrt(e) for x in v])
+            out.append((g, e))
+        return out
+
+
+@pytest.mark.parametrize("kernel", [batch_adaptive_obf, batch_zfdp], ids=["adaptive-obf", "zfdp"])
+def test_small_last_rank_sinrs_keep_their_digits(kernel):
+    # at K = M the last user takes what is left: its row keeps about 1e-7
+    # of its energy off the first two in the worst of 10^5 trials, and
+    # ||h||^2 minus the energy on the span would lose about 1e-9 of it
+    M = r = 3
+    P = 1.0
+    H = np.concatenate([draw_channel_batch(M, M, substream(11, c), count=CHUNK)
+                        for c in range(25)])
+    users, sinrs, _ = kernel(H, P, r)
+    for i in np.argsort(sinrs[:, -1])[:5]:
+        with mpmath.workdps(40):
+            want = [e / (g - e + mpmath.mpf(r) / P) if kernel is batch_adaptive_obf
+                    else mpmath.mpf(P) / r * e for g, e in _gram_schmidt_mpmath(H[i], users[i])]
+            assert sinrs[i] == pytest.approx([float(w) for w in want], rel=1e-11, abs=0)
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 4, 5, 6, 7, 8, 16])
+def test_gains_add_antenna_by_antenna(M):
+    # below 8 entries numpy's sum adds in the same order; from 8 it sums pairwise
+    H = draw_channel_batch(10, M, substream(31, M), count=500)
+    want = np.sum(np.abs(H) ** 2, axis=2)
+    if M < 8:
+        assert np.array_equal(_gains(H), want)
+    else:
+        assert np.all(np.abs(_gains(H) - want) <= 4 * np.spacing(want))
+
+
 @pytest.mark.parametrize("M, K", [(3, 10), (4, 20), (8, 20)])
 def test_zfs_batched_inverse_matches_one_inverse_per_candidate(M, K):
     # the scalar audit inverts each step's candidate Gram matrices in one call
@@ -249,6 +316,15 @@ def test_zfs_batched_inverse_matches_one_inverse_per_candidate(M, K):
         users, sinrs = _zfs_one_inverse_per_candidate(H[i], P, M)
         assert out.users == users
         assert out.sinrs == pytest.approx(sinrs, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("scheme", list(SCHEME_TABLE))
+def test_kernels_refuse_non_finite_channels(scheme):
+    # as ChannelSet does: a NaN row would otherwise win the masked argmax
+    H = draw_channel_batch(6, 3, substream(1, 0), count=4)
+    H[0, 2, 1] = np.nan
+    with pytest.raises(ValueError, match="channel entries must be finite"):
+        SCHEME_TABLE[scheme].kernel(H, 10.0, 3, substream(9, 0))
 
 
 def _rank_deficient(kind: str, K: int) -> np.ndarray:
