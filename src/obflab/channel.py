@@ -1,15 +1,15 @@
 """Random channel generation and the small complex linear algebra kit.
 
 Channels are IID circularly-symmetric complex Gaussian with unit total
-variance per entry (0.5 per real/imaginary part).  Generation is backed
-by counter-based Philox streams so that trial t of a run is always drawn
-from the substream (master_seed, t-block) regardless of how trials are
-batched or parallelised.
+variance per entry (0.5 per real/imaginary part).  Each substream is an
+SFC64 generator seeded by ``SeedSequence([seed, index])``, so trial t of a
+run is always drawn from the substream (master_seed, t-block) regardless
+of how trials are batched or parallelised.
 
-A substream holds every real part of a batch first, then every imaginary
-part.  ``draw_channel_blocks`` uses that order to hand out a batch a block
-of trials at a time: it holds the batch's real parts plus one complex
-block, not the whole complex batch.  ``BLOCK_ENTRIES`` is the size of the
+A substream draws each channel entry as its real part and then its
+imaginary part, entry by entry.  ``draw_channel_blocks`` uses that order to
+hand out a batch a block of trials at a time, each block drawn straight
+into one reused complex buffer.  ``BLOCK_ENTRIES`` is the size of the
 blocks the Monte-Carlo harness asks for and runs its kernels on.
 """
 
@@ -103,7 +103,7 @@ class BeamformerMatrix:
 
 def substream(seed: int, index: int) -> np.random.Generator:
     """Deterministic child stream ``index`` of a master seed."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed), int(index)])))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence([int(seed), int(index)])))
 
 
 def draw_channel_blocks(K: int, M: int, rng: np.random.Generator, count: int, step: int):
@@ -111,31 +111,18 @@ def draw_channel_blocks(K: int, M: int, rng: np.random.Generator, count: int, st
 
     Yields ``(lo, H)`` for trials ``lo`` to ``lo + len(H)``, in order; each
     ``H`` is a view of one reused (step, K, M) complex block, overwritten by
-    the next one.  Every real part of the batch is drawn first, into one
-    (count, K, M) plane; each block then takes its real parts from its rows
-    of the plane and draws its imaginary parts into the same, spent rows.
-    ``standard_normal`` fills sequentially, so the stream and the bits are
-    those of ``(re + 1j*im) / sqrt(2)`` with ``re`` and ``im`` drawn whole:
-    numpy divides by a real c as a product with 1/c.
-
-    The block is allocated before the plane, and the plane is freed before
-    the last block is yielded, so a one-block batch allocates and frees
-    what a whole-batch draw through a scratch part would, in that order.
-    (With glibc malloc in the other order, each 4096-trial chunk at M=3,
-    K=10 faulted in about 1.5 MB more of fresh pages.)
+    the next one.  Each block is one ``standard_normal`` call into the
+    block's (re, im) pairs, scaled in place by 1/sqrt(2), so the stream and
+    the bits are those of one ``standard_normal((count, K, M, 2))`` times
+    1/sqrt(2), taken as (re, im) pairs, whatever ``step`` is.
     """
     buf = np.empty((min(step, count), K, M), dtype=complex)
-    plane = np.empty((count, K, M))
-    rng.standard_normal(out=plane)
     scale = 1.0 / np.sqrt(2.0)
     for lo in range(0, count, step):
-        part = plane[lo:lo + step]
-        H = buf[:len(part)]
-        np.multiply(part, scale, out=H.real)
-        rng.standard_normal(out=part)
-        np.multiply(part, scale, out=H.imag)
-        if lo + step >= count:  # the last block's kernel runs without the plane
-            del plane, part
+        H = buf[:min(step, count - lo)]
+        parts = H.view(np.float64)
+        rng.standard_normal(out=parts)
+        parts *= scale
         yield lo, H
 
 

@@ -5,9 +5,8 @@ its channels from the substream (seed, c), and any selection randomness
 from that substream's first child, so the sample stream is bit-identical
 on any number of workers.  Each chunk writes its own rows of the
 preallocated outputs, so they are in trial order before any reduction.
-A worker holds the real parts of one chunk's channels, one kernel block
-of ``channel.BLOCK_ENTRIES`` complex entries and that block's kernel
-temporaries (see ``_run_chunk``).
+A worker holds one kernel block of ``channel.BLOCK_ENTRIES`` complex
+channel entries and that block's kernel temporaries (see ``_run_chunk``).
 
 The run is a pipeline: the chunks run on a pool of worker threads, while
 the calling thread takes the finished chunks in chunk order.  For each
@@ -215,13 +214,13 @@ def _run_chunk(config: ExperimentConfig, chunk_index: int, users: np.ndarray, si
 
     The kernel runs on consecutive blocks of at most
     ``channel.BLOCK_ENTRIES`` channel entries (at least one trial), drawn
-    by ``draw_channel_blocks``: the worker holds the chunk's real parts and
-    one block, and the kernel's temporaries stay one block's size.  The
-    kernels treat trials independently, so the rows are those of one
-    whole-chunk call.  The chunk's substream still owes imaginary parts
-    while a block's kernel runs, so a random kernel takes its picks, block
-    by block, from the substream's first child.  Each block's audited rows
-    are copied out before the next block overwrites them.
+    by ``draw_channel_blocks``: the worker holds one block, and the
+    kernel's temporaries stay one block's size.  The kernels treat trials
+    independently, so the rows are those of one whole-chunk call.  The
+    chunk's substream still owes the later blocks while a block's kernel
+    runs, so a random kernel takes its picks, block by block, from the
+    substream's first child.  Each block's audited rows are copied out
+    before the next block overwrites them.
     """
     p = config.params
     rng = substream(config.seed, chunk_index)

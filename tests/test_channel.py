@@ -65,13 +65,13 @@ def test_draw_channels_shape_and_determinism():
     pytest.param(7, 20, id="7-slices-of-20"),  # one trial per block, K*M > block_entries
 ])
 def test_draw_matches_the_complex_formula_bit_for_bit(count, block_entries):
-    # the whole batch, and the blocks a chunk of trials is drawn in, hold every
-    # real part first and then every imaginary part; the stream and every bit
-    # must match the one-buffer formula, and the random picks drawn after it too
+    # the whole batch, and the blocks a chunk of trials is drawn in, take each
+    # entry's real and then imaginary part from the stream; the stream and
+    # every bit must match one (re, im) draw of the whole batch, and the
+    # random picks drawn after it too
     ref_rng = substream(5, 3)
-    re = ref_rng.standard_normal((count, 10, 3))
-    im = ref_rng.standard_normal((count, 10, 3))
-    ref = (re + 1j * im) / np.sqrt(2.0)
+    pairs = ref_rng.standard_normal((count, 10, 3, 2)) * (1.0 / np.sqrt(2.0))
+    ref = pairs[..., 0] + 1j * pairs[..., 1]
     after = ref_rng.random()
 
     rng = substream(5, 3)

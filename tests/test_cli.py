@@ -156,41 +156,41 @@ def test_csv_reader_peak_memory(tmp_path):
 # trials, seed 7; the manifest embeds the package version, so a version bump
 # changes them
 SIM_ARTIFACT_HASHES = {
-    "adaptive-obf": ("c72dade383d102ce2b66a85f0f0962dcc67808a1135867f49caa8123c8977521",
-                     "b3938a52a563b36e4b28cc248e9f53634d535263b9e9911a1b92dbad52a7c093"),
-    "olbf": ("7ebbef9a949e245abe06bef85b13d1b3b16dd065c645a300ca4326895e02a77e",
-             "be43113607ef1fffc6c44a2eea39edebfd4abfcfb7d44f0b5c50a5637245761c"),
-    "zfs": ("48ed05287ce343b3fb3310cd251a0a854a69e72de2dfe906113972b269ba02aa",
-            "029ecfee123754e3c546d23de2122ef5b11f10940f9c75c068aa3e361d52e095"),
-    "zfdp": ("8281c8ac045d78f621ad1621dc04ab16205c149616e64f2d6ea6cc31a7f389ad",
-             "09d752d0e019709f4c048d7281c64d9dff0ce6192ccb952377c2b0810c0a80f8"),
-    "random-obf": ("bb38916b21c9bdb068066b6c250167359aee3b9371ce25cdccc2feaef5f516b1",
-                   "9f16e1a5f87479696b1967fa10e02344dde66646eb24d7f61f704b5de72229dc"),
-    "random-olbf": ("7895e0734cd678760aed949fdf721a1195978abc8c1b3b83c3f911070de89567",
-                    "7ca557dcd136a97a74a6fc79810db948e5e03a6e084272784960195e578a6f82"),
+    "adaptive-obf": ("2958255f0c960cb9e5bbcbd2357b9c8d2c14dc30e6dc1364c35ce70bb601f853",
+                     "4ae540fbc293ada729ae14f2bb17eea32854f3421cefc7c0db47b1bec3eec57e"),
+    "olbf": ("3b6aeb4169f09c80bced018f1bad6ead77d838473a79140a4b4cf3c380c49131",
+             "c91134170982d0e7c57d0857963fc4ccefb2cc5967f3ffe5c2ffd15fa0a10b12"),
+    "zfs": ("5177df0bddc638ade492518b61446d16e7373da533717f13bc4cc84e85e9faa7",
+            "a256ee241345a6f6c2d8a2edbe597f1bfb947fded56efad8123b1287a1818286"),
+    "zfdp": ("591501703a337767bdadd1b82ff3f711001a0bec2e61ebd5410c04773e300e83",
+             "9f64ed69f76adba0cab295ba41e8ff5589fd5c87ff3415a4fbffa7436aa40c44"),
+    "random-obf": ("6179e30ee5cd5b155e10807164aee2a4f0e744708681158c73579bf6c0e844a1",
+                   "4e57d6e3478959135cef729beb3f44a194e7ecac186462115a6a46dc747b23b3"),
+    "random-olbf": ("652d85fa593ed363f6c6d3ad82dc13b9f0d164735783dcbba698f093822e1d73",
+                    "e15e90ddd321c71bfa68a1b646a72e5585fb2555d5132caecf168ee017eeea4a"),
 }
 
 
 # SHA-256 of each file of `obflab figure NAME --trials 200 --seed 1`
 FIGURE_HASHES = {
     "fig1": {
-        "analytic_m2.csv": "6243294df50d22158c269cf1344dc3656850e205da085ea1d918e31ea73ab708",
-        "analytic_m3.csv": "d8fecb9b9d5ce5674e313a0535f08b7e066c74caa8d453298df0a3af9b0b0655",
-        "hist_m2.csv": "8692251cc962d77005e3fff0c86b882f3607895b3f9e370a2743a7f5d5ca7a39",
-        "hist_m3.csv": "c657f8f5bcdd0f73615b4e7d3826f5c1508c3c7e5c6d2906bb22f34e03f880d5",
+        "analytic_m2.csv": "8fbb10b324168642bdb2f4b2dff9c51b68b639d58361437040097abc0897a6d4",
+        "analytic_m3.csv": "76fbb8f6fda4d7a976477aed642f88f27c67b82c73d77811eb5f0ef8c022830c",
+        "hist_m2.csv": "ca35c816c1d7c8993258fd24204115c426e40d1b07a919bf3b26494f562a468e",
+        "hist_m3.csv": "b9a9ca6028080f654f37db9a5c71b375a97a46f071a32b1cd0e35dddeba4b6f9",
     },
     "fig3": {
-        "analytic_m2.csv": "6cec695c923b0e74edec237b23d05809302db9ea5bbd38d7a62d476540e1808c",
-        "analytic_m3.csv": "bc6f750c5218677dffe39f1551e15f83ac48e4ea7389630a697e1a6fe7c7bdf2",
-        "hist_m2.csv": "0e506a821e402a7481d7f34604415616700d2c80d722a9f083035e24ee3e843a",
-        "hist_m3.csv": "7d6b2f78b71eaf521faf20d0e809e93e943b51c83d69be48aa43072967655527",
+        "analytic_m2.csv": "823593e1e4aadc0ae69285bb708f89683fc0193bea23d40394f7f547b8157eb6",
+        "analytic_m3.csv": "407cf61f7a93d6bc98d175fa8cf2d943e9adbc3b26c066cca059d6daf6167926",
+        "hist_m2.csv": "2193f5e4583825e46e7eff782080d1006cdc1e5d3edea4f09a908329edc84d40",
+        "hist_m3.csv": "fcb8b3237d762dff21d0aa950849bb6482f47ad684c58cab65f6986fed6b350d",
     },
     "fig4": {
-        "fig4.csv": "3690b026eee06266237bb6fd8bc93b02e6ae4c7754783b8a24466862594fbc05",
+        "fig4.csv": "bec146d57aae90aa17d1d6015b45b56fea2e66c59bab322e9d263a2888567242",
     },
     "fig5": {
-        "fig5.csv": "4accb61a212a63c30e86613376de826fd0b6c98a8e1c54164a106f568ca5453e",
-        "fig5_ratios.csv": "bd0b30b9743f9b98499ef973116ed74c6f4e1304d9b8b81315c20c83b52beb80",
+        "fig5.csv": "95e7267707c96f357273d726e97d1b30e796a8bb7e294f3044d40af53a806566",
+        "fig5_ratios.csv": "17c1273d86f02a1db9a071b94e0581bf42eedb8edb1864b96286beb701319ccc",
     },
 }
 
@@ -205,8 +205,8 @@ ANALYTIC_HASHES = {
 
 # SHA-256 of the JSON and summary of the adaptive-obf run of SIM_ARTIFACT_HASHES
 # with --format json
-SIM_JSON_HASHES = ("c9c80a18b133c1025a1300466e49023cf2bd8fff8b83682895ab3e31094c5e5f",
-                   "b3938a52a563b36e4b28cc248e9f53634d535263b9e9911a1b92dbad52a7c093")
+SIM_JSON_HASHES = ("3d6fb0748bf3dea7decc335408b1520e77bb915a3c51f6bc3bd3a66c28c260e5",
+                   "4ae540fbc293ada729ae14f2bb17eea32854f3421cefc7c0db47b1bec3eec57e")
 
 
 def _sha256(data: bytes) -> str:

@@ -28,6 +28,36 @@ def test_no_adaptive_quadrature_in_the_package(path):
     assert not found, f"{path.name} imports {found}"
 
 
+# numpy's bit generators and the calls that build one
+_BIT_GENERATORS = {"BitGenerator", "MT19937", "PCG64", "PCG64DXSM", "Philox", "SFC64",
+                   "RandomState", "default_rng"}
+
+
+def _bit_generator_uses(tree: ast.AST, scope: str = ""):
+    """(enclosing function, name) for each bit generator a module names."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _bit_generator_uses(node, node.name)
+            continue
+        name = (node.attr if isinstance(node, ast.Attribute)
+                else node.id if isinstance(node, ast.Name)
+                else node.name if isinstance(node, ast.alias) else None)
+        if name in _BIT_GENERATORS:
+            yield scope, name
+        yield from _bit_generator_uses(node, scope)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_channel_substream_builds_a_bit_generator(path):
+    # every random draw of a run comes from channel.substream, so the bit
+    # generator is named in one place and a run's streams follow its seed
+    uses = list(_bit_generator_uses(ast.parse(path.read_text(encoding="utf-8"))))
+    if path.name == "channel.py":
+        assert [scope for scope, _ in uses] == ["substream"], uses
+    else:
+        assert not uses, f"{path.name} builds {uses}"
+
+
 def _module_imports(tree: ast.Module):
     """(bound name, what it names) for each import statement at module level."""
     for node in tree.body:
