@@ -25,10 +25,10 @@ The chain of results implemented here:
   where each J_k is generated term by term, integrating by parts with
   int u^a Gamma(s, c u) du = [u^(a+1) Gamma(s, c u) - c^(-a-1) Gamma(s+a+1, c u)] / (a+1).
 
-Each closed form has one body.  It reads Gamma(s, x) only through a
-callable it is passed, so the grid evaluators feed it ``GammaLadder``s
+Each closed form has one body, and one Gamma route: it reads Gamma(s, x)
+through callables over ``GammaLadder``s, which the grid evaluators build
 over whole argument tensors and the scalar API (``obf_phi``,
-``obf_selection_cdf``) feeds it one point at a time.  ``_scheduled`` is
+``obf_selection_cdf``) over the n arguments of one call.  ``_scheduled`` is
 the one body of the joint density: ``obf_joint_pdf_scheduled`` calls it
 one point at a time and ``obf_marginal_pdf_grid``, the only marginal
 density, on the node tensors of ``numerics.marginal_grid``.  Its
@@ -41,19 +41,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 from scipy import special
 
 from .grids import DistributionGrid
-from .numerics import (
-    GammaLadder,
-    check_rank,
-    inner_rule,
-    marginal_grid,
-    upper_incomplete_gamma,
-)
+from .numerics import GammaLadder, check_rank, inner_rule, marginal_grid
 
 __all__ = [
     "ObfParams",
@@ -172,12 +165,6 @@ def _ladder(y: np.ndarray, params: ObfParams) -> GammaLadder:
     return GammaLadder(params.rp * (1.0 + y))
 
 
-def _point(y: float, params: ObfParams) -> Callable[[int], float]:
-    """Gamma(s, (r/P)(1 + y)) at a single y, for any integer s."""
-    x = params.rp * (1.0 + y)
-    return lambda s: upper_incomplete_gamma(s, x)
-
-
 # The term algebra behind J_k.  With F_1(u) = -Gamma(M, c u) and F_k an
 # antiderivative of u^-2 J_{k-1}(u), J_k(w) = F_k(u_k) - F_k(w).  A term is
 # coef * c^e * prod_j u_j^a_j * Gamma(s, c u_j) (at most one Gamma), keyed
@@ -249,9 +236,10 @@ def _pairs(k: int, M: int) -> tuple:
 def _J(k: int, ys: list, gs: list, params: ObfParams):
     """J_k(u_{k+1}) = F_k(u_k) - F_k(u_{k+1}), each term's two ends taken together.
 
-    ``ys`` is (y_1, ..., y_n) and ``gs[j-1](s)`` reads Gamma(s, (r/P)(1 + y_j)):
-    ``_ladder``s on the grids, so each argument tensor is built once for every
-    order and form, and ``_point``s over the cached scalar routine otherwise.
+    ``ys`` is (y_1, ..., y_n) and ``gs[j-1](s)`` reads Gamma(s, (r/P)(1 + y_j))
+    off a ``_ladder``, so each argument is exponentiated once for every order
+    and form: one ladder per node tensor on the grids, one over the call's n
+    arguments in the point API.
     """
     powers: dict = {}
 
@@ -299,8 +287,10 @@ def _I(ys, gs, phi, params: ObfParams):
 
 
 def _scalar_args(ys, params: ObfParams):
+    """ys as floats, and per y_j Gamma(s, (r/P)(1 + y_j)) off one ``_ladder`` over all of them."""
     ys = [float(y) for y in ys]
-    return ys, [_point(y, params) for y in ys]
+    ladder = _ladder(np.array(ys), params)
+    return ys, [lambda s, j=j: ladder(s)[j] for j in range(len(ys))]
 
 
 def obf_phi(n: int, ys, params: ObfParams) -> float:

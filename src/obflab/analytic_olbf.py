@@ -18,11 +18,15 @@ f_1(z) = c^M e^(-c z/(1-z)) / (1-z)^(M+1), let
 
     G_p(sigma; t_1) = int_sigma^{t_1} f_1(z) (z - sigma)^p / p! dz.
 
-It is 0 for sigma >= t_1; otherwise, with o = 1 - sigma (substitute
-w = c/(1 - z)),
+It is 0 for sigma >= t_1.  Otherwise substitute w = c/(1 - z), then
+v = o w - c and x = v/o; with q = M - 1 - p, o = 1 - sigma and
+X = c (t_1 - sigma) / ((1 - t_1) o) (X = inf at t_1 = 1),
 
-    G_p = e^c/p! sum_{i=0..p} C(p, i) (-c)^i o^(p-i)
-          [Gamma(M-i, c/o) - Gamma(M-i, c/(1-t_1))].
+    G_p = e^(c - c/o) sum_{j=0..q} C(q, j) c^(q-j) o^(p+j-q) (p+j)!/p!
+          P(p+j+1, X),
+
+where P is the regularised lower incomplete gamma: a sum of nonnegative
+terms, with no difference of gammas to cancel.
 
 Integrating (z_1 - sum z)_+^q / q! over a box z_j in [0, t_j], j = 1..m,
 gives sum_S (-1)^|S| (z_1 - sum S)_+^(q+m) / (q+m)! over the subsets S of
@@ -31,19 +35,20 @@ with t_1 above or below t_2 + ... + t_n alike, summing over the subsets S
 of the tails
 
     F_n(t) = sum_{S of t_2..t_n} (-1)^|S| G_{M-1}(sum S; t_1),
-    xi_k(t) = sum_{S of t_2..t_{k-1}} (-1)^|S| G_{M-2}(t_k + sum S; t_1),
+    xi_k(t) = sum_{S of t_2..t_{k-1}} (-1)^|S| G_{M-2}(t_k + sum S; t_1).
 
-with Gamma orders 1..M only.  The S = {} term of F_n is F_1, taken as a
-regularised lower incomplete gamma.  The test oracles (``tests/oracles.py``)
+So only p = M - 1, one term e^(c - c/o) o^(M-1) P(M, X), and p = M - 2,
+two terms in P(M, X) and P(M - 1, X), occur; the S = {} term of F_n is
+F_1 = P(M, c t_1/(1 - t_1)).  The test oracles (``tests/oracles.py``)
 check F_n by integrating the cross-section density over z_1, and the grid
 marginals by adaptive quadrature.
 
-``_G`` is the one body of the closed forms, and ``_scheduled`` the one
-body of the joint density.  They read Gamma(s, x) only through callables
-they are passed, so the grid evaluator feeds them ``GammaLadder``s over
-the node tensors of ``numerics.marginal_grid`` and the scalar API
-(``olbf_xi``, ``olbf_cdf_z``, ``olbf_joint_pdf_t``) feeds them one point
-at a time.
+``_Corners`` is the one body of the closed forms, and ``_scheduled`` the
+one body of the joint density.  They take numbers or arrays alike, so
+the grid evaluator runs them on the node tensors of
+``numerics.marginal_grid`` and the scalar API (``olbf_xi``,
+``olbf_cdf_z``, ``olbf_joint_pdf_t``) one point at a time, on the same
+Gamma route.
 
 Actual SINRs are recovered through y = t/(1-t).
 """
@@ -54,19 +59,11 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable
-
 import numpy as np
 from scipy import special
 
 from .grids import DistributionGrid
-from .numerics import (
-    GammaLadder,
-    check_rank,
-    inner_rule,
-    marginal_grid,
-    upper_incomplete_gamma,
-)
+from .numerics import check_rank, inner_rule, marginal_grid
 
 __all__ = [
     "OlbfParams",
@@ -194,76 +191,50 @@ def _z1_pdf_vec(t1: np.ndarray, params: OlbfParams) -> np.ndarray:
     return np.exp(-mp * t1 / om) * mp ** M / om ** (M + 1) * t1 ** (M - 1) / math.gamma(M)
 
 
-def _gamma_ratio_arg(om: np.ndarray, params: OlbfParams) -> np.ndarray:
-    """mp / (1 - t) with the singular endpoint mapped to a huge argument, where Gamma = 0."""
-    return params.mp / np.maximum(om, 1e-300)
-
-
-def _ladder(om: np.ndarray, params: OlbfParams) -> GammaLadder:
-    """Gamma(s, mp/(1 - t)) for s >= 1, given om = 1 - t."""
-    return GammaLadder(_gamma_ratio_arg(om, params))
-
-
-def _point(om: float, params: OlbfParams) -> Callable[[int], float]:
-    """Gamma(s, mp/(1 - t)) for any integer s at a single t, given om = 1 - t."""
-    x = float(_gamma_ratio_arg(om, params))
-    return lambda s: upper_incomplete_gamma(s, x)
-
-
-def _F_z1(t1, params: OlbfParams):
-    """Pr(z_1 <= t_1) = P(M, mp t_1/(1 - t_1)), the regularised lower incomplete gamma.
-
-    t_1 = 1 gives 1.
-    """
-    t1 = np.asarray(t1, dtype=float)
-    with np.errstate(divide="ignore"):
-        return special.gammainc(params.M, params.mp * t1 / (1.0 - t1))
-
-
-def _G(p: int, o, go, g1, params: OlbfParams):
-    """G_p(sigma; t_1), given o = max(1 - sigma, 1 - t_1) and the callables
-    go(s) = Gamma(s, mp/o) and g1(s) = Gamma(s, mp/(1 - t_1)).
-
-    Where sigma >= t_1, o = 1 - t_1 and every difference of gammas is 0.
-    """
-    M, mp = params.M, params.mp
-    total = 0.0
-    for i in range(p + 1):
-        total = total + (
-            math.comb(p, i)
-            * (-1) ** i
-            * mp ** i
-            * o ** (p - i)
-            * (go(M - i) - g1(M - i))
-        )
-    return math.exp(mp) / math.factorial(p) * total
-
-
 class _Corners:
-    """F_n and xi_k at ts = (t_1, ..., t_n) as subset sums of ``_G``.
+    """F_n and xi_k at ts = (t_1, ..., t_n) as subset sums of G_p.
 
     A subset J of the indices 1..n-1 (t_2..t_n) is a corner of the box of
-    the tails; its G_p reads sigma_J = sum_{j in J} t_j.  ``gamma(om, params)``
-    reads Gamma(s, mp/om): ``_ladder`` on the grids, ``_point`` for the scalar
-    API.  Each corner gets its clamped o and its Gamma callable once, however
-    many forms and orders read it.
+    the tails; its G_p reads sigma_J = sum_{j in J} t_j.  Each corner gets
+    its o = 1 - sigma_J, e^(c - c/o) and P(M, X), P(M - 1, X) once, shared by
+    F_n and xi_k.  The point API and the grids both run this class.
     """
 
-    def __init__(self, ts, gamma, params: OlbfParams):
-        self.ts, self.gamma, self.params = ts, gamma, params
-        self.g1 = gamma(1.0 - ts[0], params)
+    def __init__(self, ts, params: OlbfParams):
+        self.ts, self.params = ts, params
         self._at: dict = {}
+
+    def _corner(self, sigma):
+        """e^(c - c/o) = e^(-c sigma/o), o, P(M, X) and P(M - 1, X) at sigma.
+
+        Where sigma >= t_1, X = 0 and o is set to 1, so every G_p is 0.  At
+        t_1 = 1, X = inf and the term X^(M-1) e^-X / (M-1)! is taken as 0.
+        """
+        t1, M, c = self.ts[0], self.params.M, self.params.mp
+        below = sigma < t1
+        o = np.where(below, 1.0 - sigma, 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            X = np.where(below, c * (t1 - sigma) / ((1.0 - t1) * o), 0.0)
+            term = np.exp(special.xlogy(M - 1, X) - X - math.lgamma(M))
+        PM = special.gammainc(M, X)
+        return np.exp(-c * sigma / o), o, PM, PM + np.where(np.isinf(X), 0.0, term)
+
+    def _G(self, p: int, J: tuple):
+        """G_p(sigma_J; t_1) for p = M - 1 or M - 2."""
+        if J not in self._at:
+            self._at[J] = self._corner(sum(self.ts[j] for j in J))
+        e, o, PM, PM1 = self._at[J]
+        M, c = self.params.M, self.params.mp
+        if p == M - 1:
+            return e * o ** (M - 1) * PM
+        return e * o ** (M - 3) * (c * PM1 + (M - 1) * o * PM)
 
     def _sum(self, p: int, head: tuple, free: tuple):
         """sum over subsets S of free of (-1)^|S| G_p(sigma_{head + S}; t_1)."""
         total = 0.0
         for size in range(len(free) + 1):
             for S in combinations(free, size):
-                J = tuple(sorted(head + S))
-                if J not in self._at:
-                    o = np.maximum(1.0 - sum(self.ts[j] for j in J), 1.0 - self.ts[0])
-                    self._at[J] = o, self.gamma(o, self.params)
-                total = total + (-1) ** size * _G(p, *self._at[J], self.g1, self.params)
+                total = total + (-1) ** size * self._G(p, tuple(sorted(head + S)))
         return total
 
     def xi(self, k: int):
@@ -271,8 +242,9 @@ class _Corners:
         return self._sum(self.params.M - 2, (k - 1,), tuple(range(1, k - 1)))
 
     def cdf(self, n: int):
-        """F_n(t_1..t_n), n >= 2: F_1 plus the nonempty subsets, grouped by their first index."""
-        total = _F_z1(self.ts[0], self.params)
+        """F_n(t_1..t_n): F_1, the empty corner, less the nonempty subsets grouped
+        by their first index, so that t_n = 0 gives exactly 0."""
+        total = self._G(self.params.M - 1, ())
         for j in range(1, n):
             total = total - self._sum(self.params.M - 1, (j,), tuple(range(j + 1, n)))
         return total
@@ -292,7 +264,7 @@ def olbf_xi(k: int, ts, params: OlbfParams) -> float:
         raise ValueError("need 0 <= t_i <= t_1 <= 1")
     if k == 1:
         return float(_z1_pdf_vec(ts[0], params))
-    return float(_Corners(ts, _point, params).xi(k))
+    return float(_Corners(ts, params).xi(k))
 
 
 def olbf_cdf_z(ts, params: OlbfParams) -> float:
@@ -307,19 +279,17 @@ def olbf_cdf_z(ts, params: OlbfParams) -> float:
         raise ValueError("need 1 <= n <= M")
     if np.any(ts < 0) or np.any(ts[1:] > ts[0] + 1e-15) or ts[0] > 1.0:
         raise ValueError("need 0 <= t_i <= t_1 <= 1")
-    if n == 1:
-        return float(_F_z1(ts[0], params))
-    return float(_Corners(ts, _point, params).cdf(n))
+    return float(_Corners(ts, params).cdf(n))
 
 
-def _scheduled(ts, gamma, params: OlbfParams):
+def _scheduled(ts, params: OlbfParams):
     """K!/(K-n)! F_n^(K-n) xi_1 ... xi_n at ts = (t_1, ..., t_n), from one ``_Corners``.
 
     F_n in [-``_CDF_CLAMP``, 0) is cancellation and counts as 0; below that
     it raises ``ArithmeticError``.
     """
     n, K = len(ts), params.K
-    c = _Corners(ts, gamma, params)
+    c = _Corners(ts, params)
     F = c.cdf(n)
     if np.any(F < -_CDF_CLAMP):
         raise ArithmeticError(f"z-CDF evaluated to {np.min(F)}, beyond roundoff")
@@ -336,7 +306,7 @@ def olbf_joint_pdf_t(ts, params: OlbfParams) -> float:
         raise ValueError("need 1 <= n <= M")
     if np.any(ts < 0) or np.any(ts[1:] > ts[0]) or ts[0] > 1.0:
         return 0.0
-    return float(_scheduled([float(t) for t in ts], _point, params))
+    return float(_scheduled([float(t) for t in ts], params))
 
 
 def olbf_marginal_pdf_t_grid(n: int, ss, params: OlbfParams) -> np.ndarray:
@@ -347,8 +317,8 @@ def olbf_marginal_pdf_t_grid(n: int, ss, params: OlbfParams) -> np.ndarray:
     axis, y_1 = s/(1 - s) + sigma u/(1 - u) and t_1 = y_1/(1 + y_1), at the
     per-beam SNR sigma = P/M, so the nodes follow the density as the SNR
     grows.  At rank 3, t_2 lies on [0, t_1 - s] and [t_1 - s, t_1], split at
-    the kink t_2 = t_1 - s.  Each distinct argument mp/(1 - t) gets one
-    ``GammaLadder``.  s = 1 gives t_1 = 1 and weight 0: the density is 0 there.
+    the kink t_2 = t_1 - s.  Each corner of the tails gets its P(M, X) once
+    per node tensor.  s = 1 gives t_1 = 1 and weight 0: the density is 0 there.
     """
     ss = np.atleast_1d(np.asarray(ss, dtype=float))
     if np.any((ss < 0) | (ss > 1)):
@@ -378,7 +348,7 @@ def olbf_marginal_pdf_t_grid(n: int, ss, params: OlbfParams) -> np.ndarray:
         for start, width in ((0.0, gap), (gap, s)):
             yield [t1, start + width * u, s], [jac * width, wu]
 
-    return marginal_grid(n, params.M, ss, pieces, lambda ts: _scheduled(ts, _ladder, params))
+    return marginal_grid(n, params.M, ss, pieces, lambda ts: _scheduled(ts, params))
 
 
 def olbf_marginal_pdf_sinr_grid(n: int, ys, params: OlbfParams) -> np.ndarray:

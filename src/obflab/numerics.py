@@ -1,14 +1,15 @@
 """Special functions and the grid integrator shared by the analytic modules.
 
-The analytic SINR distributions are built almost entirely out of upper
-incomplete gamma functions of integer order and low-dimensional
-quadrature.  The closed forms evaluate many orders of Gamma(s, x) at the
-same argument tensor, so the vectorised route is a ``GammaLadder``: built
-once per argument array, it shares one exponential per element across
-every order it is asked for.  Both analytic modules need orders >= 1 only
-(OLBF through the subset sums of G_p(sigma; t_1), see ``analytic_olbf``),
-so the ladder has no E1/E_n anchors.  The scalar ``upper_incomplete_gamma``
-also serves non-positive orders, from ``scipy.special.exp1`` and ``expn``.
+The analytic OBF distributions are built almost entirely out of upper
+incomplete gamma functions of integer order >= 1 and low-dimensional
+quadrature.  Its closed forms evaluate many orders of Gamma(s, x) at the
+same arguments, so their one Gamma route is a ``GammaLadder``: built once
+per argument array, it shares one exponential per element across every
+order it is asked for, on the grids and in the point API alike.  It has
+no order below 1 and no E1/E_n anchors.  OLBF needs no upper gamma at all:
+its G_p(sigma; t_1) are regularised lower gammas (``analytic_olbf``).  The
+package has no scalar incomplete gamma; the reference one the tests check
+the ladder against is in ``tests/oracles.py``.
 
 The grid marginals of both schemes go through one fixed-order integrator,
 ``marginal_grid``: it applies ``inner_rule`` (``INNER_NODES``
@@ -28,11 +29,9 @@ from functools import lru_cache
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "QuadratureError",
-    "upper_incomplete_gamma",
     "GammaLadder",
     "GRID_CHUNK",
     "INNER_NODES",
@@ -41,12 +40,6 @@ __all__ = [
     "check_rank",
     "marginal_grid",
 ]
-
-# Non-positive orders of the scalar routine descend from E1 at or below
-# this argument and use x^s E_{1-s}(x) above it.  Against a quadrature
-# oracle over s in -5..0, x in [1e-3, 600] the worst relative error of the
-# descent was 3e-13 with the switch at 0.5, 2e-14 at 1 and 2e-15 at 2.5 or 3.
-_LADDER_SPLIT = 2.5
 
 # e^-x below the smallest normal double (x > 708.39) is flushed to zero:
 # the sums would start from a subnormal with few or no significant bits.
@@ -78,50 +71,6 @@ class QuadratureError(RuntimeError):
         super().__init__(f"{message} (estimate={estimate!r}, error_bound={error_bound!r})")
         self.estimate = estimate
         self.error_bound = error_bound
-
-
-@lru_cache(maxsize=1 << 16)
-def upper_incomplete_gamma(s: int, x: float) -> float:
-    """Upper incomplete gamma Gamma(s, x) for integer s, x > 0.
-
-    Positive order uses the terminating expansion
-    Gamma(s, x) = (s-1)! e^-x sum_{i<s} x^i / i!, evaluated in log space
-    so large x or s cannot overflow the intermediate terms.  Non-positive
-    order descends the recurrence Gamma(s, x) = (Gamma(s+1, x) - x^s e^-x)/s
-    from Gamma(0, x) = E1(x) for x <= 2.5.  Each step down subtracts two
-    terms of nearly equal size once x exceeds |s|, losing about log10(x)
-    digits, so larger x uses Gamma(s, x) = x^s E_{1-s}(x) directly.
-    """
-    s = int(s)
-    if x < 0 or (x <= 0 and s <= 0):
-        raise ValueError(f"Gamma({s}, {x}) outside the supported domain")
-    if s >= 1:
-        if x == 0.0:
-            return math.gamma(s)
-        if x < 650.0 and (s - 1) * math.log(max(x, 1.0)) < 650.0:
-            term = 1.0
-            acc = 1.0
-            for i in range(1, s):
-                term *= x / i
-                acc += term
-            return math.gamma(s) * math.exp(-x) * acc
-        # log-space fallback: ln (s-1)! - x + i ln x - ln i!
-        lg = math.lgamma(s)
-        logs = [lg - x + i * math.log(x) - math.lgamma(i + 1) for i in range(s)]
-        m = max(logs)
-        if m < -745.0:
-            return 0.0
-        acc = math.fsum(math.exp(v - m) for v in logs)
-        return math.exp(m) * acc
-    if x > _LADDER_SPLIT:
-        return x ** s * float(special.expn(1 - s, x))
-    g = float(special.exp1(x))  # Gamma(0, x)
-    order = 0
-    log_x = math.log(x)
-    while order > s:
-        order -= 1
-        g = (g - math.exp(order * log_x - x)) / order
-    return g
 
 
 class GammaLadder:

@@ -17,8 +17,7 @@ from obflab.analytic_obf import (
     obf_v_to_x,
     obf_x_to_v,
 )
-from obflab.numerics import upper_incomplete_gamma
-from oracles import obf_marginal_pdf
+from oracles import obf_marginal_pdf, upper_incomplete_gamma
 
 P15 = 10.0 ** 1.5
 

@@ -159,7 +159,7 @@ SIM_ARTIFACT_HASHES = {
     "adaptive-obf": ("2958255f0c960cb9e5bbcbd2357b9c8d2c14dc30e6dc1364c35ce70bb601f853",
                      "4ae540fbc293ada729ae14f2bb17eea32854f3421cefc7c0db47b1bec3eec57e"),
     "olbf": ("3b6aeb4169f09c80bced018f1bad6ead77d838473a79140a4b4cf3c380c49131",
-             "c91134170982d0e7c57d0857963fc4ccefb2cc5967f3ffe5c2ffd15fa0a10b12"),
+             "b727203f7c3be15f89a6837140d09439ed55a831017b152aa050b836d55741b3"),
     "zfs": ("5177df0bddc638ade492518b61446d16e7373da533717f13bc4cc84e85e9faa7",
             "a256ee241345a6f6c2d8a2edbe597f1bfb947fded56efad8123b1287a1818286"),
     "zfdp": ("591501703a337767bdadd1b82ff3f711001a0bec2e61ebd5410c04773e300e83",
@@ -180,8 +180,8 @@ FIGURE_HASHES = {
         "hist_m3.csv": "b9a9ca6028080f654f37db9a5c71b375a97a46f071a32b1cd0e35dddeba4b6f9",
     },
     "fig3": {
-        "analytic_m2.csv": "823593e1e4aadc0ae69285bb708f89683fc0193bea23d40394f7f547b8157eb6",
-        "analytic_m3.csv": "407cf61f7a93d6bc98d175fa8cf2d943e9adbc3b26c066cca059d6daf6167926",
+        "analytic_m2.csv": "b2c7cb7ea459c1e1d346322dac860ec66a559b3623b936f47d1fa9c297fa3db7",
+        "analytic_m3.csv": "2e5fa34d204a473f5cb446ac8e06714604a49682758f3b7042cacefe7e236de8",
         "hist_m2.csv": "2193f5e4583825e46e7eff782080d1006cdc1e5d3edea4f09a908329edc84d40",
         "hist_m3.csv": "fcb8b3237d762dff21d0aa950849bb6482f47ad684c58cab65f6986fed6b350d",
     },
@@ -189,7 +189,7 @@ FIGURE_HASHES = {
         "fig4.csv": "bec146d57aae90aa17d1d6015b45b56fea2e66c59bab322e9d263a2888567242",
     },
     "fig5": {
-        "fig5.csv": "95e7267707c96f357273d726e97d1b30e796a8bb7e294f3044d40af53a806566",
+        "fig5.csv": "aa91cee814cef6ea824e4d6c9637e7cffc334a1cd4397bb9d62b2211ab1596c5",
         "fig5_ratios.csv": "17c1273d86f02a1db9a071b94e0581bf42eedb8edb1864b96286beb701319ccc",
     },
 }
@@ -199,7 +199,7 @@ FIGURE_HASHES = {
 ANALYTIC_HASHES = {
     "obf": ("26c119f35e40a666da8cbc95fe28743da8a2982dc2dd78afe9fa9cda7a988f96",
             "c07127f6f87223e8595f12402b212ce30630b9306cf58e9b13623a290cd17a14"),
-    "olbf": ("12a9374367ceb365620ce3e1e78222c61b200da235db7e59e46f99ca57796a9c",
+    "olbf": ("ba5d9d80726af9bcdf3722e44df491c7ed207dc940e3f7acbf36626ca7239e6b",
              "b21f208ba2850909473bd7ce69d519415902be177f39eee87846801c9f3f7910"),
 }
 

@@ -1,11 +1,14 @@
-"""The closed forms' two routes: one point at a time and whole ladders.
+"""The closed forms' one route: the point API runs the grids' bodies.
 
-Each closed form has one body that reads Gamma(s, x) through a callable.
-The scalar API feeds it the cached scalar routine one point at a time;
-the grids feed it ``GammaLadder``s over argument arrays.  These tests
-check that both routes agree, that the t_1 = 1 endpoint is handled, and
-that the rank-1 CDFs (regularised lower incomplete gammas) hold full
-precision where their old difference-of-gammas form cancelled.
+Each closed form has one body, and the scalar API is a thin wrapper over
+it.  OBF's bodies read Gamma(s, x) off ``GammaLadder``s: over the node
+tensors on the grids, over the n arguments of one call in the point API.
+OLBF's read regularised lower gammas P(M, X) and P(M - 1, X) per corner
+of the box of the tails, the same on the grids as at one point.  These
+tests check that the point API equals the bodies on arrays, that OLBF
+reads no other Gamma order, that G_p and F_n hold their digits against
+40-digit references, that the t_1 = 1 endpoint is handled, and that the
+rank-1 CDFs (regularised lower incomplete gammas) hold full precision.
 """
 
 import math
@@ -18,13 +21,12 @@ import pytest
 from obflab import analytic_obf as obf
 from obflab import analytic_olbf as olbf
 from obflab.montecarlo import _max_norm_cdf
-from obflab.numerics import upper_incomplete_gamma
 
 P15 = 10.0 ** 1.5
 
 
-def _close(scalar, ladder):
-    np.testing.assert_allclose(scalar, ladder, rtol=1e-12, atol=1e-14)
+def _close(point, body):
+    np.testing.assert_allclose(point, body, rtol=1e-12, atol=1e-14)
 
 
 @pytest.mark.parametrize("M", [3, 4])
@@ -53,17 +55,17 @@ def _olbf_points(M, rng, count=20):
 def test_olbf_scalar_api_matches_ladder_route(M):
     params = olbf.OlbfParams(M=M, K=10, P=P15)
     ts = _olbf_points(M, np.random.default_rng(310 + M))
-    corners = olbf._Corners(list(ts.T), olbf._ladder, params)
+    corners = olbf._Corners(list(ts.T), params)
     for n in range(2, M + 1):
         _close([olbf.olbf_xi(n, t[:n], params) for t in ts], corners.xi(n))
+    for n in range(1, M + 1):
         _close([olbf.olbf_cdf_z(t[:n], params) for t in ts], corners.cdf(n))
-    _close([olbf.olbf_cdf_z(t[:1], params) for t in ts], olbf._F_z1(ts[:, 0], params))
 
 
 @pytest.mark.parametrize("M", [3, 4])
 def test_joint_pdfs_match_the_ladder_route(M):
-    # each scheme's joint density has one body, _scheduled; the scalar API
-    # feeds it one point at a time and the grids feed it ladders
+    # each scheme's joint density has one body, _scheduled, which the scalar
+    # API runs one point at a time and the grids on arrays
     oparams = obf.ObfParams(M=M, K=10, P=P15, r=M)
     ys = -np.sort(-np.random.default_rng(360 + M).exponential(4.0, size=(20, M)), axis=1)
     columns = list(ys.T)
@@ -74,24 +76,30 @@ def test_joint_pdfs_match_the_ladder_route(M):
         _close([obf.obf_joint_pdf_scheduled(y[:n], oparams) for y in ys],
                obf._scheduled(columns[:n], gs[:n], oparams))
         _close([olbf.olbf_joint_pdf_t(t[:n], lparams) for t in ts],
-               olbf._scheduled(list(ts.T[:n]), olbf._ladder, lparams))
+               olbf._scheduled(list(ts.T[:n]), lparams))
 
 
 def test_olbf_scalar_api_reads_no_gamma_order_below_one(monkeypatch):
+    # OLBF's only Gamma calls are P(s, X) at s = M per corner; P(M - 1, X)
+    # adds one term to it
+    gammainc = olbf.special.gammainc
     orders = set()
 
     def recording(s, x):
         orders.add(s)
-        return upper_incomplete_gamma(s, x)
+        return gammainc(s, x)
 
-    monkeypatch.setattr(olbf, "upper_incomplete_gamma", recording)
+    monkeypatch.setattr(olbf.special, "gammainc", recording)
     for M in (2, 3, 4, 5):
         params = olbf.OlbfParams(M=M, K=10, P=P15)
+        orders.clear()
         for t in _olbf_points(M, np.random.default_rng(330 + M), count=4):
             for n in range(1, M + 1):
                 olbf.olbf_xi(n, t[:n], params)
                 olbf.olbf_cdf_z(t[:n], params)
-    assert orders == set(range(1, 6))
+                olbf.olbf_joint_pdf_t(t[:n], params)
+        olbf.olbf_marginal_pdf_t_grid(min(M, 3), [0.3], params)
+        assert orders and orders <= {M - 1, M}, (M, orders)
 
 
 def _mp_cdf(ts, params):
@@ -115,8 +123,8 @@ def _mp_cdf(ts, params):
 
 def test_olbf_cdf_holds_its_digits_at_m5():
     # the first two points are where the forms with Gamma orders down to 1 - M
-    # lost 2e-6.  At t_1 below about 0.3, most of all with tails under a few %
-    # of t_1, the Gamma differences of G_p lose as many digits (ROADMAP)
+    # lost 2e-6, and the differences of upper gammas on the grids 2.7e-6 at
+    # the second; the point API now runs the grids' body
     params = olbf.OlbfParams(M=5, K=10, P=P15)
     rng = np.random.default_rng(340)
     pts = [[0.2, 0.02], [0.25, 0.0125, 0.005]]
@@ -126,6 +134,54 @@ def test_olbf_cdf_holds_its_digits_at_m5():
         pts += [[t1, t2], [t1, t2, t3]]
     for ts in pts:
         assert olbf.olbf_cdf_z(ts, params) == pytest.approx(_mp_cdf(ts, params), rel=1e-6, abs=0), ts
+
+
+def _mp_G(p, sigma, t1, params):
+    """G_p(sigma; t_1) = int_sigma^t_1 f_1(z) (z - sigma)^p / p! dz to 40 digits."""
+    M = params.M
+    with mpmath.workdps(40):
+        c = mpmath.mpf(M) / mpmath.mpf(params.P)
+        sigma, t1 = mpmath.mpf(float(sigma)), mpmath.mpf(float(t1))
+
+        def f(z):
+            return (c ** M * mpmath.exp(-c * z / (1 - z)) / (1 - z) ** (M + 1)
+                    * (z - sigma) ** p / mpmath.factorial(p))
+
+        return float(mpmath.quad(f, [sigma, t1]))
+
+
+def test_olbf_G_and_F_vs_mpmath():
+    # G_p at small t_1 and close to sigma = t_1 is where differences of upper
+    # gammas of one order lost up to all their digits; as lower gammas G_p is
+    # a sum of nonnegative terms.  F_n adds the scan region at M = 5, 15 dB
+    rng = np.random.default_rng(350)
+    for M in (2, 3, 5):
+        params = olbf.OlbfParams(M=M, K=10, P=P15)
+        t1 = np.concatenate([[0.05, 0.05, 0.3], rng.uniform(0.05, 0.97, 5)])
+        sigma = t1 * np.concatenate([[0.99, 0.01, 0.99], rng.uniform(0.0, 0.99, 5)])
+        corners = olbf._Corners([t1, sigma], params)
+        for p in (M - 1, M - 2):
+            want = [_mp_G(p, s, t, params) for s, t in zip(sigma, t1)]
+            np.testing.assert_allclose(corners._G(p, (1,)), want, rtol=1e-12, atol=0)
+        # xi_2(t_1, t_2) is G_{M-2}(t_2; t_1)
+        np.testing.assert_allclose([olbf.olbf_xi(2, [t, s], params) for s, t in zip(sigma, t1)],
+                                   [_mp_G(M - 2, s, t, params) for s, t in zip(sigma, t1)],
+                                   rtol=1e-12, atol=0)
+    params = olbf.OlbfParams(M=5, K=10, P=P15)
+    # close pairs where xi_2 came out negative (-5.4e-16 against 1.4e-18) or 3.6e-6 off
+    for t1, t2 in ((0.2452624345088565, 0.24475817823888182),
+                   (0.39936843982417214, 0.372612892522346)):
+        assert olbf.olbf_xi(2, [t1, t2], params) == pytest.approx(
+            _mp_G(3, t2, t1, params), rel=1e-12, abs=0)
+    pts = [[0.25, 0.0125, 0.005], [0.05, 0.0495], [0.05, 0.03, 0.015]]
+    for t1 in (0.2, 0.3, 0.4):
+        tails = t1 * rng.uniform(0.003, 0.9, 3)
+        pts += [[t1, tails[0]], [t1, *tails[1:]]]
+    for ts in pts:
+        want = _mp_cdf(ts, params)
+        assert olbf.olbf_cdf_z(ts, params) == pytest.approx(want, rel=1e-9, abs=0), ts
+        body = olbf._Corners([np.array([t]) for t in ts], params).cdf(len(ts))
+        assert body[0] == pytest.approx(want, rel=1e-9, abs=0), ts
 
 
 @pytest.mark.parametrize("M", [3, 4])

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from obflab.numerics import GammaLadder, QuadratureError, inner_rule, upper_incomplete_gamma
-from oracles import integrate_1d, integrate_semi_infinite
+from obflab.numerics import GammaLadder, QuadratureError, inner_rule
+from oracles import integrate_1d, integrate_semi_infinite, upper_incomplete_gamma
 
 
 def _gamma_oracle(s: int, x: float) -> float:
@@ -124,11 +124,13 @@ def test_ladder_edge_values():
 
 
 def test_ladder_order_below_lowest_and_domain():
-    # the lowest order is 1
-    for s in (0, -1):
-        with pytest.raises(ValueError):
-            GammaLadder(np.array([1.0]))(s)
-    with pytest.raises(ValueError):
+    # the lowest order is 1, on a ladder of any shape and after it has climbed
+    for ladder in (GammaLadder(np.array([1.0])), GammaLadder(2.0), GammaLadder(np.ones((2, 3)))):
+        ladder(4)
+        for s in (0, -1, -5):
+            with pytest.raises(ValueError, match="below 1"):
+                ladder(s)
+    with pytest.raises(ValueError, match="nonnegative"):
         GammaLadder(np.array([-1.0]))
 
 

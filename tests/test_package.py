@@ -28,6 +28,31 @@ def test_no_adaptive_quadrature_in_the_package(path):
     assert not found, f"{path.name} imports {found}"
 
 
+# the scalar incomplete gamma and its exponential integrals: the package's one
+# Gamma route is numerics.GammaLadder (and OLBF's regularised lower gammas);
+# the scalar reference lives in tests/oracles.py
+_SCALAR_GAMMA = {"upper_incomplete_gamma", "exp1", "expn"}
+
+
+def _names(tree: ast.AST):
+    """Every identifier a module defines, imports or reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.split(".")[-1]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_scalar_incomplete_gamma_in_the_package(path):
+    found = sorted(set(_names(ast.parse(path.read_text(encoding="utf-8")))) & _SCALAR_GAMMA)
+    assert not found, f"{path.name} names {found}"
+
+
 # numpy's bit generators and the calls that build one
 _BIT_GENERATORS = {"BitGenerator", "MT19937", "PCG64", "PCG64DXSM", "Philox", "SFC64",
                    "RandomState", "default_rng"}
