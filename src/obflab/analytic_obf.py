@@ -13,40 +13,45 @@ The chain of results implemented here:
 
   where phi_k integrates the unordered density over the candidacy region
   of step k and I_n = int_0^{y_n} phi_n;
-* phi_1 is a gamma density and I_1 a regularised lower incomplete gamma;
-  with u_k = 1 + y_k and c = r/P, every higher order is a closed form in
-  upper incomplete gammas of integer order >= 1,
+* phi_1 is a gamma density and I_1 a regularised lower incomplete gamma.
+  In z = v/(1+v) the unordered density is f_1(z_1) z_n^(M-n)/(M-n)! on the
+  chain z_1 >= ... >= z_n, where f_1(z) = c^M e^(-c z/(1-z))/(1-z)^(M+1)
+  and c = r/P: the same f_1 as OLBF's, which reads it on a simplex.  With
+  u_k = 1 + y_k and t_k = y_k/u_k, every higher order is
 
-      phi_n = e^c/(M-n)! ((u_n - 1)/u_n)^(M-n) u_n^-2 J_{n-1}(u_n),
-      J_1(w) = Gamma(M, c w) - Gamma(M, c u_1),
-      J_k(w) = int_w^{u_k} u^-2 J_{k-1}(u) du,
-      I_n = I_1(y_n) + y_n u_n sum_{k=2..n} phi_k(y_1..y_{k-1}, y_n) / (M-k+1),
+      phi_n = t_n^(M-n)/(M-n)! J_{n-1}(t_n)/u_n^2,
+      I_n = P(M, c y_n) + sum_{k<n} t_n^(M-k)/(M-k)! J_k(t_n),
+      J_1(s) = G_0(s; t_1),  J_k(s) = int_s^{t_k} J_{k-1}(z) dz,
 
-  where each J_k is generated term by term, integrating by parts with
-  int u^a Gamma(s, c u) du = [u^(a+1) Gamma(s, c u) - c^(-a-1) Gamma(s+a+1, c u)] / (a+1).
+  where G_p(sigma; tau) = int_sigma^tau f_1(z) (z - sigma)^p/p! dz is
+  ``numerics.lower_gamma_moment``, a sum of regularised lower gammas.  I_n
+  integrates phi_n by parts n-1 times.  Integrating J_{k-1} gives
 
-Each closed form has one body, and one Gamma route: it reads Gamma(s, x)
-through callables over ``GammaLadder``s, which the grid evaluators build
-over whole argument tensors and the scalar API (``obf_phi``,
-``obf_selection_cdf``) over the n arguments of one call.  ``_scheduled`` is
-the one body of the joint density: ``obf_joint_pdf_scheduled`` calls it
-one point at a time and ``obf_marginal_pdf_grid``, the only marginal
-density, on the node tensors of ``numerics.marginal_grid``.  Its
-adaptive-quadrature reference is a test oracle (``tests/oracles.py``).
+      J_k(s) = G_{k-1}(s; t_k) + sum_{l=1..k-1} (t_k - s)^l/l! B_l,
+
+  whose B_l follow from those of k - 1 (``_Chain._B``).  Every term of
+  phi_n and I_n is nonnegative, so nothing cancels at close or small y.
+
+Each closed form has one body: ``_Chain`` reads G_p off one
+``numerics.lower_gamma_ladder`` per pair of points, over whole node
+tensors on the grids and over one call's floats in the scalar API
+(``obf_phi``, ``obf_selection_cdf``).  ``_scheduled`` is the one body of
+the joint density: ``obf_joint_pdf_scheduled`` calls it one point at a
+time and ``obf_marginal_pdf_grid``, the only marginal density, on the
+node tensors of ``numerics.marginal_grid``.  Its adaptive-quadrature
+reference is a test oracle (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from .grids import DistributionGrid
-from .numerics import GammaLadder, check_rank, inner_rule, marginal_grid
+from .numerics import check_rank, inner_rule, lower_gamma_ladder, lower_gamma_moment, marginal_grid
 
 __all__ = [
     "ObfParams",
@@ -157,140 +162,107 @@ def _check_ordered(ys) -> np.ndarray:
 
 def _I1(y, params: ObfParams):
     """I_1(y) = Pr(v_1 <= y) = P(M, (r/P) y), the regularised lower incomplete gamma."""
-    return special.gammainc(params.M, params.rp * y)
+    return lower_gamma_ladder(params.M, params.rp * y)[params.M]
 
 
-def _ladder(y: np.ndarray, params: ObfParams) -> GammaLadder:
-    """Gamma(s, (r/P)(1 + y)) for s >= 1."""
-    return GammaLadder(params.rp * (1.0 + y))
+class _Chain:
+    """phi_k and I_n at ys = (y_1, ..., y_n) as nonnegative sums of G_p.
 
-
-# The term algebra behind J_k.  With F_1(u) = -Gamma(M, c u) and F_k an
-# antiderivative of u^-2 J_{k-1}(u), J_k(w) = F_k(u_k) - F_k(w).  A term is
-# coef * c^e * prod_j u_j^a_j * Gamma(s, c u_j) (at most one Gamma), keyed
-# (e, (a_0, ..., a_M), (j, s) or None) in a dict of exact coefficients; a_0
-# is unused and F_k keeps its variable in slot k.  The by-parts rule maps
-# terms to terms; a = -1 (a logarithm) would leave the algebra, and raises.
-
-
-def _add(terms: dict, key, coef) -> None:
-    coef += terms.get(key, 0)
-    if coef:
-        terms[key] = coef
-    else:
-        terms.pop(key, None)
-
-
-def _set(powers: tuple, slot: int, a: int) -> tuple:
-    return powers[:slot] + (a,) + powers[slot + 1:]
-
-
-def _integrate(terms: dict, slot: int) -> dict:
-    """An antiderivative in u_slot of the sum of the terms."""
-    out: dict = {}
-    for (e, powers, gamma), coef in terms.items():
-        a = powers[slot]
-        if a == -1:
-            raise ArithmeticError(f"int u_{slot}^-1 ... du_{slot} is not a term of the algebra")
-        _add(out, (e, _set(powers, slot, a + 1), gamma), coef / (a + 1))
-        if gamma is not None and gamma[0] == slot:
-            by_parts = (e - a - 1, _set(powers, slot, 0), (slot, gamma[1] + a + 1))
-            _add(out, by_parts, -coef / (a + 1))
-    return out
-
-
-@lru_cache(maxsize=None)
-def _antiderivative(k: int, M: int) -> dict:
-    """F_k as {(e, powers, gamma): coef}, in the variable u_k."""
-    if k == 1:
-        return {(0, (0,) * (M + 1), (1, M)): Fraction(-1)}
-    integrand: dict = {}  # u_k^-2 J_{k-1}(u_k) = u_k^-2 [F_{k-1}(u_{k-1}) - F_{k-1}(u_k)]
-    for (e, powers, gamma), coef in _antiderivative(k - 1, M).items():
-        _add(integrand, (e, _set(powers, k, -2), gamma), coef)
-        moved = _set(_set(powers, k - 1, 0), k, powers[k - 1] - 2)
-        if gamma is not None and gamma[0] == k - 1:
-            gamma = (k, gamma[1])
-        _add(integrand, (e, moved, gamma), -coef)
-    return _integrate(integrand, k)
-
-
-@lru_cache(maxsize=None)
-def _pairs(k: int, M: int) -> tuple:
-    """F_k's terms as (coef, e, b, s, fixed), ready to evaluate J_k.
-
-    On slot k a term reads u^b Gamma(s, c u), or u^b where s is None;
-    ``fixed`` holds its other factors u_j^a Gamma(s_j, c u_j) as (j, a, s_j),
-    highest slot first, which on the grids is the smallest tensor first.
-    Terms constant in u_k cancel from J_k and are dropped.
+    ``gaps`` are the steps y_1 - y_2, ..., y_{n-1} - y_n.  In t = y/(1 + y)
+    the t-gap of y_a >= y_b is (y_a - y_b)/(u_a u_b), with u = 1 + y, and
+    the pair (t_i, t_j), i > j, of ``numerics.lower_gamma_moment`` has
+    o = 1/u_i, e^(c - c/o) = e^(-c y_i) and X = c (y_j - y_i): X spans only
+    the gaps.  Each pair gets its ladder once; the point API and the grids
+    both run this class.
     """
-    out = []
-    for (e, powers, gamma), coef in _antiderivative(k, M).items():
-        orders = dict([gamma] if gamma else [])
-        if powers[k] or k in orders:
-            fixed = tuple((j, powers[j], orders.get(j)) for j in range(k - 1, 0, -1)
-                          if powers[j] or j in orders)
-            out.append((float(coef), e, powers[k], orders.get(k), fixed))
-    return tuple(out)
+
+    def __init__(self, ys, gaps, params: ObfParams):
+        self.ys, self.gaps, self.params = ys, gaps, params
+        self.u = [1.0 + y for y in ys]
+        self._pairs: dict = {}
+        self._Bs: dict = {}
+        self._Js: dict = {}
+
+    def _ydiff(self, i: int, j: int):
+        """y_j - y_i for i > j, summed from the gaps."""
+        return sum(self.gaps[j:i - 1], self.gaps[j - 1])
+
+    def _tgap(self, i: int, j: int):
+        """t_j - t_i for i > j."""
+        return self._ydiff(i, j) / (self.u[i - 1] * self.u[j - 1])
+
+    def _G(self, p: int, i: int, j: int):
+        """G_p(t_i; t_j), i > j.  The last point t_n is paired with every t_j,
+        at p = j - 1 only; any other t_i only with t_{i-1}, at p = 0..i-2."""
+        if (i, j) not in self._pairs:
+            M, c = self.params.M, self.params.rp
+            lowest = j if i == len(self.ys) else 1
+            self._pairs[i, j] = (np.exp(-c * self.ys[i - 1]), 1.0 / self.u[i - 1],
+                                 lower_gamma_ladder(M, c * self._ydiff(i, j), lowest))
+        e, o, P = self._pairs[i, j]
+        return lower_gamma_moment(p, self.params.M, self.params.rp, e, o, P)
+
+    def _B(self, k: int) -> list:
+        """B_1, ..., B_{k-1} with J_k(s) = G_{k-1}(s; t_k) + sum_l (t_k - s)^l/l! B_l.
+
+        B_1 = J_{k-1}(t_k) and, with d = t_{k-1} - t_k and B' those of
+        k - 1, B_{l+1} = G_{k-2-l}(t_k; t_{k-1}) + sum_{i=l..k-2} B'_i d^(i-l)/(i-l)!.
+        """
+        if k not in self._Bs:
+            B = [self._J(k - 1, k)]
+            if k > 2:
+                prev, d = self._B(k - 1), self._tgap(k, k - 1)
+                for l in range(1, k - 1):
+                    total, power = self._G(k - 2 - l, k, k - 1) + prev[l - 1], 1.0
+                    for i in range(l + 1, k - 1):
+                        power = power * d / (i - l)
+                        total = total + prev[i - 1] * power
+                    B.append(total)
+            self._Bs[k] = B
+        return self._Bs[k]
+
+    def _J(self, k: int, i: int):
+        """J_k(t_i) = int_{t_i}^{t_k} J_{k-1}, with J_1(s) = G_0(s; t_1), for i > k."""
+        if (k, i) not in self._Js:
+            total = self._G(k - 1, i, k)
+            if k > 1:
+                d, power = self._tgap(i, k), 1.0
+                for l, B in enumerate(self._B(k), start=1):
+                    power = power * d / l
+                    total = total + power * B
+            self._Js[k, i] = total
+        return self._Js[k, i]
+
+    def phi(self, k: int):
+        """phi_k(y_1..y_k) = t_k^(M-k)/(M-k)! J_{k-1}(t_k)/u_k^2, and the gamma density at k = 1."""
+        M, rp, y = self.params.M, self.params.rp, self.ys[k - 1]
+        if k == 1:
+            return rp ** M * y ** (M - 1) / math.gamma(M) * np.exp(-y * rp)
+        u = self.u[k - 1]
+        return (y / u) ** (M - k) / math.factorial(M - k) * self._J(k - 1, k) / u ** 2
+
+    def cdf(self):
+        """I_n = P(M, c y_n) + sum_{k<n} t_n^(M-k)/(M-k)! J_k(t_n)."""
+        n, M, y = len(self.ys), self.params.M, self.ys[-1]
+        t = y / self.u[-1]
+        total = _I1(y, self.params)
+        for k in range(1, n):
+            total = total + t ** (M - k) / math.factorial(M - k) * self._J(k, n)
+        return total
 
 
-def _J(k: int, ys: list, gs: list, params: ObfParams):
-    """J_k(u_{k+1}) = F_k(u_k) - F_k(u_{k+1}), each term's two ends taken together.
-
-    ``ys`` is (y_1, ..., y_n) and ``gs[j-1](s)`` reads Gamma(s, (r/P)(1 + y_j))
-    off a ``_ladder``, so each argument is exponentiated once for every order
-    and form: one ladder per node tensor on the grids, one over the call's n
-    arguments in the point API.
-    """
-    powers: dict = {}
-
-    def factor(j, a, s):  # u_j^a Gamma(s, c u_j)
-        if not a:
-            return 1.0 if s is None else gs[j - 1](s)
-        if (j, a) not in powers:
-            powers[j, a] = (1.0 + ys[j - 1]) ** a
-        return powers[j, a] if s is None else powers[j, a] * gs[j - 1](s)
-
-    terms = []
-    for coef, e, b, s, fixed in _pairs(k, params.M):
-        val = coef * params.rp ** e * (factor(k, b, s) - factor(k + 1, b, s))
-        for j, a, sj in fixed:
-            val = val * factor(j, a, sj)
-        terms.append(val)
-    return sum(terms[1:], terms[0])
-
-
-def _phi(ys, gs, params: ObfParams):
-    """phi_n at ys = (y_1, ..., y_n), n >= 2."""
-    n, M, rp = len(ys), params.M, params.rp
-    y = ys[-1]
-    pref = math.exp(rp) / math.factorial(M - n) * (y / (1.0 + y)) ** (M - n) / (1.0 + y) ** 2
-    return pref * _J(n - 1, ys, gs, params)
-
-
-def _I(ys, gs, phi, params: ObfParams):
-    """I_n at ys = (y_1, ..., y_n), n >= 2, given phi = phi_n(ys).
-
-    With t = (u - 1)/u, u^-2 du = dt and I_n = e^c/(M-n)! int_0^{t_n}
-    t^(M-n) J_{n-1} dt.  Integrating the power of t by parts n-1 times
-    (dJ_k/dt = -J_{k-1}, dJ_1/dt = -c^M u^(M+1) e^(-c u)) leaves
-    I_1(y_n) + e^c sum_{k<n} t_n^(M-k)/(M-k)! J_k(u_n), that is
-    I_1(y_n) + y_n u_n sum_{k=2..n} phi_k(y_1..y_{k-1}, y_n)/(M-k+1): a
-    sum of nonnegative terms, where expanding ((u-1)/u)^(M-n) binomially
-    would cancel catastrophically at small y_n.
-    """
-    n, M, y = len(ys), params.M, ys[-1]
-    w = y * (1.0 + y)
-    total = _I1(y, params) + w / (M - n + 1) * phi
-    for k in range(2, n):
-        total = total + w / (M - k + 1) * _phi([*ys[:k - 1], y], [*gs[:k - 1], gs[-1]], params)
-    return total
-
-
-def _scalar_args(ys, params: ObfParams):
-    """ys as floats, and per y_j Gamma(s, (r/P)(1 + y_j)) off one ``_ladder`` over all of them."""
+def _point(ys) -> tuple[list, list]:
+    """One point's ys as floats, and its gaps y_k - y_{k+1}."""
     ys = [float(y) for y in ys]
-    ladder = _ladder(np.array(ys), params)
-    return ys, [lambda s, j=j: ladder(s)[j] for j in range(len(ys))]
+    return ys, [a - b for a, b in zip(ys, ys[1:])]
+
+
+def _scalar_chain(n: int, ys, params: ObfParams) -> _Chain:
+    """The ``_Chain`` of one ordered point, after checking n against it."""
+    ys = _check_ordered(ys)
+    if len(ys) != n or not 1 <= n <= params.r:
+        raise ValueError("need len(ys) == n and 1 <= n <= r")
+    return _Chain(*_point(ys), params)
 
 
 def obf_phi(n: int, ys, params: ObfParams) -> float:
@@ -298,21 +270,14 @@ def obf_phi(n: int, ys, params: ObfParams) -> float:
 
     phi_n integrates the unordered density over the candidacy region of
     step n with v_n pinned at y_n.  phi_1 is a gamma density; for n >= 2,
-    with u_k = 1 + y_k and c = r/P,
+    with u_k = 1 + y_k, t_k = y_k/u_k and c = r/P,
 
-        phi_n = e^c/(M-n)! ((u_n - 1)/u_n)^(M-n) u_n^-2 J_{n-1}(u_n),
-        J_1(w) = Gamma(M, c w) - Gamma(M, c u_1),
-        J_k(w) = int_w^{u_k} u^-2 J_{k-1}(u) du,
+        phi_n = t_n^(M-n)/(M-n)! J_{n-1}(t_n)/u_n^2,
+        J_1(s) = G_0(s; t_1),  J_k(s) = int_s^{t_k} J_{k-1}(z) dz,
 
-    each integral taken in closed form by parts,
-    int u^a Gamma(s, c u) du = [u^(a+1) Gamma(s, c u) - c^(-a-1) Gamma(s+a+1, c u)] / (a+1).
+    each J_k a nonnegative sum of ``numerics.lower_gamma_moment``s.
     """
-    ys = _check_ordered(ys)
-    if len(ys) != n or not 1 <= n <= params.r:
-        raise ValueError("need len(ys) == n and 1 <= n <= r")
-    if n == 1:
-        return float(_phi1_vec(ys[0], params))
-    return float(_phi(*_scalar_args(ys, params), params))
+    return float(_scalar_chain(n, ys, params).phi(n))
 
 
 def obf_selection_cdf(n: int, ys, params: ObfParams) -> float:
@@ -321,34 +286,18 @@ def obf_selection_cdf(n: int, ys, params: ObfParams) -> float:
     This is the joint CDF of one unscheduled user's candidacy SINRs
     evaluated at the scheduled values; it enters the joint density with
     exponent K-n.  I_1 is a regularised lower incomplete gamma, and
-    I_n = I_1(y_n) + y_n (1 + y_n) sum_{k=2..n} phi_k(y_1..y_{k-1}, y_n)/(M-k+1).
+    I_n = P(M, c y_n) + sum_{k<n} t_n^(M-k)/(M-k)! J_k(t_n).
     """
-    ys = _check_ordered(ys)
-    if len(ys) != n or not 1 <= n <= params.r:
-        raise ValueError("need len(ys) == n and 1 <= n <= r")
-    if n == 1:
-        return float(_I1(ys[0], params))
-    ys, gs = _scalar_args(ys, params)
-    return float(_I(ys, gs, _phi(ys, gs, params), params))
+    return float(_scalar_chain(n, ys, params).cdf())
 
 
-def _scheduled(ys, gs, params: ObfParams):
-    """K!/(K-n)! I_n^(K-n) phi_1 ... phi_n at ys = (y_1, ..., y_n), multiplied in that order.
-
-    Each phi_k is evaluated once; only phi_n, which I_n reads, is held.
-    """
-    n, K = len(ys), params.K
-
-    def phi(k):
-        return _phi1_vec(ys[0], params) if k == 1 else _phi(ys[:k], gs[:k], params)
-
-    last = phi(n)
-    val = math.perm(K, n) * (
-        _I1(ys[0], params) if n == 1 else _I(ys, gs, last, params)
-    ) ** (K - n)
-    for k in range(1, n):
-        val = val * phi(k)
-    return val * last
+def _scheduled(ys, gaps, params: ObfParams):
+    """K!/(K-n)! I_n^(K-n) phi_1 ... phi_n at ys = (y_1, ..., y_n), multiplied in that order."""
+    n, chain = len(ys), _Chain(ys, gaps, params)
+    val = math.perm(params.K, n) * chain.cdf() ** (params.K - n)
+    for k in range(1, n + 1):
+        val = val * chain.phi(k)
+    return val
 
 
 def obf_joint_pdf_scheduled(ys, params: ObfParams) -> float:
@@ -362,12 +311,7 @@ def obf_joint_pdf_scheduled(ys, params: ObfParams) -> float:
         raise ValueError("need 1 <= n <= r")
     if ys[-1] < 0 or np.any(np.diff(ys) > 0):
         return 0.0
-    return float(_scheduled(*_scalar_args(ys, params), params))
-
-
-def _phi1_vec(y1: np.ndarray, params: ObfParams) -> np.ndarray:
-    M, rp = params.M, params.rp
-    return rp ** M * y1 ** (M - 1) / math.gamma(M) * np.exp(-y1 * rp)
+    return float(_scheduled(*_point(ys), params))
 
 
 def obf_marginal_pdf_grid(n: int, ys, params: ObfParams) -> np.ndarray:
@@ -378,8 +322,9 @@ def obf_marginal_pdf_grid(n: int, ys, params: ObfParams) -> np.ndarray:
     y_{k-1} = y_k + sigma t/(1-t), in place of adaptive subdivision.  The
     scale sigma = P/r is the per-stream SNR, the spread of each step, so the
     nodes follow the density as the SNR grows; at M=3, K=10 the tabulated
-    marginals of ranks 2-3 have |mass - 1| below 1e-8 at 15 and 25 dB.  Each
-    distinct argument (r/P)(1 + y) gets one ``GammaLadder``.
+    marginals of ranks 2-3 have |mass - 1| below 1e-8 at 15 and 25 dB.  The
+    body reads the steps themselves as its gaps, so each ladder spans the
+    free axes only.
     """
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     if np.any(ys < 0):
@@ -391,15 +336,13 @@ def obf_marginal_pdf_grid(n: int, ys, params: ObfParams) -> np.ndarray:
     weights = [(sigma * wt / (1.0 - t) ** 2).reshape(shape) for shape in axes]
 
     def pieces(yb: np.ndarray):
-        """y_n on the points' axis, then y_{n-1} .. y_1 on free axes 1 .. n-1."""
+        """y_n on the points' axis, then y_{n-1} .. y_1 on free axes 1 .. n-1, with their steps."""
         yk = [yb.reshape(-1, *[1] * (n - 1))]
         for step in steps:
             yk.insert(0, yk[0] + step)
-        yield yk, weights
+        yield (yk, steps[::-1]), weights
 
-    return marginal_grid(
-        n, params.r, ys, pieces, lambda yk: _scheduled(yk, [_ladder(y, params) for y in yk], params)
-    )
+    return marginal_grid(n, params.r, ys, pieces, lambda v: _scheduled(*v, params))
 
 
 @lru_cache(maxsize=32)

@@ -26,7 +26,9 @@ X = c (t_1 - sigma) / ((1 - t_1) o) (X = inf at t_1 = 1),
           P(p+j+1, X),
 
 where P is the regularised lower incomplete gamma: a sum of nonnegative
-terms, with no difference of gammas to cancel.
+terms, with no difference of gammas to cancel.  This is
+``numerics.lower_gamma_moment``, on a ``numerics.lower_gamma_ladder`` per
+corner; OBF's chain reads the same G_p.
 
 Integrating (z_1 - sum z)_+^q / q! over a box z_j in [0, t_j], j = 1..m,
 gives sum_S (-1)^|S| (z_1 - sum S)_+^(q+m) / (q+m)! over the subsets S of
@@ -60,10 +62,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 import numpy as np
-from scipy import special
 
 from .grids import DistributionGrid
-from .numerics import check_rank, inner_rule, marginal_grid
+from .numerics import check_rank, inner_rule, lower_gamma_ladder, lower_gamma_moment, marginal_grid
 
 __all__ = [
     "OlbfParams",
@@ -205,29 +206,23 @@ class _Corners:
         self._at: dict = {}
 
     def _corner(self, sigma):
-        """e^(c - c/o) = e^(-c sigma/o), o, P(M, X) and P(M - 1, X) at sigma.
+        """e^(c - c/o) = e^(-c sigma/o), o and the ladder P(M, X), P(M - 1, X) at sigma.
 
         Where sigma >= t_1, X = 0 and o is set to 1, so every G_p is 0.  At
-        t_1 = 1, X = inf and the term X^(M-1) e^-X / (M-1)! is taken as 0.
+        t_1 = 1, X = inf and both orders are 1.
         """
         t1, M, c = self.ts[0], self.params.M, self.params.mp
         below = sigma < t1
         o = np.where(below, 1.0 - sigma, 1.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             X = np.where(below, c * (t1 - sigma) / ((1.0 - t1) * o), 0.0)
-            term = np.exp(special.xlogy(M - 1, X) - X - math.lgamma(M))
-        PM = special.gammainc(M, X)
-        return np.exp(-c * sigma / o), o, PM, PM + np.where(np.isinf(X), 0.0, term)
+        return np.exp(-c * sigma / o), o, lower_gamma_ladder(M, X, M - 1)
 
     def _G(self, p: int, J: tuple):
         """G_p(sigma_J; t_1) for p = M - 1 or M - 2."""
         if J not in self._at:
             self._at[J] = self._corner(sum(self.ts[j] for j in J))
-        e, o, PM, PM1 = self._at[J]
-        M, c = self.params.M, self.params.mp
-        if p == M - 1:
-            return e * o ** (M - 1) * PM
-        return e * o ** (M - 3) * (c * PM1 + (M - 1) * o * PM)
+        return lower_gamma_moment(p, self.params.M, self.params.mp, *self._at[J])
 
     def _sum(self, p: int, head: tuple, free: tuple):
         """sum over subsets S of free of (-1)^|S| G_p(sigma_{head + S}; t_1)."""

@@ -35,13 +35,12 @@ from operator import attrgetter
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import special
 
 from . import batch as _batch
 from . import channel as _channel
 from . import schedulers as _sched
 from .channel import BeamformerMatrix, ChannelSet, SystemParams, draw_channel_blocks, substream
-from .numerics import MAX_ANALYTIC_RANK, QuadratureError
+from .numerics import MAX_ANALYTIC_RANK, QuadratureError, lower_gamma_ladder
 from .analytic_obf import ObfParams, obf_marginal_pdf_grid, obf_mean_sum_rate, obf_sinr_grid
 from .analytic_olbf import (
     OlbfParams, olbf_marginal_pdf_sinr_grid, olbf_mean_sum_rate, olbf_sinr_grid,
@@ -369,7 +368,7 @@ def _max_norm_cdf(M: int, K: int, noise: float) -> Callable:
 
     def cdf(y):
         y = np.maximum(np.asarray(y, dtype=float), 0.0)
-        return special.gammainc(M, noise * y) ** K
+        return lower_gamma_ladder(M, noise * y)[M] ** K
 
     return cdf
 

@@ -1,15 +1,16 @@
 """Special functions and the grid integrator shared by the analytic modules.
 
-The analytic OBF distributions are built almost entirely out of upper
-incomplete gamma functions of integer order >= 1 and low-dimensional
-quadrature.  Its closed forms evaluate many orders of Gamma(s, x) at the
-same arguments, so their one Gamma route is a ``GammaLadder``: built once
-per argument array, it shares one exponential per element across every
-order it is asked for, on the grids and in the point API alike.  It has
-no order below 1 and no E1/E_n anchors.  OLBF needs no upper gamma at all:
-its G_p(sigma; t_1) are regularised lower gammas (``analytic_olbf``).  The
-package has no scalar incomplete gamma; the reference one the tests check
-the ladder against is in ``tests/oracles.py``.
+Both schemes' closed forms are sums of one integral over the density
+f_1(z) = c^M e^(-c z/(1-z))/(1-z)^(M+1) of z = v/(1+v), v ~ Gamma(M)/c:
+G_p(sigma; tau) = int_sigma^tau f_1(z) (z - sigma)^p/p! dz, which
+``lower_gamma_moment`` takes as a nonnegative sum of regularised lower
+gammas P(s, X).  Their one Gamma route is ``lower_gamma_ladder``: P(s, X)
+for every order from M down to the lowest one asked for, from one
+``gammainc(M, X)`` and one exponential.  It has no order below 1, and no
+module but this one calls scipy's incomplete gamma.  OBF sums G_p over the
+pairs of points of its chain, OLBF over the corners of the box of the
+tails.  The package has no upper incomplete gamma; the scalar reference
+the tests check the ladder against is in ``tests/oracles.py``.
 
 The grid marginals of both schemes go through one fixed-order integrator,
 ``marginal_grid``: it applies ``inner_rule`` (``INNER_NODES``
@@ -18,8 +19,8 @@ density, which maps the nodes onto its free SINRs at the scale of the
 per-stream SNR.  ``check_rank`` holds
 the rank cap ``MAX_ANALYTIC_RANK``.
 
-Everything here is a pure function of its arguments; a ladder memoises
-only within itself, and ``inner_rule`` is computed once.
+Everything here is a pure function of its arguments; ``inner_rule`` is
+computed once.
 """
 
 from __future__ import annotations
@@ -29,10 +30,12 @@ from functools import lru_cache
 from typing import Callable, Iterable
 
 import numpy as np
+from scipy import special
 
 __all__ = [
     "QuadratureError",
-    "GammaLadder",
+    "lower_gamma_ladder",
+    "lower_gamma_moment",
     "GRID_CHUNK",
     "INNER_NODES",
     "inner_rule",
@@ -41,9 +44,7 @@ __all__ = [
     "marginal_grid",
 ]
 
-# e^-x below the smallest normal double (x > 708.39) is flushed to zero:
-# the sums would start from a subnormal with few or no significant bits.
-_EXP_FLOOR = np.finfo(float).tiny
+_FLOAT_MAX = np.finfo(float).max
 
 # Grid points per block when a marginal grid is built on (points, nodes,
 # nodes) tensors; bounds the memory of the rank-3 grids.
@@ -73,50 +74,52 @@ class QuadratureError(RuntimeError):
         self.error_bound = error_bound
 
 
-class GammaLadder:
-    """Gamma(s, x) of every integer order s >= 1 over one argument array x.
+def lower_gamma_ladder(M: int, X, lowest: int | None = None) -> dict[int, np.ndarray]:
+    """P(s, X) for s = M down to ``lowest`` (default M), keyed by s.
 
-    The constructor computes e^-x once; each order is computed on its first
-    request and memoised, so a closed form that needs several orders at the
-    same argument pays for one exponential.  Orders are the finite sum
-    Gamma(s, x) = (s-1)! sum_{i<s} term_i with term_0 = e^-x and
-    term_i = term_{i-1} x / i; every term stays below 1, so nothing
-    overflows.  There are no anchors and no order below 1.
-
-    Where e^-x underflows the normal range (x > 708.39, including inf) every
-    order is exactly 0.  Returned arrays are shared with the memo: do not
-    modify them in place.
+    P is the regularised lower incomplete gamma.  The top order is one
+    ``gammainc(M, X)``; each lower one adds a Poisson term,
+    P(s, X) = P(s + 1, X) + X^s e^-X / s!, climbed up from one e^-X.  Every
+    step adds a nonnegative term below 1, so nothing cancels or overflows.
+    P(s, 0) = 0 and P(s, inf) = 1 exactly.
     """
+    lowest = M if lowest is None else lowest
+    if not 1 <= lowest <= M:
+        raise ValueError(f"order {lowest} is outside 1..{M}; the ladder has no order below 1")
+    X = np.asarray(X, dtype=float)
+    if (X < 0).any():
+        raise ValueError("X must be nonnegative")
+    P = {M: special.gammainc(M, X)}
+    if lowest < M:
+        X = np.minimum(X, _FLOAT_MAX)  # keeps 0 * inf out of the terms
+        term, terms = np.exp(-X), {}
+        for s in range(1, M):
+            term = term * X
+            term /= s
+            if s >= lowest:
+                terms[s] = term
+        for s in range(M - 1, lowest - 1, -1):
+            P[s] = P[s + 1] + terms[s]
+    return P
 
-    def __init__(self, x):
-        x = np.asarray(x, dtype=float)
-        if np.any(x < 0):
-            raise ValueError("x must be nonnegative")
-        if not np.all(np.isfinite(x)):
-            x = np.minimum(x, np.finfo(float).max)  # keeps 0 * inf out of the terms
-        ex = np.empty(x.shape)
-        with np.errstate(under="ignore"):
-            np.exp(-x, out=ex)
-        np.putmask(ex, ex < _EXP_FLOOR, 0.0)
-        self.x = x
-        self._memo = {1: ex}
-        self._top, self._term, self._sum = 1, ex, ex
 
-    def __call__(self, s: int) -> np.ndarray:
-        s = int(s)
-        if s < 1:
-            raise ValueError(f"order {s} is below 1; the ladder has no non-positive orders")
-        self._climb(s)
-        return self._memo[s]
+def lower_gamma_moment(p: int, M: int, c: float, e, o, P: dict):
+    """G_p(sigma; tau) = int_sigma^tau f_1(z) (z - sigma)^p / p! dz, 0 <= p < M.
 
-    def _climb(self, s: int) -> None:
-        """Extend the finite sums up to order s."""
-        while self._top < s:
-            self._term = self._term * self.x / self._top
-            self._sum = self._sum + self._term
-            self._top += 1
-            fact = math.factorial(self._top - 1)
-            self._memo[self._top] = self._sum if fact == 1 else fact * self._sum
+    f_1(z) = c^M e^(-c z/(1-z)) / (1-z)^(M+1) is the density of z = v/(1+v)
+    for v ~ Gamma(M)/c.  With q = M - 1 - p, o = 1 - sigma, e = e^(c - c/o)
+    and ``P`` a ``lower_gamma_ladder`` of X = c (tau - sigma)/((1 - tau) o)
+    down to order p + 1,
+
+        G_p = e sum_{j=0..q} C(q, j) c^(q-j) o^(p+j-q) (p+j)!/p! P(p+j+1, X),
+
+    a sum of nonnegative terms, taken by Horner's rule in o.
+    """
+    q = M - 1 - p
+    acc = math.perm(M - 1, q) * P[M]
+    for j in range(q - 1, -1, -1):
+        acc = acc * o + math.comb(q, j) * c ** (q - j) * math.perm(p + j, j) * P[p + j + 1]
+    return e * o ** (p - q) * acc
 
 
 @lru_cache(maxsize=None)

@@ -7,10 +7,11 @@ density over z_1, an independent check of the closed-form subset sums.
 None of them reads a closed form it checks: the recursive CDF is built
 from the unordered z-density alone.
 
-The scalar ``upper_incomplete_gamma`` is the reference the tests check
-``numerics.GammaLadder`` and the rank-1 CDFs against.  It also serves the
-non-positive orders, from ``scipy.special.exp1`` and ``expn``, which
-criterion 9 checks by quadrature and recurrence; the package needs none.
+The scalar ``upper_incomplete_gamma`` is a reference the tests check
+``numerics.lower_gamma_ladder`` (as 1 - Gamma(s, x)/(s-1)!) and the rank-1
+CDFs against.  It also serves the non-positive orders, from
+``scipy.special.exp1`` and ``expn``, which criterion 9 checks by
+quadrature and recurrence; the package has no upper gamma at all.
 
 Every adaptive integral runs at rel ``RTOL``, abs ``ATOL`` with ``LIMIT``
 subdivisions, and the inner integral of a nested one a decade tighter

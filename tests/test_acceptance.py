@@ -38,7 +38,7 @@ from obflab.montecarlo import (
     attach_analysis,
     run_experiment,
 )
-from obflab.numerics import GammaLadder
+from obflab.numerics import lower_gamma_ladder
 from oracles import upper_incomplete_gamma
 
 P15 = 10.0 ** 1.5
@@ -471,18 +471,24 @@ def test_criterion_8_transforms():
 
 def test_criterion_9_special_functions():
     worst = 0.0
-    # quadrature comparison on the stated positive-order grid, for the scalar
-    # reference and for the package's ladder over the grid's arguments
+    # quadrature comparison on the stated positive-order grid: the scalar
+    # reference against the upper integral, and the package's ladder of
+    # regularised lower gammas over the grid's arguments against the lower one
     xs = (0.1, 1.0, 5.0, 20.0)
-    ladder = GammaLadder(np.array(xs))
+    ladder = lower_gamma_ladder(12, np.array(xs), 1)
     for s in range(1, 13):
         for i, x in enumerate(xs):
             want, _ = integrate.quad(
                 lambda t: t ** (s - 1) * math.exp(-t), x, np.inf,
                 epsabs=1e-300, epsrel=1e-13, limit=400,
             )
+            lower, _ = integrate.quad(
+                lambda t: t ** (s - 1) * math.exp(-t), 0.0, x,
+                epsabs=1e-300, epsrel=1e-13, limit=400,
+            )
+            lower /= math.gamma(s)
             worst = max(worst, abs(upper_incomplete_gamma(s, x) - want) / abs(want),
-                        abs(ladder(s)[i] - want) / abs(want))
+                        abs(ladder[s][i] - lower) / abs(lower))
     # recurrence consistency on the stated mixed-order grid
     for s in range(-5, 11):
         for x in (0.5, 2.0, 8.0):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from obflab import analytic_obf as obf_analytic
 from obflab.analytic_obf import (
     ObfParams,
     obf_joint_pdf_scheduled,
@@ -227,18 +226,6 @@ def test_selection_cdf_holds_its_digits_at_small_y(M):
     assert got == pytest.approx(_I2_mpmath(y1, y2, params), rel=1e-6, abs=0)
     assert obf_selection_cdf(2, [y1, 0.0], params) == 0.0
     assert obf_selection_cdf(3, [y1, y2, 0.0], params) == 0.0
-
-
-def test_term_algebra_never_needs_a_logarithm():
-    # every F_k behind phi_n and I_n, n <= min(M, 6), M <= 8, is built
-    # without reaching int u^-1 ... du, and reads Gamma orders >= 1 only
-    for M in range(2, 9):
-        for k in range(1, min(M, 6)):
-            terms = obf_analytic._antiderivative(k, M)
-            assert terms
-            assert min(g[1] for _, _, g in terms if g is not None) >= 1
-    with pytest.raises(ArithmeticError):
-        obf_analytic._integrate({(0, (0, 0, -1), None): 1}, 2)
 
 
 def test_phi4_nested_quadrature_consistency():

@@ -157,9 +157,9 @@ def test_csv_reader_peak_memory(tmp_path):
 # changes them
 SIM_ARTIFACT_HASHES = {
     "adaptive-obf": ("2958255f0c960cb9e5bbcbd2357b9c8d2c14dc30e6dc1364c35ce70bb601f853",
-                     "4ae540fbc293ada729ae14f2bb17eea32854f3421cefc7c0db47b1bec3eec57e"),
+                     "64af80290303329ec7abadad57d09a294df37f36fd495af66522c312069dee0b"),
     "olbf": ("3b6aeb4169f09c80bced018f1bad6ead77d838473a79140a4b4cf3c380c49131",
-             "b727203f7c3be15f89a6837140d09439ed55a831017b152aa050b836d55741b3"),
+             "596a0408b9aca55f15156f165016472883a8131d298d0de2076349c9471b2d3f"),
     "zfs": ("5177df0bddc638ade492518b61446d16e7373da533717f13bc4cc84e85e9faa7",
             "a256ee241345a6f6c2d8a2edbe597f1bfb947fded56efad8123b1287a1818286"),
     "zfdp": ("591501703a337767bdadd1b82ff3f711001a0bec2e61ebd5410c04773e300e83",
@@ -174,14 +174,14 @@ SIM_ARTIFACT_HASHES = {
 # SHA-256 of each file of `obflab figure NAME --trials 200 --seed 1`
 FIGURE_HASHES = {
     "fig1": {
-        "analytic_m2.csv": "8fbb10b324168642bdb2f4b2dff9c51b68b639d58361437040097abc0897a6d4",
-        "analytic_m3.csv": "76fbb8f6fda4d7a976477aed642f88f27c67b82c73d77811eb5f0ef8c022830c",
+        "analytic_m2.csv": "4c49598d3b56ac4a884bf713c91b3a1bb446fdadded0143c1548e0fe10271331",
+        "analytic_m3.csv": "f828e909ff2c1c85689e90d648ed06667c53ceac0e4cc8c4a76f2a6b4d1f8628",
         "hist_m2.csv": "ca35c816c1d7c8993258fd24204115c426e40d1b07a919bf3b26494f562a468e",
         "hist_m3.csv": "b9a9ca6028080f654f37db9a5c71b375a97a46f071a32b1cd0e35dddeba4b6f9",
     },
     "fig3": {
-        "analytic_m2.csv": "b2c7cb7ea459c1e1d346322dac860ec66a559b3623b936f47d1fa9c297fa3db7",
-        "analytic_m3.csv": "2e5fa34d204a473f5cb446ac8e06714604a49682758f3b7042cacefe7e236de8",
+        "analytic_m2.csv": "0a66f519b09e741f16b975b9edcdc92677c973d008d18f508013415bbcdb8d06",
+        "analytic_m3.csv": "54691f9b4722a4a299c56e71ebd45c2e4d544f43c83d051ecd023ff7b98d45c1",
         "hist_m2.csv": "2193f5e4583825e46e7eff782080d1006cdc1e5d3edea4f09a908329edc84d40",
         "hist_m3.csv": "fcb8b3237d762dff21d0aa950849bb6482f47ad684c58cab65f6986fed6b350d",
     },
@@ -189,7 +189,7 @@ FIGURE_HASHES = {
         "fig4.csv": "bec146d57aae90aa17d1d6015b45b56fea2e66c59bab322e9d263a2888567242",
     },
     "fig5": {
-        "fig5.csv": "aa91cee814cef6ea824e4d6c9637e7cffc334a1cd4397bb9d62b2211ab1596c5",
+        "fig5.csv": "7973f50bd06db74345f9f5f08293bbd4298324e9b704f370a89c5ae1eb0e9f1b",
         "fig5_ratios.csv": "17c1273d86f02a1db9a071b94e0581bf42eedb8edb1864b96286beb701319ccc",
     },
 }
@@ -197,16 +197,16 @@ FIGURE_HASHES = {
 # SHA-256 of the `analytic --m 3 --k 10 --snr-db 15` CSV at --user-rank 2
 # --grid 0:20:50, and of its --sum-rate stdout
 ANALYTIC_HASHES = {
-    "obf": ("26c119f35e40a666da8cbc95fe28743da8a2982dc2dd78afe9fa9cda7a988f96",
+    "obf": ("ac822e52954f813edac3b5c642db143497924159bc3066615acc1c8fed504dff",
             "c07127f6f87223e8595f12402b212ce30630b9306cf58e9b13623a290cd17a14"),
-    "olbf": ("ba5d9d80726af9bcdf3722e44df491c7ed207dc940e3f7acbf36626ca7239e6b",
+    "olbf": ("6726fe90ad309d2793c5c366754279b09054837b5994a10241d8e7e6c9a1227c",
              "b21f208ba2850909473bd7ce69d519415902be177f39eee87846801c9f3f7910"),
 }
 
 # SHA-256 of the JSON and summary of the adaptive-obf run of SIM_ARTIFACT_HASHES
 # with --format json
 SIM_JSON_HASHES = ("3d6fb0748bf3dea7decc335408b1520e77bb915a3c51f6bc3bd3a66c28c260e5",
-                   "4ae540fbc293ada729ae14f2bb17eea32854f3421cefc7c0db47b1bec3eec57e")
+                   "64af80290303329ec7abadad57d09a294df37f36fd495af66522c312069dee0b")
 
 
 def _sha256(data: bytes) -> str:

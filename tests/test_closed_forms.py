@@ -1,12 +1,14 @@
 """The closed forms' one route: the point API runs the grids' bodies.
 
 Each closed form has one body, and the scalar API is a thin wrapper over
-it.  OBF's bodies read Gamma(s, x) off ``GammaLadder``s: over the node
-tensors on the grids, over the n arguments of one call in the point API.
-OLBF's read regularised lower gammas P(M, X) and P(M - 1, X) per corner
-of the box of the tails, the same on the grids as at one point.  These
-tests check that the point API equals the bodies on arrays, that OLBF
-reads no other Gamma order, that G_p and F_n hold their digits against
+it.  Both schemes' bodies are nonnegative sums of one integral,
+G_p(sigma; tau) = int_sigma^tau f_1(z) (z - sigma)^p / p! dz
+(``numerics.lower_gamma_moment``), read off regularised lower gammas
+P(s, X) (``numerics.lower_gamma_ladder``): OBF's per pair of points of
+its chain, OLBF's per corner of the box of the tails, the same on the
+grids as at one point.  These tests check that the point API equals the
+bodies on arrays, that every Gamma call of either scheme is at order M,
+that OBF's phi_n and I_n, OLBF's G_p and F_n hold their digits against
 40-digit references, that the t_1 = 1 endpoint is handled, and that the
 rank-1 CDFs (regularised lower incomplete gammas) hold full precision.
 """
@@ -20,6 +22,7 @@ import pytest
 
 from obflab import analytic_obf as obf
 from obflab import analytic_olbf as olbf
+from obflab import numerics
 from obflab.montecarlo import _max_norm_cdf
 
 P15 = 10.0 ** 1.5
@@ -29,18 +32,61 @@ def _close(point, body):
     np.testing.assert_allclose(point, body, rtol=1e-12, atol=1e-14)
 
 
+def _obf_columns(M, seed, count=20):
+    """y_1..y_M columns of ordered points, and their gaps y_k - y_{k+1}."""
+    ys = -np.sort(-np.random.default_rng(seed).exponential(4.0, size=(count, M)), axis=1)
+    columns = list(ys.T)
+    return ys, columns, [a - b for a, b in zip(columns, columns[1:])]
+
+
 @pytest.mark.parametrize("M", [3, 4])
 def test_obf_scalar_api_matches_ladder_route(M):
     params = obf.ObfParams(M=M, K=10, P=P15, r=M)
-    rng = np.random.default_rng(300 + M)
-    ys = -np.sort(-rng.exponential(4.0, size=(20, M)), axis=1)
-    columns = list(ys.T)
-    gs = [obf._ladder(y, params) for y in columns]
+    ys, columns, gaps = _obf_columns(M, 300 + M)
     for n in range(2, M + 1):
-        phi = obf._phi(columns[:n], gs[:n], params)
-        _close([obf.obf_phi(n, y[:n], params) for y in ys], phi)
-        _close([obf.obf_selection_cdf(n, y[:n], params) for y in ys],
-               obf._I(columns[:n], gs[:n], phi, params))
+        chain = obf._Chain(columns[:n], gaps[:n - 1], params)
+        _close([obf.obf_phi(n, y[:n], params) for y in ys], chain.phi(n))
+        _close([obf.obf_selection_cdf(n, y[:n], params) for y in ys], chain.cdf())
+
+
+def _mp_obf_phi3_I3(ys, params):
+    """phi_3 and I_3 to 40 digits, from J_1 alone and one quadrature each.
+
+    With t = y/(1 + y), J_1(z) = int_z^{t_1} f_1 = e^c [Gamma(M, c/(1 - z)) -
+    Gamma(M, c u_1)], taken as one generalised incomplete gamma.  Then
+    phi_3 = t_3^(M-3)/(M-3)! int_{t_3}^{t_2} J_1 / u_3^2 and, swapping the
+    order of I_3 = int_0^{t_3} s^(M-3)/(M-3)! int_s^{t_2} J_1 dz ds,
+    I_3 = int_0^{t_2} J_1(z) min(z, t_3)^(M-2)/(M-2)! dz.
+    """
+    M = params.M
+    with mpmath.workdps(40):
+        c = mpmath.mpf(params.r) / mpmath.mpf(params.P)
+        y1, y2, y3 = (mpmath.mpf(float(y)) for y in ys)
+        t2, t3 = y2 / (1 + y2), y3 / (1 + y3)
+
+        def J1(z):
+            return mpmath.e ** c * mpmath.gammainc(M, c / (1 - z), c * (1 + y1))
+
+        phi = (t3 ** (M - 3) / mpmath.factorial(M - 3) * mpmath.quad(J1, [t3, t2])
+               / (1 + y3) ** 2)
+        cdf = mpmath.quad(lambda z: J1(z) * min(z, t3) ** (M - 2) / mpmath.factorial(M - 2),
+                          [0, t3, t2])
+        return float(phi), float(cdf)
+
+
+def test_obf_phi3_and_I3_hold_their_digits():
+    # at the close, small point below, differences of upper gammas of one order
+    # left phi_3 off by 5.3e-7, 2.9e-5 and 1.3e-3 at M = 3, 4 and 5; as sums of
+    # nonnegative G_p nothing cancels
+    cases = [(M, 10.0 ** 1.5, (0.0195371996681926, 0.0187780289350489, 0.0183))
+             for M in (3, 4, 5)]
+    rng = np.random.default_rng(390)
+    cases += [(5, 1000.0, tuple(-np.sort(-rng.exponential(3.0, 3)))) for _ in range(20)]
+    for M, P, ys in cases:
+        params = obf.ObfParams(M=M, K=10, P=P, r=3)
+        phi, cdf = _mp_obf_phi3_I3(ys, params)
+        assert obf.obf_phi(3, ys, params) == pytest.approx(phi, rel=1e-12, abs=0), (M, ys)
+        assert obf.obf_selection_cdf(3, ys, params) == pytest.approx(cdf, rel=1e-12, abs=0), (M, ys)
 
 
 def _olbf_points(M, rng, count=20):
@@ -67,39 +113,45 @@ def test_joint_pdfs_match_the_ladder_route(M):
     # each scheme's joint density has one body, _scheduled, which the scalar
     # API runs one point at a time and the grids on arrays
     oparams = obf.ObfParams(M=M, K=10, P=P15, r=M)
-    ys = -np.sort(-np.random.default_rng(360 + M).exponential(4.0, size=(20, M)), axis=1)
-    columns = list(ys.T)
-    gs = [obf._ladder(y, oparams) for y in columns]
+    ys, columns, gaps = _obf_columns(M, 360 + M)
     lparams = olbf.OlbfParams(M=M, K=10, P=P15)
     ts = _olbf_points(M, np.random.default_rng(370 + M))  # both branches
     for n in range(1, M + 1):
         _close([obf.obf_joint_pdf_scheduled(y[:n], oparams) for y in ys],
-               obf._scheduled(columns[:n], gs[:n], oparams))
+               obf._scheduled(columns[:n], gaps[:n - 1], oparams))
         _close([olbf.olbf_joint_pdf_t(t[:n], lparams) for t in ts],
                olbf._scheduled(list(ts.T[:n]), lparams))
 
 
 def test_olbf_scalar_api_reads_no_gamma_order_below_one(monkeypatch):
-    # OLBF's only Gamma calls are P(s, X) at s = M per corner; P(M - 1, X)
-    # adds one term to it
-    gammainc = olbf.special.gammainc
-    orders = set()
+    # every Gamma call of either scheme, on the grids and at one point, is one
+    # P(M, X) of numerics.lower_gamma_ladder; the lower orders add terms to it
+    gammainc = numerics.special.gammainc
+    orders = []
 
     def recording(s, x):
-        orders.add(s)
+        orders.append(s)
         return gammainc(s, x)
 
-    monkeypatch.setattr(olbf.special, "gammainc", recording)
+    monkeypatch.setattr(numerics.special, "gammainc", recording)
     for M in (2, 3, 4, 5):
-        params = olbf.OlbfParams(M=M, K=10, P=P15)
+        lparams = olbf.OlbfParams(M=M, K=10, P=P15)
+        oparams = obf.ObfParams(M=M, K=10, P=P15, r=M)
         orders.clear()
         for t in _olbf_points(M, np.random.default_rng(330 + M), count=4):
             for n in range(1, M + 1):
-                olbf.olbf_xi(n, t[:n], params)
-                olbf.olbf_cdf_z(t[:n], params)
-                olbf.olbf_joint_pdf_t(t[:n], params)
-        olbf.olbf_marginal_pdf_t_grid(min(M, 3), [0.3], params)
-        assert orders and orders <= {M - 1, M}, (M, orders)
+                olbf.olbf_xi(n, t[:n], lparams)
+                olbf.olbf_cdf_z(t[:n], lparams)
+                olbf.olbf_joint_pdf_t(t[:n], lparams)
+        olbf.olbf_marginal_pdf_t_grid(min(M, 3), [0.3], lparams)
+        for y in _obf_columns(M, 380 + M, count=4)[0]:
+            for n in range(1, M + 1):
+                obf.obf_phi(n, y[:n], oparams)
+                obf.obf_selection_cdf(n, y[:n], oparams)
+                obf.obf_joint_pdf_scheduled(y[:n], oparams)
+        obf.obf_marginal_pdf_grid(min(M, 3), [0.3], oparams)
+        _max_norm_cdf(M, 10, lparams.mp)(np.array([0.3, 3.0]))
+        assert orders and set(orders) == {M}, (M, sorted(set(orders)))
 
 
 def _mp_cdf(ts, params):
