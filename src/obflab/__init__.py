@@ -15,7 +15,6 @@ from .channel import (
     ChannelSet,
     SystemParams,
     draw_channel_batch,
-    draw_channels,
     null_space_basis,
     substream,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "ChannelSet",
     "SystemParams",
     "draw_channel_batch",
-    "draw_channels",
     "null_space_basis",
     "substream",
     "ScheduleOutcome",

@@ -146,6 +146,8 @@ def obf_unordered_pdf(vs, params: ObfParams) -> float:
         return 0.0
     M, rp = params.M, params.rp
     val = rp ** M * math.exp(-vs[0] * rp) / math.gamma(M - n + 1)
+    if val == 0.0:  # e^(-v_1 r/P) is 0, and the powers of 1 + v below may overflow
+        return 0.0
     val *= (1.0 + vs[0]) ** (M - 1)
     if n > 1:
         val /= np.prod((1.0 + vs[1:]) ** 2)
@@ -174,10 +176,15 @@ class _Chain:
     o = 1/u_i, e^(c - c/o) = e^(-c y_i) and X = c (y_j - y_i): X spans only
     the gaps.  Each pair gets its ladder once; the point API and the grids
     both run this class.
+
+    The first ``far`` points of a scalar point have e^(-c y) = 0 in floats
+    (``_far``), so every G_p of a pair (t_i, t_j) with i <= far, and every
+    phi_k with k <= far, is 0: they are returned as 0 unevaluated, since
+    o^(p - q) and u^2 overflow there.  The grids zero such points first.
     """
 
-    def __init__(self, ys, gaps, params: ObfParams):
-        self.ys, self.gaps, self.params = ys, gaps, params
+    def __init__(self, ys, gaps, params: ObfParams, far: int = 0):
+        self.ys, self.gaps, self.params, self.far = ys, gaps, params, far
         self.u = [1.0 + y for y in ys]
         self._pairs: dict = {}
         self._Bs: dict = {}
@@ -194,6 +201,8 @@ class _Chain:
     def _G(self, p: int, i: int, j: int):
         """G_p(t_i; t_j), i > j.  The last point t_n is paired with every t_j,
         at p = j - 1 only; any other t_i only with t_{i-1}, at p = 0..i-2."""
+        if i <= self.far:
+            return 0.0
         if (i, j) not in self._pairs:
             M, c = self.params.M, self.params.rp
             lowest = j if i == len(self.ys) else 1
@@ -235,6 +244,8 @@ class _Chain:
 
     def phi(self, k: int):
         """phi_k(y_1..y_k) = t_k^(M-k)/(M-k)! J_{k-1}(t_k)/u_k^2, and the gamma density at k = 1."""
+        if k <= self.far:
+            return 0.0
         M, rp, y = self.params.M, self.params.rp, self.ys[k - 1]
         if k == 1:
             return rp ** M * y ** (M - 1) / math.gamma(M) * np.exp(-y * rp)
@@ -251,10 +262,17 @@ class _Chain:
         return total
 
 
-def _point(ys) -> tuple[list, list]:
-    """One point's ys as floats, and its gaps y_k - y_{k+1}."""
+def _far(y, params: ObfParams):
+    """Where e^(-c y) is 0 in floats: there every density factor that reads y is 0."""
+    return np.exp(-params.rp * y) == 0
+
+
+def _point(ys, params: ObfParams) -> tuple[list, list, int]:
+    """One ordered point's ys as floats, its gaps y_k - y_{k+1}, and how many leading ys
+    are ``_far``."""
     ys = [float(y) for y in ys]
-    return ys, [a - b for a, b in zip(ys, ys[1:])]
+    far = next((k for k, y in enumerate(ys) if not _far(y, params)), len(ys))
+    return ys, [a - b for a, b in zip(ys, ys[1:])], far
 
 
 def _scalar_chain(n: int, ys, params: ObfParams) -> _Chain:
@@ -262,7 +280,8 @@ def _scalar_chain(n: int, ys, params: ObfParams) -> _Chain:
     ys = _check_ordered(ys)
     if len(ys) != n or not 1 <= n <= params.r:
         raise ValueError("need len(ys) == n and 1 <= n <= r")
-    return _Chain(*_point(ys), params)
+    ys, gaps, far = _point(ys, params)
+    return _Chain(ys, gaps, params, far)
 
 
 def obf_phi(n: int, ys, params: ObfParams) -> float:
@@ -311,7 +330,8 @@ def obf_joint_pdf_scheduled(ys, params: ObfParams) -> float:
         raise ValueError("need 1 <= n <= r")
     if ys[-1] < 0 or np.any(np.diff(ys) > 0):
         return 0.0
-    return float(_scheduled(*_point(ys), params))
+    ys, gaps, far = _point(ys, params)
+    return 0.0 if far else float(_scheduled(ys, gaps, params))  # far: phi_1 is 0
 
 
 def obf_marginal_pdf_grid(n: int, ys, params: ObfParams) -> np.ndarray:
@@ -329,6 +349,7 @@ def obf_marginal_pdf_grid(n: int, ys, params: ObfParams) -> np.ndarray:
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     if np.any(ys < 0):
         raise ValueError("grid points must be nonnegative")
+    far = _far(ys, params)  # the density is 0 there; they are integrated at y = 0 and zeroed
     t, wt = inner_rule()
     sigma = 1.0 / params.rp
     axes = [[-1 if i == ax else 1 for i in range(n)] for ax in range(1, n)]
@@ -342,7 +363,9 @@ def obf_marginal_pdf_grid(n: int, ys, params: ObfParams) -> np.ndarray:
             yk.insert(0, yk[0] + step)
         yield (yk, steps[::-1]), weights
 
-    return marginal_grid(n, params.r, ys, pieces, lambda v: _scheduled(*v, params))
+    pdf = marginal_grid(n, params.r, np.where(far, 0.0, ys), pieces,
+                        lambda v: _scheduled(*v, params))
+    return np.where(far, 0.0, pdf)
 
 
 @lru_cache(maxsize=32)

@@ -70,8 +70,6 @@ __all__ = [
     "OlbfParams",
     "olbf_x_to_v",
     "olbf_v_to_x",
-    "v_to_z",
-    "z_to_v",
     "olbf_unordered_pdf_z",
     "olbf_xi",
     "olbf_cdf_z",
@@ -147,18 +145,6 @@ def olbf_v_to_x(vs, params: OlbfParams) -> tuple[np.ndarray, float]:
     xs[0] = mp * vs[0] - xs[1:].sum()
     det = mp ** params.M * (1.0 + vs[0]) ** (params.M - 1) / np.prod((1.0 + vs[1:]) ** 2)
     return xs, float(det)
-
-
-def v_to_z(v):
-    """Monotone compression v -> v/(1+v) mapping [0, inf) onto [0, 1)."""
-    v = np.asarray(v, dtype=float)
-    return v / (1.0 + v)
-
-
-def z_to_v(z):
-    """Inverse of ``v_to_z``."""
-    z = np.asarray(z, dtype=float)
-    return z / (1.0 - z)
 
 
 def olbf_unordered_pdf_z(zs, params: OlbfParams) -> float:
@@ -351,8 +337,9 @@ def olbf_marginal_pdf_sinr_grid(n: int, ys, params: OlbfParams) -> np.ndarray:
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     if np.any(ys < 0):
         raise ValueError("grid points must be nonnegative")
-    ts = ys / (1.0 + ys)
-    return olbf_marginal_pdf_t_grid(n, ts, params) / (1.0 + ys) ** 2
+    pdf = olbf_marginal_pdf_t_grid(n, ys / (1.0 + ys), params)
+    with np.errstate(over="ignore"):  # (1 + y)^2 is inf only where t = 1, whose density is 0
+        return pdf / (1.0 + ys) ** 2
 
 
 @lru_cache(maxsize=32)

@@ -25,7 +25,6 @@ __all__ = [
     "SystemParams",
     "ChannelSet",
     "BeamformerMatrix",
-    "draw_channels",
     "draw_channel_batch",
     "draw_channel_blocks",
     "substream",
@@ -62,7 +61,6 @@ class ChannelSet:
     """K x M complex channel matrix, one row per user."""
 
     H: np.ndarray
-    seed: tuple = (0, 0)
 
     def __post_init__(self):
         H = np.asarray(self.H, dtype=complex)
@@ -71,14 +69,6 @@ class ChannelSet:
         if not np.all(np.isfinite(H)):
             raise ValueError("channel entries must be finite")
         object.__setattr__(self, "H", H)
-
-    @property
-    def K(self) -> int:
-        return self.H.shape[0]
-
-    @property
-    def M(self) -> int:
-        return self.H.shape[1]
 
 
 @dataclass(frozen=True)
@@ -95,10 +85,6 @@ class BeamformerMatrix:
         if np.max(np.abs(gram - np.eye(W.shape[1]))) > ORTHO_TOL:
             raise ValueError("columns are not orthonormal")
         object.__setattr__(self, "W", W)
-
-    @property
-    def n(self) -> int:
-        return self.W.shape[1]
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
@@ -130,13 +116,6 @@ def draw_channel_batch(K: int, M: int, rng: np.random.Generator, count: int = 1)
     """Draw ``count`` IID K x M unit-variance complex Gaussian channels: one whole block."""
     (_, H), = draw_channel_blocks(K, M, rng, count, count)
     return H
-
-
-def draw_channels(params: SystemParams, seed: int, stream: int = 0) -> ChannelSet:
-    """Draw one ChannelSet from substream ``stream`` of ``seed``."""
-    rng = substream(seed, stream)
-    H = draw_channel_batch(params.K, params.M, rng, count=1)[0]
-    return ChannelSet(H=H, seed=(int(seed), int(stream)))
 
 
 def null_space_basis(v: np.ndarray) -> np.ndarray:

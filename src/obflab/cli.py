@@ -16,9 +16,11 @@ the job into exit 4.
 
 Artifacts are UTF-8 CSV (or JSON for ``sim --format json``).  Every
 artifact embeds its RunManifest as a leading comment line (``_artifact``
-lays out every CSV); the manifest deliberately excludes wall-clock fields
-so that re-running with the same flags and seed reproduces the file byte
-for byte.
+lays out every CSV; ``sim`` streams its rows after it, one ``_csv_block``
+per chunk as the chunk finishes); the manifest deliberately excludes
+wall-clock fields so that re-running with the same flags and seed
+reproduces the file byte for byte.  ``read_report_csv`` reads a ``sim``
+CSV back.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from . import __version__, textfmt
 from .channel import SystemParams
 from .numerics import MAX_ANALYTIC_RANK, QuadratureError
 from .montecarlo import (
-    CHUNK,
     SCHEME_TABLE,
     SCHEMES,
     ExperimentConfig,
@@ -52,7 +53,6 @@ from .montecarlo import (
 __all__ = [
     "RunManifest",
     "main",
-    "write_report_csv",
     "read_report_csv",
 ]
 
@@ -113,7 +113,12 @@ def _artifact(manifest: RunManifest, header: str, rows=()) -> bytes:
 
 def _csv_block(first_trial: int, users: np.ndarray, sinrs: np.ndarray, rates: np.ndarray,
                scale: float) -> bytes:
-    """The CSV rows of consecutive trials from ``first_trial``, laid out by ``textfmt``."""
+    """The CSV rows of consecutive trials from ``first_trial``, laid out by ``textfmt``.
+
+    One row per (trial, user_rank): trial,user_rank,user_index,sinr,sum_rate_trial,
+    with the bytes ``str`` and ``repr`` give; ``obflab sim`` writes one block
+    per chunk, as the chunk finishes.
+    """
     trials, r = sinrs.shape
     return textfmt.join_rows([  # (trials, 1), (r,) and (trials, r) columns
         textfmt.int_field(np.arange(first_trial, first_trial + trials)[:, None]),
@@ -122,23 +127,6 @@ def _csv_block(first_trial: int, users: np.ndarray, sinrs: np.ndarray, rates: np
         textfmt.float_field(sinrs),
         textfmt.float_field(rates[:, None] * scale),
     ])
-
-
-def write_report_csv(report: ExperimentReport, path: Path, manifest: RunManifest,
-                     bits: bool = False) -> None:
-    """One row per (trial, user_rank): trial,user_rank,user_index,sinr,sum_rate_trial.
-
-    Each block of CHUNK trials is laid out as one byte block by ``textfmt``,
-    with the bytes ``str`` and ``repr`` give, and written before the next;
-    ``obflab sim`` writes the same blocks as its chunks finish.
-    """
-    scale = 1.0 / LN2 if bits else 1.0
-    with open(path, "wb") as f:
-        f.write(_artifact(manifest, SIM_HEADER))
-        for lo in range(0, report.sum_rates.size, CHUNK):
-            rows = slice(lo, lo + CHUNK)
-            f.write(_csv_block(lo, report.users[rows], report.sinrs[rows],
-                               report.sum_rates[rows], scale))
 
 
 def read_report_csv(path: Path) -> tuple[dict, ExperimentReport]:
@@ -252,12 +240,12 @@ def cmd_sim(args):
 def _parse_grid(spec: str) -> np.ndarray:
     try:
         start, stop, count = spec.split(":")
-        grid = np.linspace(float(start), float(stop), int(count))
-    except Exception as exc:
+        start, stop, count = float(start), float(stop), int(count)
+    except ValueError as exc:
         raise ValueError(f"bad grid spec {spec!r}, expected start:stop:count") from exc
-    if grid.size < 1 or np.any(grid < 0):
-        raise ValueError("grid must be nonnegative and nonempty")
-    return grid
+    if not (math.isfinite(start) and math.isfinite(stop) and min(start, stop) >= 0 and count >= 1):
+        raise ValueError("grid must be finite, nonnegative and nonempty")
+    return np.linspace(start, stop, count)
 
 
 def cmd_analytic(args):

@@ -122,6 +122,7 @@ class DistributionGrid:
         b[: self.cdf.size] = self.cdf
         b[1:-1] /= 2.0  # the series at the points is the FFT of this even extension
         lookup = np.fft.rfft(np.concatenate([b, b[-2:0:-1]])).real
+        lookup[0], lookup[-1] = self.mass, 0.0  # the series' exact ends, free of FFT roundoff
         y = np.clip(np.asarray(values, dtype=float), 0.0, np.finfo(float).max)
         return np.interp(y / (1.0 + y), _chebyshev_points(_CDF_LOOKUP)[::-1], lookup[::-1])
 

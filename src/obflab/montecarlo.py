@@ -27,7 +27,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -66,10 +65,13 @@ _AUDIT_STRIDE = 1000
 
 @dataclass(frozen=True)
 class Analytic:
-    """A scheme's closed forms; the members take what ``params`` builds."""
+    """A scheme's closed forms; the members take what ``params`` builds.
+
+    The rank-1 CDF is the same max-norm CDF for every scheme, read at the
+    per-stream noise r/P, so no member gives it.
+    """
 
     params: Callable         # (M, K, P, r) -> ObfParams or OlbfParams
-    noise: Callable          # params -> noise scale of the rank-1 (max-norm) CDF
     grid: Callable           # (n, params) -> n-th SINR DistributionGrid, cached per (n, params)
     pdf: Callable            # (n, ys, params) -> n-th marginal pdf at the SINRs ys
     mean_sum_rate: Callable  # params -> mean sum rate in nats
@@ -109,7 +111,6 @@ def _check_olbf_region(sinrs) -> None:
 
 _OBF = Analytic(
     params=lambda M, K, P, r: ObfParams(M=M, K=K, P=P, r=r),
-    noise=lambda ap: ap.rp,
     grid=lambda *args: obf_sinr_grid(*args),
     pdf=lambda *args: obf_marginal_pdf_grid(*args),
     mean_sum_rate=lambda ap: obf_mean_sum_rate(ap),
@@ -124,7 +125,6 @@ def _olbf_params(M, K, P, r) -> OlbfParams:
 
 _OLBF = Analytic(
     params=_olbf_params,
-    noise=lambda ap: ap.mp,
     grid=lambda *args: olbf_sinr_grid(*args),
     pdf=lambda *args: olbf_marginal_pdf_sinr_grid(*args),
     mean_sum_rate=lambda ap: olbf_mean_sum_rate(ap),
@@ -194,7 +194,6 @@ class ExperimentReport:
     sum_rates: np.ndarray    # (trials,) per-trial sum rate, nats
     mean_sum_rate: float
     stderr_sum_rate: float
-    runtime_seconds: float
     ks_per_user: Optional[tuple] = None
     analytic_mean_sum_rate: Optional[float] = None
 
@@ -282,7 +281,6 @@ def run_experiment(config: ExperimentConfig, threads: Optional[int] = None,
     the chunks not yet started are cancelled and the error is raised once
     the running ones end.
     """
-    t0 = time.perf_counter()
     n_chunks = (config.trials + CHUNK - 1) // CHUNK
     threads = min(worker_count(threads), n_chunks)
 
@@ -310,9 +308,7 @@ def run_experiment(config: ExperimentConfig, threads: Optional[int] = None,
     finally:
         pool.shutdown(cancel_futures=True)
 
-    report = _build_report(config, users, sinrs, rates)
-    report.runtime_seconds = time.perf_counter() - t0
-    return report
+    return _build_report(config, users, sinrs, rates)
 
 
 def _build_report(config: ExperimentConfig, users: np.ndarray, sinrs: np.ndarray,
@@ -335,7 +331,6 @@ def _build_report(config: ExperimentConfig, users: np.ndarray, sinrs: np.ndarray
         sum_rates=rates,
         mean_sum_rate=mean,
         stderr_sum_rate=stderr,
-        runtime_seconds=0.0,
     )
 
 
@@ -390,7 +385,7 @@ def attach_analysis(report: ExperimentReport) -> ExperimentReport:
         return report
     p = config.params
     ap = analytic.params(p.M, p.K, p.P, r)
-    cdfs = [_max_norm_cdf(p.M, p.K, analytic.noise(ap))]
+    cdfs = [_max_norm_cdf(p.M, p.K, r / p.P)]  # OBF's rp, OLBF's mp (r = M)
     try:
         cdfs += [analytic.grid(n, ap).cdf_at for n in range(2, r + 1)]
         mean_rate = analytic.mean_sum_rate(ap)

@@ -55,12 +55,11 @@ class ScheduleOutcome:
     W: np.ndarray         # M x n beamforming matrix (columns follow users)
     sinrs: np.ndarray     # linear SINRs, one per scheduled user
     sum_rate: float       # sum ln(1 + sinr), nats
-    n_scheduled: int
 
     def __post_init__(self):
         if len(set(self.users)) != len(self.users):
             raise ValueError("scheduled users must be distinct")
-        if len(self.users) != self.n_scheduled or self.W.shape[1] != self.n_scheduled:
+        if self.W.shape[1] != len(self.users):
             raise ValueError("inconsistent scheduled-user count")
 
 
@@ -139,7 +138,7 @@ def adaptive_obf(channels: ChannelSet, P: float, force_r: int | None = None) -> 
     n = len(users)
     noise = (n if force_r is None else force_r) / P
     sinrs = np.array([_table_sinr(gains[u], p2s[i], noise) for i, u in enumerate(users)])
-    return ScheduleOutcome(tuple(users), W, sinrs, sum_rate(sinrs), n)
+    return ScheduleOutcome(tuple(users), W, sinrs, sum_rate(sinrs))
 
 
 def olbf(channels: ChannelSet, P: float) -> ScheduleOutcome:
@@ -168,7 +167,7 @@ def olbf(channels: ChannelSet, P: float) -> ScheduleOutcome:
         sinrs.append(float(cand[u]))
     W = np.concatenate([Hbar[k1][:, None], W2], axis=1)
     sinrs = np.asarray(sinrs)
-    return ScheduleOutcome(tuple(users), W, sinrs, sum_rate(sinrs), M)
+    return ScheduleOutcome(tuple(users), W, sinrs, sum_rate(sinrs))
 
 
 def _zf_gains(A: np.ndarray) -> np.ndarray:
@@ -219,7 +218,7 @@ def zfs_schedule(channels: ChannelSet, P: float, r: int) -> ScheduleOutcome:
     A = H[users]
     Wraw = A.conj().T @ np.linalg.inv(A @ A.conj().T)
     W = Wraw / np.linalg.norm(Wraw, axis=0, keepdims=True)
-    return ScheduleOutcome(tuple(users), W, sinrs, sum_rate(sinrs), r)
+    return ScheduleOutcome(tuple(users), W, sinrs, sum_rate(sinrs))
 
 
 def greedy_zfdp_schedule(channels: ChannelSet, P: float, r: int) -> ScheduleOutcome:
@@ -255,4 +254,4 @@ def greedy_zfdp_schedule(channels: ChannelSet, P: float, r: int) -> ScheduleOutc
         q = H[u] - Q @ (Q.conj().T @ H[u])
         Q = np.concatenate([Q, (q / np.linalg.norm(q))[:, None]], axis=1)
     sinrs = P / r * np.asarray(gains_sched)
-    return ScheduleOutcome(tuple(users), Q, sinrs, sum_rate(sinrs), r)
+    return ScheduleOutcome(tuple(users), Q, sinrs, sum_rate(sinrs))

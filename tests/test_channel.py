@@ -9,7 +9,6 @@ from obflab.channel import (
     SystemParams,
     draw_channel_batch,
     draw_channel_blocks,
-    draw_channels,
     null_space_basis,
     substream,
 )
@@ -46,16 +45,6 @@ def test_substream_determinism_and_independence():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
-
-
-def test_draw_channels_shape_and_determinism():
-    params = SystemParams(M=3, K=5, P=1.0, r=3)
-    cs1 = draw_channels(params, seed=9)
-    cs2 = draw_channels(params, seed=9)
-    assert cs1.H.shape == (5, 3)
-    assert cs1.H.dtype == np.complex128
-    assert np.array_equal(cs1.H, cs2.H)
-    assert cs1.K == 5 and cs1.M == 3
 
 
 @pytest.mark.parametrize("count,block_entries", [

@@ -13,7 +13,7 @@ import pytest
 
 from obflab import cli, montecarlo
 from obflab.channel import SystemParams
-from obflab.cli import RunManifest, main, read_report_csv, write_report_csv
+from obflab.cli import SIM_HEADER, RunManifest, _artifact, _csv_block, main, read_report_csv
 from obflab.montecarlo import CHUNK, ExperimentConfig, _build_report
 
 
@@ -85,6 +85,17 @@ def _reference_csv(report, path, manifest, bits):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _block_csv(report, path, manifest, bits=False):
+    # the bytes `obflab sim` streams: the artifact's head, then one block per chunk
+    scale = 1.0 / math.log(2.0) if bits else 1.0
+    with open(path, "wb") as f:
+        f.write(_artifact(manifest, SIM_HEADER))
+        for lo in range(0, report.sum_rates.size, CHUNK):
+            rows = slice(lo, lo + CHUNK)
+            f.write(_csv_block(lo, report.users[rows], report.sinrs[rows],
+                               report.sum_rates[rows], scale))
+
+
 @pytest.mark.parametrize("bits", [False, True], ids=["nats", "bits"])
 @pytest.mark.parametrize("r", [1, 4])
 def test_csv_writer_matches_the_row_formatter(r, bits, tmp_path):
@@ -105,7 +116,7 @@ def test_csv_writer_matches_the_row_formatter(r, bits, tmp_path):
         "force_r": None, "trials": trials, "bits": bits,
     })
     out, ref = tmp_path / "out.csv", tmp_path / "ref.csv"
-    write_report_csv(report, out, manifest, bits=bits)
+    _block_csv(report, out, manifest, bits=bits)
     _reference_csv(report, ref, manifest, bits)
     assert out.read_bytes() == ref.read_bytes()
     _, back = read_report_csv(out)
@@ -121,7 +132,7 @@ def test_csv_writer_matches_the_row_formatter(r, bits, tmp_path):
     users[1::2, r - 1], sinrs[1::2, r - 1] = -1, np.nan
     rates = np.log1p(np.nan_to_num(sinrs)).sum(axis=1)
     padded = _build_report(config, users, sinrs, rates)
-    write_report_csv(padded, out, manifest, bits=bits)
+    _block_csv(padded, out, manifest, bits=bits)
     _reference_csv(padded, ref, manifest, bits)
     assert out.read_bytes() == ref.read_bytes()
 
@@ -141,7 +152,7 @@ def test_csv_reader_peak_memory(tmp_path):
         "force_r": None, "trials": trials, "bits": False,
     })
     out = tmp_path / "run.csv"
-    write_report_csv(report, out, manifest)
+    _block_csv(report, out, manifest)
     tracemalloc.start()
     try:
         _, back = read_report_csv(out)
@@ -197,7 +208,7 @@ FIGURE_HASHES = {
 # SHA-256 of the `analytic --m 3 --k 10 --snr-db 15` CSV at --user-rank 2
 # --grid 0:20:50, and of its --sum-rate stdout
 ANALYTIC_HASHES = {
-    "obf": ("ac822e52954f813edac3b5c642db143497924159bc3066615acc1c8fed504dff",
+    "obf": ("efa2395188b59de4f551006bd2e5e2b85a859dcb07adc6d3f2927fbd5f173f08",
             "c07127f6f87223e8595f12402b212ce30630b9306cf58e9b13623a290cd17a14"),
     "olbf": ("6726fe90ad309d2793c5c366754279b09054837b5994a10241d8e7e6c9a1227c",
              "b21f208ba2850909473bd7ce69d519415902be177f39eee87846801c9f3f7910"),
@@ -258,7 +269,8 @@ def test_sim_artifacts_are_pinned(scheme, tmp_path):
 @pytest.mark.parametrize("bits", [[], ["--bits"]], ids=["nats", "bits"])
 @pytest.mark.parametrize("threads", ["1", "3"])
 def test_streamed_csv_matches_the_report_writer(threads, bits, monkeypatch, tmp_path):
-    # sim writes each chunk's block as it finishes; the last chunk holds 7 trials
+    # sim writes each chunk's block as it finishes; the last chunk holds 7 trials.
+    # The blocks must read as the row-at-a-time reference writes the whole report
     reports = []
 
     def run(*args, **kwargs):
@@ -276,7 +288,7 @@ def test_streamed_csv_matches_the_report_writer(threads, bits, monkeypatch, tmp_
         embedded = RunManifest.parse_embedded(f.readline().rstrip("\n"))
     manifest = RunManifest(command=embedded["command"], config=embedded["config"],
                            seed=embedded["seed"], version=embedded["version"])
-    write_report_csv(reports[0], ref, manifest, bits=bool(bits))
+    _reference_csv(reports[0], ref, manifest, bool(bits))
     assert out.read_bytes() == ref.read_bytes()
 
 
@@ -552,6 +564,19 @@ def test_analytic_bad_grid_exit_code(capsys):
         "--snr-db", "10", "--user-rank", "1", "--grid", "oops",
     ])
     assert code == 2
+
+
+@pytest.mark.parametrize("grid", ["0:inf:3", "nan:1:3", "1:nan:3", "0:-inf:3"])
+def test_analytic_non_finite_grid_is_a_usage_error(grid, tmp_path, capsys):
+    # these wrote NaN rows and exited 0
+    out = tmp_path / "pdf.csv"
+    code = run_main([
+        "analytic", "--scheme", "obf", "--m", "3", "--k", "10", "--snr-db", "15",
+        "--user-rank", "2", "--grid", grid, "--out", str(out),
+    ])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_usage_error_exit_code_from_argparse():

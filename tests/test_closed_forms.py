@@ -9,11 +9,13 @@ its chain, OLBF's per corner of the box of the tails, the same on the
 grids as at one point.  These tests check that the point API equals the
 bodies on arrays, that every Gamma call of either scheme is at order M,
 that OBF's phi_n and I_n, OLBF's G_p and F_n hold their digits against
-40-digit references, that the t_1 = 1 endpoint is handled, and that the
-rank-1 CDFs (regularised lower incomplete gammas) hold full precision.
+40-digit references, that the t_1 = 1 endpoint and SINRs past e^(-c y) = 0
+are handled, and that the rank-1 CDFs (regularised lower incomplete
+gammas) hold full precision.
 """
 
 import math
+import warnings
 from itertools import combinations
 
 import mpmath
@@ -256,6 +258,33 @@ def test_olbf_t1_endpoint_is_finite_and_continuous(M):
         at_one = f(1.0)
         assert math.isfinite(at_one)
         assert at_one == pytest.approx(f(near), rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("y", [1e154, 1e200, 1e300])
+def test_huge_sinrs_give_density_zero(y):
+    # e^(-c y) is 0 there, and the powers of y and 1 + y next to it overflowed:
+    # OBF gave NaN on the grids and in its unordered density, and raised
+    # OverflowError at a point
+    op, lp = obf.ObfParams(M=3, K=10, P=P15, r=3), olbf.OlbfParams(M=3, K=10, P=P15)
+    t = y / (1.0 + y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (1, 2, 3):
+            assert obf.obf_phi(n, [y] * n, op) == 0.0
+            assert obf.obf_unordered_pdf([y] * n, op) == 0.0
+            assert obf.obf_joint_pdf_scheduled([y] * n, op) == 0.0
+            assert obf.obf_selection_cdf(n, [y] * n, op) == 1.0
+            assert olbf.olbf_joint_pdf_t([t] * n, lp) == 0.0
+            for pdf in (obf.obf_marginal_pdf_grid(n, [1.0, y], op),
+                        olbf.olbf_marginal_pdf_sinr_grid(n, [1.0, y], lp)):
+                assert pdf[1] == 0.0 and math.isfinite(pdf[0])
+        # huge leading SINRs leave the terms of the finite ones: their own
+        # terms carry e^(-c y), which is 1e-206 already at y = 5000
+        for f in (lambda v: obf.obf_phi(3, [v, v, 1.0], op),
+                  lambda v: obf.obf_phi(2, [v, 1.0], op),
+                  lambda v: obf.obf_selection_cdf(3, [v, v, 1.0], op),
+                  lambda v: obf.obf_selection_cdf(2, [v, 1.0], op)):
+            assert f(y) == pytest.approx(f(5000.0), rel=1e-12, abs=0) and f(y) > 0
 
 
 def _P(M, x):

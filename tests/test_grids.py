@@ -214,6 +214,18 @@ def test_tables_are_resolved(grid, params):
         assert np.allclose(g.cdf_at(y), series, rtol=0, atol=1e-7)
 
 
+@pytest.mark.parametrize("M", [2, 3])
+def test_cdf_at_reads_the_series_exact_ends(M):
+    # the FFT lookup's end values carried roundoff, so cdf_at(0) read between
+    # -2.2e-16 and 1.7e-16 and `analytic` could print a negative CDF
+    for db in (0.0, 15.0, 25.0):
+        P = 10.0 ** (db / 10.0)
+        for n in range(1, M + 1):
+            for g in (obf_sinr_grid(n, ObfParams(M=M, K=10, P=P, r=M)),
+                      olbf_sinr_grid(n, OlbfParams(M=M, K=10, P=P))):
+                assert g.cdf_at([0.0, 1e300, np.inf]).tolist() == [0.0, g.mass, g.mass]
+
+
 def _obf_density(n, u, params):
     return obf_marginal_pdf_grid(n, u / (1.0 - u), params) / (1.0 - u) ** 2
 

@@ -111,3 +111,70 @@ def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert not missing, f"{module}.__all__ names {missing}"
+
+
+# every public name, module by module: adding or dropping one is an edit here
+PUBLIC = {
+    "obflab": [
+        "__version__", "BeamformerMatrix", "ChannelSet", "SystemParams", "draw_channel_batch",
+        "null_space_basis", "substream", "ScheduleOutcome", "adaptive_obf",
+        "greedy_zfdp_schedule", "olbf", "sum_rate", "zfs_schedule", "ObfParams",
+        "obf_joint_pdf_scheduled", "obf_marginal_pdf_grid", "obf_mean_sum_rate",
+        "obf_selection_cdf", "obf_unordered_pdf", "OlbfParams", "olbf_cdf_z", "olbf_joint_pdf_t",
+        "olbf_marginal_pdf_sinr_grid", "olbf_mean_sum_rate", "olbf_unordered_pdf_z",
+        "DistributionGrid", "obf_sinr_grid", "olbf_sinr_grid", "SCHEMES", "ExperimentConfig",
+        "ExperimentReport", "attach_analysis", "ks_distance", "run_experiment",
+    ],
+    "obflab.analytic_obf": [
+        "ObfParams", "obf_x_to_v", "obf_v_to_x", "obf_unordered_pdf", "obf_phi",
+        "obf_selection_cdf", "obf_joint_pdf_scheduled", "obf_marginal_pdf_grid", "obf_sinr_grid",
+        "obf_mean_sum_rate",
+    ],
+    "obflab.analytic_olbf": [
+        "OlbfParams", "olbf_x_to_v", "olbf_v_to_x", "olbf_unordered_pdf_z", "olbf_xi",
+        "olbf_cdf_z", "olbf_joint_pdf_t", "olbf_marginal_pdf_t_grid",
+        "olbf_marginal_pdf_sinr_grid", "olbf_sinr_grid", "olbf_mean_sum_rate",
+    ],
+    "obflab.batch": [
+        "batch_adaptive_obf", "batch_olbf", "batch_zfs", "batch_zfdp", "batch_random_obf",
+        "batch_random_olbf",
+    ],
+    "obflab.channel": [
+        "BLOCK_ENTRIES", "SystemParams", "ChannelSet", "BeamformerMatrix", "draw_channel_batch",
+        "draw_channel_blocks", "substream", "null_space_basis", "null_space_basis_batch",
+    ],
+    "obflab.cli": ["RunManifest", "main", "read_report_csv"],
+    "obflab.grids": ["DistributionGrid", "CHEB_TOL", "CHEB_CAP", "MASS_TOL"],
+    "obflab.montecarlo": [
+        "SCHEMES", "SCHEME_TABLE", "Scheme", "Analytic", "ExperimentConfig", "ExperimentReport",
+        "run_experiment", "worker_count", "ks_distance", "attach_analysis",
+    ],
+    "obflab.numerics": [
+        "QuadratureError", "lower_gamma_ladder", "lower_gamma_moment", "GRID_CHUNK",
+        "INNER_NODES", "inner_rule", "MAX_ANALYTIC_RANK", "check_rank", "marginal_grid",
+    ],
+    "obflab.schedulers": [
+        "ScheduleOutcome", "adaptive_obf", "olbf", "zfs_schedule", "greedy_zfdp_schedule",
+        "sum_rate", "ZF_RANK_TOL",
+    ],
+    "obflab.textfmt": ["float_field", "int_field", "join_rows"],
+}
+
+
+@pytest.mark.parametrize("module", ["obflab", *(f"obflab.{m}" for m in MODULES)])
+def test_public_surface_is_pinned(module):
+    assert getattr(importlib.import_module(module), "__all__", None) == PUBLIC[module]
+
+
+# names deleted because nothing but their own tests read them
+_DELETED = ("write_report_csv", "runtime_seconds", "draw_channels", "v_to_z", "z_to_v",
+            "n_scheduled")
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+
+
+@pytest.mark.parametrize("path", [*sorted(SRC.glob("*.py")), *sorted(DEMOS.glob("*.py"))],
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_deleted_names_stay_gone(path):
+    text = path.read_text(encoding="utf-8")
+    found = [name for name in _DELETED if name in text]
+    assert not found, f"{path.name} names {found}"
