@@ -45,6 +45,7 @@ from .montecarlo import (
     ExperimentConfig,
     ExperimentReport,
     _build_report,
+    _max_norm_cdf,
     attach_analysis,
     run_experiment,
     worker_count,
@@ -273,7 +274,10 @@ def cmd_analytic(args):
             print(repr(rate / LN2 if args.bits else rate))
             return 0
         pdf = analytic.pdf(rank, grid, params)
-        cdf = analytic.grid(rank, params).cdf_at(grid)
+        if rank == 1:  # the max-norm law is closed form: no table to resolve
+            cdf = _max_norm_cdf(params.M, params.K, params.r / params.P)(grid)
+        else:
+            cdf = analytic.grid(rank, params).cdf_at(grid)
         manifest = RunManifest(command="analytic", seed=0, config={
             "scheme": args.scheme,
             "m": args.m,

@@ -16,8 +16,9 @@ The grid marginals of both schemes go through one fixed-order integrator,
 ``marginal_grid``: it applies ``inner_rule`` (``INNER_NODES``
 Gauss-Legendre nodes on [0, 1]) to each free variable of a scheme's joint
 density, which maps the nodes onto its free SINRs at the scale of the
-per-stream SNR.  ``check_rank`` holds
-the rank cap ``MAX_ANALYTIC_RANK``.
+per-stream SNR.  It takes the grid points in blocks sized from the rank,
+so that one node tensor of a block stays within ``GRID_BLOCK_BYTES`` at
+every rank.  ``check_rank`` holds the rank cap ``MAX_ANALYTIC_RANK``.
 
 Everything here is a pure function of its arguments; ``inner_rule`` is
 computed once.
@@ -36,7 +37,7 @@ __all__ = [
     "QuadratureError",
     "lower_gamma_ladder",
     "lower_gamma_moment",
-    "GRID_CHUNK",
+    "GRID_BLOCK_BYTES",
     "INNER_NODES",
     "inner_rule",
     "MAX_ANALYTIC_RANK",
@@ -46,14 +47,16 @@ __all__ = [
 
 _FLOAT_MAX = np.finfo(float).max
 
-# Grid points per block when a marginal grid is built on (points, nodes,
-# nodes) tensors; bounds the memory of the rank-3 grids.
-GRID_CHUNK = 64
-
 # Gauss-Legendre nodes per free variable of the grid marginals.  Each scheme
 # maps them onto its free SINRs at the scale of the per-stream SNR, where 48
 # nodes leave |mass - 1| of ranks 2-3 below 1e-8 at M=3, K=10, 15 and 25 dB.
 INNER_NODES = 48
+
+# Bytes of one float64 node tensor of a grid block: a rank-n block holds
+# GRID_BLOCK_BYTES // (8 INNER_NODES^(n-1)) points, at least one, so at 48
+# nodes a rank-3 block is 7 points and a rank-2 block 341.  Of the budgets
+# from 64 to 256 KiB, 128 KiB built the M=3 rank-3 tables in the least CPU.
+GRID_BLOCK_BYTES = 1 << 17
 
 # Highest rank with a grid marginal; rank n integrates n - 1 free variables
 # of INNER_NODES nodes each.
@@ -150,12 +153,14 @@ def marginal_grid(
     """Marginal density of the n-th of r ranks at each grid point, by a product rule.
 
     The joint density of ranks 1..n is integrated over its n - 1 free
-    variables, in blocks of ``GRID_CHUNK`` points.  ``pieces(block)`` yields
+    variables, in blocks of as many points as keep one (points, nodes, ...)
+    float64 tensor within ``GRID_BLOCK_BYTES``.  ``pieces(block)`` yields
     the domain a piece at a time as (variables, weights): the variables that
     ``joint(variables)`` reads, broadcast on (points, free axis 1, ..., free
     axis n-1), and one weight array per free axis.  The free axes are summed
     innermost first, each against its own weights, so no weight tensor
-    spans more than one free axis.
+    spans more than one free axis.  Each point is reduced along its own
+    free axes only, so the values do not depend on the block size.
     """
     check_rank(n, r)
 
@@ -168,5 +173,6 @@ def marginal_grid(
             total = total + f
         return np.reshape(total, -1)
 
-    starts = range(0, max(len(points), 1), GRID_CHUNK)
-    return np.concatenate([block(points[i:i + GRID_CHUNK]) for i in starts])
+    step = max(1, GRID_BLOCK_BYTES // (8 * INNER_NODES ** (n - 1)))
+    starts = range(0, max(len(points), 1), step)
+    return np.concatenate([block(points[i:i + step]) for i in starts])

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import special
 
 from obflab import cli, montecarlo
 from obflab.channel import SystemParams
@@ -474,18 +475,37 @@ def test_analytic_sum_rate_prints_value(capsys):
 
 
 @pytest.mark.parametrize("scheme", ["obf", "olbf"])
-@pytest.mark.parametrize("ask", [["--sum-rate"], ["--user-rank", "1"]], ids=["sum-rate", "cdf"])
+@pytest.mark.parametrize("ask", [
+    ["--snr-db", "40", "--sum-rate"],  # the rank-1 table is not resolved at 40 dB
+    ["--snr-db", "50", "--user-rank", "2"],  # rank 1's CDF is closed form; rank 2's table
+], ids=["sum-rate", "cdf"])
 def test_analytic_unresolved_table_is_an_error(scheme, ask, tmp_path, capsys):
     out = tmp_path / "pdf.csv"
     code = run_main([
-        "analytic", "--scheme", scheme, "--m", "2", "--k", "10",
-        "--snr-db", "40", "--out", str(out), *ask,
+        "analytic", "--scheme", scheme, "--m", "2", "--k", "10", "--out", str(out), *ask,
     ])
     assert code == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: density not resolved at n = 4096")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("scheme", ["obf", "olbf"])
+@pytest.mark.parametrize("snr_db", [25, 40])
+def test_analytic_rank1_cdf_is_the_max_norm_law(scheme, snr_db, tmp_path):
+    # the rank-1 CDF is P(M, (r/P) y)^K; read off the rank-1 table it
+    # exited 4 at 40 dB and reached 1.0000000000000127 at 25 dB
+    out = tmp_path / "rank1.csv"
+    code = run_main([
+        "analytic", "--scheme", scheme, "--m", "3", "--k", "10", "--snr-db", str(snr_db),
+        "--user-rank", "1", "--grid", "0:20000:41", "--out", str(out),
+    ])
+    assert code == 0
+    y, _, cdf = np.loadtxt(out, delimiter=",", skiprows=2, unpack=True)
+    want = special.gammainc(3, 3.0 / 10.0 ** (snr_db / 10.0) * y) ** 10
+    assert np.allclose(cdf, want, rtol=1e-14, atol=0)
+    assert cdf.max() <= 1.0
 
 
 def test_analytic_refuses_a_table_off_its_mass(capsys):

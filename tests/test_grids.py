@@ -1,5 +1,5 @@
 """The marginal grids and their self-sizing Chebyshev tables: regression pins, outer-rule
-checks, inner-rule mass checks, rank checks, the CDF clamp, chunk invariance and memory
+checks, inner-rule mass checks, rank checks, the CDF clamp, block invariance and memory
 bounds."""
 
 import math
@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from obflab import analytic_obf, analytic_olbf
+from obflab import analytic_obf, analytic_olbf, numerics
 from obflab.analytic_obf import ObfParams, obf_marginal_pdf_grid, obf_mean_sum_rate, obf_sinr_grid
 from obflab.analytic_olbf import (
     OlbfParams,
@@ -19,10 +19,10 @@ from obflab.analytic_olbf import (
     olbf_sinr_grid,
 )
 from obflab.grids import CHEB_CAP, CHEB_TOL, MASS_TOL, DistributionGrid
-from obflab.numerics import GRID_CHUNK, QuadratureError
+from obflab.numerics import QuadratureError
 
 P15 = 10 ** 1.5
-PEAK_MB = 40.0
+PEAK_MB = 4.0
 
 
 def test_tabulate_resolves_a_smooth_density():
@@ -252,26 +252,58 @@ def rank3(request):
 
 def test_rank3_grid_peak_memory(rank3):
     kind, _, _, _, peak = rank3
-    assert peak / 1e6 <= PEAK_MB, f"{kind}: {peak / 1e6:.0f} MB"
+    assert peak / 1e6 <= PEAK_MB, f"{kind}: {peak / 1e6:.1f} MB"
 
 
-def _assert_chunk_invariant(pdf_fn, n, params, grid):
+def _assert_block_invariant(pdf_fn, n, params, grid):
     # the grid's values came in doublings of 16, 16, 32, 64, ... points;
-    # slices whose edges line up with neither those nor the chunking agree
+    # slices whose edges line up with neither those nor the blocks agree bit for bit
     u = grid.points[1:]  # u = 1 is not evaluated
     edges = (0, 1, 50, 97, u.size)
     parts = np.concatenate([pdf_fn(n, u[a:b], params) for a, b in zip(edges[:-1], edges[1:])])
-    assert np.allclose(parts, grid.values[1:], rtol=1e-14, atol=0.0)
+    assert np.array_equal(parts, grid.values[1:])
 
 
 def test_rank3_grid_chunk_invariance(rank3):
     _, pdf_fn, params, grid, _ = rank3
-    _assert_chunk_invariant(pdf_fn, 3, params, grid)
+    _assert_block_invariant(pdf_fn, 3, params, grid)
 
 
-def test_olbf_rank2_grid_chunk_invariance():
-    # rank 2 runs in blocks of GRID_CHUNK points too
+def test_olbf_rank2_grid_chunk_invariance(monkeypatch):
+    # a rank-2 block holds 341 points, so each doubling of the table is one
+    # block; in blocks of 13 points they split, and no value moves
     params = OlbfParams(M=3, K=10, P=P15)
     grid = olbf_sinr_grid(2, params)
-    assert grid.n > GRID_CHUNK
-    _assert_chunk_invariant(olbf_marginal_pdf_t_grid, 2, params, grid)
+    _assert_block_invariant(olbf_marginal_pdf_t_grid, 2, params, grid)
+    monkeypatch.setattr(numerics, "GRID_BLOCK_BYTES", 13 * 8 * numerics.INNER_NODES)
+    _assert_block_invariant(olbf_marginal_pdf_t_grid, 2, params, grid)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind", sorted(CASES))
+def test_one_point_blocks_give_the_same_values(kind, n, monkeypatch):
+    grid_fn, pdf_fn, params = CASES[kind]
+    grid = grid_fn(n, params)
+    monkeypatch.setattr(numerics, "GRID_BLOCK_BYTES", 1)  # every block is one point
+    assert np.array_equal(pdf_fn(n, grid.points[1:], params), grid.values[1:])
+
+
+@pytest.mark.parametrize("module, kind", [(analytic_olbf, "olbf"), (analytic_obf, "obf")],
+                         ids=["olbf", "obf"])
+def test_node_tensors_stay_within_the_budget(module, kind, monkeypatch):
+    grid_fn, _, params = CASES[kind]
+    sizes = []
+
+    def measured(n, r, points, pieces, joint):
+        def sized(variables):
+            f = joint(variables)
+            sizes.append(f.nbytes)
+            return f
+
+        return numerics.marginal_grid(n, r, points, pieces, sized)
+
+    monkeypatch.setattr(module, "marginal_grid", measured)
+    grid_fn.cache_clear()
+    for n in (2, 3):
+        grid_fn(n, params)
+    assert sizes and max(sizes) <= numerics.GRID_BLOCK_BYTES

@@ -150,7 +150,7 @@ PUBLIC = {
         "run_experiment", "worker_count", "ks_distance", "attach_analysis",
     ],
     "obflab.numerics": [
-        "QuadratureError", "lower_gamma_ladder", "lower_gamma_moment", "GRID_CHUNK",
+        "QuadratureError", "lower_gamma_ladder", "lower_gamma_moment", "GRID_BLOCK_BYTES",
         "INNER_NODES", "inner_rule", "MAX_ANALYTIC_RANK", "check_rank", "marginal_grid",
     ],
     "obflab.schedulers": [
@@ -166,14 +166,18 @@ def test_public_surface_is_pinned(module):
     assert getattr(importlib.import_module(module), "__all__", None) == PUBLIC[module]
 
 
-# names deleted because nothing but their own tests read them
+# names deleted because nothing but their own tests read them, and the
+# fixed point count per grid block that numerics.GRID_BLOCK_BYTES replaced;
+# every test file but this one is searched too
 _DELETED = ("write_report_csv", "runtime_seconds", "draw_channels", "v_to_z", "z_to_v",
-            "n_scheduled")
-DEMOS = Path(__file__).resolve().parents[1] / "demos"
+            "n_scheduled", "GRID_CHUNK")
+TESTS = Path(__file__).resolve().parent
+DEMOS = TESTS.parent / "demos"
+_SEARCHED = [*sorted(SRC.glob("*.py")), *sorted(DEMOS.glob("*.py")),
+             *sorted(p for p in TESTS.glob("*.py") if p.name != "test_package.py")]
 
 
-@pytest.mark.parametrize("path", [*sorted(SRC.glob("*.py")), *sorted(DEMOS.glob("*.py"))],
-                         ids=lambda p: f"{p.parent.name}/{p.name}")
+@pytest.mark.parametrize("path", _SEARCHED, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_deleted_names_stay_gone(path):
     text = path.read_text(encoding="utf-8")
     found = [name for name in _DELETED if name in text]
