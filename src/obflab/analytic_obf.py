@@ -50,7 +50,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grids import DistributionGrid
+from .grids import DistributionGrid, rank_law
 from .numerics import check_rank, inner_rule, lower_gamma_ladder, lower_gamma_moment, marginal_grid
 
 __all__ = [
@@ -377,9 +377,9 @@ def obf_sinr_grid(n: int, params: ObfParams) -> DistributionGrid:
 
 
 def obf_mean_sum_rate(params: ObfParams) -> float:
-    """Average sum rate sum_n E[ln(1 + y_n)] in nats, read off each rank's ``obf_sinr_grid``.
+    """Average sum rate sum_n E[ln(1 + y_n)] in nats, read off each rank's ``grids.rank_law``.
 
     A rank above ``MAX_ANALYTIC_RANK`` raises before any table is built.
     """
     check_rank(params.r, params.r)
-    return sum(obf_sinr_grid(n, params).mean_log1p() for n in range(1, params.r + 1))
+    return sum(rank_law(n, params, obf_sinr_grid).mean_log1p() for n in range(1, params.r + 1))

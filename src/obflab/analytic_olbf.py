@@ -63,7 +63,7 @@ from functools import lru_cache
 from itertools import combinations
 import numpy as np
 
-from .grids import DistributionGrid
+from .grids import DistributionGrid, rank_law
 from .numerics import check_rank, inner_rule, lower_gamma_ladder, lower_gamma_moment, marginal_grid
 
 __all__ = [
@@ -349,9 +349,9 @@ def olbf_sinr_grid(n: int, params: OlbfParams) -> DistributionGrid:
 
 
 def olbf_mean_sum_rate(params: OlbfParams) -> float:
-    """Average sum rate sum_n E[ln(1 + y_n)] in nats, read off each rank's ``olbf_sinr_grid``.
+    """Average sum rate sum_n E[ln(1 + y_n)] in nats, read off each rank's ``grids.rank_law``.
 
     A rank above ``MAX_ANALYTIC_RANK`` raises before any table is built.
     """
     check_rank(params.M, params.M)
-    return sum(olbf_sinr_grid(n, params).mean_log1p() for n in range(1, params.M + 1))
+    return sum(rank_law(n, params, olbf_sinr_grid).mean_log1p() for n in range(1, params.M + 1))

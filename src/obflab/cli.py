@@ -38,6 +38,7 @@ import numpy as np
 
 from . import __version__, textfmt
 from .channel import SystemParams
+from .grids import rank_law
 from .numerics import MAX_ANALYTIC_RANK, QuadratureError
 from .montecarlo import (
     SCHEME_TABLE,
@@ -45,7 +46,6 @@ from .montecarlo import (
     ExperimentConfig,
     ExperimentReport,
     _build_report,
-    _max_norm_cdf,
     attach_analysis,
     run_experiment,
     worker_count,
@@ -264,7 +264,7 @@ def cmd_analytic(args):
     def job() -> int:
         if rank > MAX_ANALYTIC_RANK:
             print(
-                f"numeric fallback: the marginal tables cover user ranks 1-{MAX_ANALYTIC_RANK} "
+                f"numeric fallback: the analytic laws cover user ranks 1-{MAX_ANALYTIC_RANK} "
                 f"only; rank {rank} is not tabulated by this command",
                 file=sys.stderr,
             )
@@ -274,10 +274,7 @@ def cmd_analytic(args):
             print(repr(rate / LN2 if args.bits else rate))
             return 0
         pdf = analytic.pdf(rank, grid, params)
-        if rank == 1:  # the max-norm law is closed form: no table to resolve
-            cdf = _max_norm_cdf(params.M, params.K, params.r / params.P)(grid)
-        else:
-            cdf = analytic.grid(rank, params).cdf_at(grid)
+        cdf = rank_law(rank, params, analytic.grid).cdf_at(grid)
         manifest = RunManifest(command="analytic", seed=0, config={
             "scheme": args.scheme,
             "m": args.m,

@@ -1,25 +1,26 @@
-"""Marginal SINR distributions tabulated as Chebyshev series.
+"""The scheduled SINRs' laws: closed form at rank 1, Chebyshev tables above.
 
-A marginal density is tabulated on u = y/(1+y), which maps the SINR
-half-line onto [0, 1], at nested Chebyshev points of the 2nd kind, doubled
-until the coefficients show it resolved to ``CHEB_TOL``.  The KS CDF, the
-mass (not renormalised, so its distance from 1 is the density's own error)
-and the mean sum rate all read that one series; a table whose mass is off 1
-by more than ``MASS_TOL`` is refused.  ``obf_sinr_grid`` and
-``olbf_sinr_grid`` in the analytic modules cache one table per rank and
-parameter set.
+The first SINR, the largest of K users' Gamma(M)/c norms (c = r/P), has the
+exact law ``MaxNormLaw``.  A higher rank's marginal density is tabulated on
+u = y/(1+y), which maps the SINR half-line onto [0, 1], at nested Chebyshev
+points of the 2nd kind, doubled until the coefficients show it resolved to
+``CHEB_TOL``.  The KS CDF, the mass (not renormalised, so its distance from
+1 is the density's own error) and the mean sum rate all read that one
+series; a table whose mass is off 1 by more than ``MASS_TOL`` is refused.
+``rank_law`` gives rank 1 its law and a higher rank its cached table.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .numerics import QuadratureError
+from .numerics import QuadratureError, lower_gamma_ladder
 
-__all__ = ["DistributionGrid", "CHEB_TOL", "CHEB_CAP", "MASS_TOL"]
+__all__ = ["DistributionGrid", "MaxNormLaw", "rank_law", "CHEB_TOL", "CHEB_CAP", "MASS_TOL"]
 
 # A table is resolved once the largest of its last four coefficients is
 # below CHEB_TOL, both absolutely and relative to its largest sample, so
@@ -35,6 +36,9 @@ _CHEB_START = 16
 # cdf_at reads the CDF series at this many intervals of Chebyshev points,
 # with one FFT, and interpolates: its cost does not grow with n * values.
 _CDF_LOOKUP = 2 ** 16
+# MaxNormLaw's rate rule: its first and least step in ln y, and its span, which leaves
+# out e^-40 of the rate below y = e^-40 min(1, 1/c), and 1 - F ~ 0 past c y = 2(M + ln K) + 40.
+_RATE_STEP, _RATE_FLOOR, _RATE_TAIL = 2.0 ** -2, 2.0 ** -10, 40.0
 
 
 def _chebyshev_points(n: int) -> np.ndarray:
@@ -132,3 +136,40 @@ class DistributionGrid:
         c = _chebyshev_coefficients(weighted)[::2]
         k = np.arange(0, self.n + 1, 2)
         return float(np.sum(c / (1.0 - k * k)))
+
+
+@dataclass(frozen=True)
+class MaxNormLaw:
+    """Law of the first scheduled SINR, the largest of K users' Gamma(M)/c norms."""
+
+    M: int
+    K: int
+    c: float
+
+    def cdf_at(self, values) -> np.ndarray:
+        """F(y) = P(M, c y)^K at the values, 0 below 0; P is the regularised lower gamma."""
+        return lower_gamma_ladder(self.M, self.c * np.maximum(values, 0.0))[self.M] ** self.K
+
+    def mean_log1p(self) -> float:
+        """E[ln(1 + y)] = int (1 - F(e^x)) e^x/(1 + e^x) dx, by the trapezoid rule in x = ln y.
+
+        The step halves, adding only the new points, until two steps agree to
+        ``CHEB_TOL``; ``QuadratureError`` is raised rather than go below ``_RATE_FLOOR``.
+        """
+        lo = min(0.0, -math.log(self.c)) - _RATE_TAIL
+        hi = math.log(2.0 * (self.M + math.log(self.K)) + _RATE_TAIL) - math.log(self.c)
+        h, n, new = _RATE_STEP, math.ceil((hi - lo) / _RATE_STEP), slice(None)
+        total, rate, error = 0.0, math.inf, math.inf
+        while h >= _RATE_FLOOR:
+            y = np.exp(lo + h * np.arange(n + 1))[new]
+            total += np.sum((1.0 - self.cdf_at(y)) / (1.0 + 1.0 / y))
+            error, rate = abs(h * total - rate), h * total
+            if error <= CHEB_TOL * rate:
+                return float(rate)
+            h, n, new = h / 2.0, 2 * n, slice(1, None, 2)
+        raise QuadratureError(f"rate not resolved at h >= {_RATE_FLOOR}", rate, error)
+
+
+def rank_law(n: int, params, table: Callable):
+    """The n-th SINR's law: ``MaxNormLaw`` at c = r/P for n = 1, else ``table(n, params)``."""
+    return MaxNormLaw(params.M, params.K, params.r / params.P) if n == 1 else table(n, params)

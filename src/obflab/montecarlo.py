@@ -39,7 +39,8 @@ from . import batch as _batch
 from . import channel as _channel
 from . import schedulers as _sched
 from .channel import BeamformerMatrix, ChannelSet, SystemParams, draw_channel_blocks, substream
-from .numerics import MAX_ANALYTIC_RANK, QuadratureError, lower_gamma_ladder
+from .grids import rank_law
+from .numerics import MAX_ANALYTIC_RANK, QuadratureError
 from .analytic_obf import ObfParams, obf_marginal_pdf_grid, obf_mean_sum_rate, obf_sinr_grid
 from .analytic_olbf import (
     OlbfParams, olbf_marginal_pdf_sinr_grid, olbf_mean_sum_rate, olbf_sinr_grid,
@@ -65,14 +66,10 @@ _AUDIT_STRIDE = 1000
 
 @dataclass(frozen=True)
 class Analytic:
-    """A scheme's closed forms; the members take what ``params`` builds.
-
-    The rank-1 CDF is the same max-norm CDF for every scheme, read at the
-    per-stream noise r/P, so no member gives it.
-    """
+    """A scheme's closed forms; the members take what ``params`` builds."""
 
     params: Callable         # (M, K, P, r) -> ObfParams or OlbfParams
-    grid: Callable           # (n, params) -> n-th SINR DistributionGrid, cached per (n, params)
+    grid: Callable           # (n, params) -> n-th SINR DistributionGrid, n >= 2 (rank_law), cached
     pdf: Callable            # (n, ys, params) -> n-th marginal pdf at the SINRs ys
     mean_sum_rate: Callable  # params -> mean sum rate in nats
 
@@ -354,29 +351,15 @@ def ks_distance(samples, cdf: Callable) -> float:
     return min(max(d, 0.0), 1.0)
 
 
-def _max_norm_cdf(M: int, K: int, noise: float) -> Callable:
-    """Exact CDF of the first scheduled SINR (scaled maximum of K norms).
-
-    One user's norm stays below y with probability P(M, noise * y), the
-    regularised lower incomplete gamma.
-    """
-
-    def cdf(y):
-        y = np.maximum(np.asarray(y, dtype=float), 0.0)
-        return lower_gamma_ladder(M, noise * y)[M] ** K
-
-    return cdf
-
-
 def attach_analysis(report: ExperimentReport) -> ExperimentReport:
     """Fill in per-user KS distances and the analytic mean sum rate.
 
     Supported for the schemes with closed forms, adaptive-obf and olbf, up
     to ``MAX_ANALYTIC_RANK`` samples per trial; other reports are returned
-    unchanged.  Ranks 2..r are compared with their cached marginal tables,
-    which the mean sum rate reads too, so each rank is tabulated once.  A
-    table that cannot be resolved, or whose mass is off 1 by more than
-    ``grids.MASS_TOL``, leaves both fields None, with a warning.
+    unchanged.  Rank 1 is compared with the exact ``grids.MaxNormLaw``,
+    ranks 2..r with their cached tables, which the mean sum rate reads too.
+    A law or table that cannot be resolved, or a table whose mass is off 1 by
+    more than ``grids.MASS_TOL``, leaves both fields None, with a warning.
     """
     config = report.config
     analytic = config.spec.analytic
@@ -385,9 +368,8 @@ def attach_analysis(report: ExperimentReport) -> ExperimentReport:
         return report
     p = config.params
     ap = analytic.params(p.M, p.K, p.P, r)
-    cdfs = [_max_norm_cdf(p.M, p.K, r / p.P)]  # OBF's rp, OLBF's mp (r = M)
     try:
-        cdfs += [analytic.grid(n, ap).cdf_at for n in range(2, r + 1)]
+        cdfs = [rank_law(n, ap, analytic.grid).cdf_at for n in range(1, r + 1)]
         mean_rate = analytic.mean_sum_rate(ap)
     except QuadratureError as exc:
         warnings.warn(f"analysis skipped: {exc}", RuntimeWarning, stacklevel=2)

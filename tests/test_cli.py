@@ -169,9 +169,9 @@ def test_csv_reader_peak_memory(tmp_path):
 # changes them
 SIM_ARTIFACT_HASHES = {
     "adaptive-obf": ("2958255f0c960cb9e5bbcbd2357b9c8d2c14dc30e6dc1364c35ce70bb601f853",
-                     "64af80290303329ec7abadad57d09a294df37f36fd495af66522c312069dee0b"),
+                     "96b3070005bc556ea27d3d537f1ef85d05474ea28289a7d45266b103c81090ff"),
     "olbf": ("3b6aeb4169f09c80bced018f1bad6ead77d838473a79140a4b4cf3c380c49131",
-             "596a0408b9aca55f15156f165016472883a8131d298d0de2076349c9471b2d3f"),
+             "ad40988de92dff09851242d4ae20f055e660b75e92e26b19cce5b0a7e317f5c9"),
     "zfs": ("5177df0bddc638ade492518b61446d16e7373da533717f13bc4cc84e85e9faa7",
             "a256ee241345a6f6c2d8a2edbe597f1bfb947fded56efad8123b1287a1818286"),
     "zfdp": ("591501703a337767bdadd1b82ff3f711001a0bec2e61ebd5410c04773e300e83",
@@ -201,7 +201,7 @@ FIGURE_HASHES = {
         "fig4.csv": "bec146d57aae90aa17d1d6015b45b56fea2e66c59bab322e9d263a2888567242",
     },
     "fig5": {
-        "fig5.csv": "7973f50bd06db74345f9f5f08293bbd4298324e9b704f370a89c5ae1eb0e9f1b",
+        "fig5.csv": "21270fbd44bb63c66f9857ee80bfb0bf93384741858e1e10e1d02672155a30ae",
         "fig5_ratios.csv": "17c1273d86f02a1db9a071b94e0581bf42eedb8edb1864b96286beb701319ccc",
     },
 }
@@ -210,15 +210,15 @@ FIGURE_HASHES = {
 # --grid 0:20:50, and of its --sum-rate stdout
 ANALYTIC_HASHES = {
     "obf": ("efa2395188b59de4f551006bd2e5e2b85a859dcb07adc6d3f2927fbd5f173f08",
-            "c07127f6f87223e8595f12402b212ce30630b9306cf58e9b13623a290cd17a14"),
+            "7c61c660e1ec142d64f8479b10193b60a5f6b12a85777fdce2ea675bc9153811"),
     "olbf": ("6726fe90ad309d2793c5c366754279b09054837b5994a10241d8e7e6c9a1227c",
-             "b21f208ba2850909473bd7ce69d519415902be177f39eee87846801c9f3f7910"),
+             "4116f744daf9b540be21bc1d52f0928e23237d9d8cb17583591d9029cace9ceb"),
 }
 
 # SHA-256 of the JSON and summary of the adaptive-obf run of SIM_ARTIFACT_HASHES
 # with --format json
 SIM_JSON_HASHES = ("3d6fb0748bf3dea7decc335408b1520e77bb915a3c51f6bc3bd3a66c28c260e5",
-                   "64af80290303329ec7abadad57d09a294df37f36fd495af66522c312069dee0b")
+                   "96b3070005bc556ea27d3d537f1ef85d05474ea28289a7d45266b103c81090ff")
 
 
 def _sha256(data: bytes) -> str:
@@ -429,12 +429,12 @@ def test_sim_olbf_single_antenna_is_a_usage_error(scheme, tmp_path, capsys):
 
 @pytest.mark.parametrize("scheme", ["adaptive-obf", "olbf"])
 def test_sim_keeps_its_output_when_the_analysis_is_unresolved(scheme, tmp_path):
-    # at 40 dB the rank-1 table is not resolved at the 4096 cap
+    # at 50 dB the rank-2 table is not resolved at the 4096 cap
     out = tmp_path / "run.csv"
     with pytest.warns(RuntimeWarning, match="analysis skipped: density not resolved"):
         code = run_main([
             "sim", "--scheme", scheme, "--m", "2", "--k", "10",
-            "--snr-db", "40", "--trials", "200", "--seed", "1", "--out", str(out),
+            "--snr-db", "50", "--trials", "200", "--seed", "1", "--out", str(out),
         ])
     assert code == 0
     _, report = read_report_csv(out)
@@ -476,7 +476,7 @@ def test_analytic_sum_rate_prints_value(capsys):
 
 @pytest.mark.parametrize("scheme", ["obf", "olbf"])
 @pytest.mark.parametrize("ask", [
-    ["--snr-db", "40", "--sum-rate"],  # the rank-1 table is not resolved at 40 dB
+    ["--snr-db", "50", "--sum-rate"],  # rank 1's rate is closed form; rank 2's table
     ["--snr-db", "50", "--user-rank", "2"],  # rank 1's CDF is closed form; rank 2's table
 ], ids=["sum-rate", "cdf"])
 def test_analytic_unresolved_table_is_an_error(scheme, ask, tmp_path, capsys):
@@ -489,6 +489,27 @@ def test_analytic_unresolved_table_is_an_error(scheme, ask, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: density not resolved at n = 4096")
     assert not out.exists()
+
+
+def test_analytic_sum_rate_answers_where_ranks_2_and_3_resolve(capsys):
+    # at 40 dB OLBF's rank-2 and rank-3 tables resolve, but a rank-1 table
+    # did not (off by 2.4e-5 at n = 4096), so `--sum-rate` exited 4
+    assert run_main(["analytic", "--scheme", "olbf", "--m", "3", "--k", "10",
+                     "--snr-db", "40", "--sum-rate"]) == 0
+    assert float(capsys.readouterr().out) == pytest.approx(12.717995017209, rel=1e-12, abs=0)
+
+
+def test_sim_analyses_olbf_at_40_db(tmp_path):
+    # with a rank-1 table the analysis was skipped here; at seed 11 the KS
+    # read 0.0021, 0.0023, 0.0025 and Monte-Carlo 12.71876 +- 0.00281 against 12.71800
+    out = tmp_path / "run.csv"
+    assert run_main(["sim", "--scheme", "olbf", "--m", "3", "--k", "10", "--snr-db", "40",
+                     "--trials", "100000", "--seed", "11", "--out", str(out)]) == 0
+    summary = json.loads((tmp_path / "run.csv.summary.json").read_text())
+    assert summary["ks_per_user"] is not None and len(summary["ks_per_user"]) == 3
+    assert max(summary["ks_per_user"]) <= 0.01, summary["ks_per_user"]
+    z = (summary["mean_sum_rate"] - summary["analytic_mean_sum_rate"]) / summary["stderr_sum_rate"]
+    assert abs(z) <= 4.0, z
 
 
 @pytest.mark.parametrize("scheme", ["obf", "olbf"])

@@ -25,7 +25,7 @@ import pytest
 from obflab import analytic_obf as obf
 from obflab import analytic_olbf as olbf
 from obflab import numerics
-from obflab.montecarlo import _max_norm_cdf
+from obflab.grids import MaxNormLaw
 
 P15 = 10.0 ** 1.5
 
@@ -152,7 +152,7 @@ def test_olbf_scalar_api_reads_no_gamma_order_below_one(monkeypatch):
                 obf.obf_selection_cdf(n, y[:n], oparams)
                 obf.obf_joint_pdf_scheduled(y[:n], oparams)
         obf.obf_marginal_pdf_grid(min(M, 3), [0.3], oparams)
-        _max_norm_cdf(M, 10, lparams.mp)(np.array([0.3, 3.0]))
+        MaxNormLaw(M, 10, lparams.mp).cdf_at(np.array([0.3, 3.0]))
         assert orders and set(orders) == {M}, (M, sorted(set(orders)))
 
 
@@ -304,10 +304,10 @@ def test_rank1_cdfs_vs_mpmath(M, t):
     assert olbf.olbf_cdf_z([t], params) == pytest.approx(want, rel=1e-12, abs=0)
     if t == 1.0:
         return
-    # the OBF and Monte-Carlo rank-1 CDFs at y = t/(1 - t)
+    # the OBF and MaxNormLaw rank-1 CDFs at y = t/(1 - t)
     y = t / (1.0 - t)
     rank1 = obf.ObfParams(M=M, K=10, P=P15, r=1)
     assert obf.obf_selection_cdf(1, [y], rank1) == pytest.approx(
         _P(M, mpmath.mpf(rank1.rp) * y), rel=1e-12, abs=0)
-    assert float(_max_norm_cdf(M, 1, params.mp)(y)) == pytest.approx(
+    assert float(MaxNormLaw(M, 1, params.mp).cdf_at(y)) == pytest.approx(
         _P(M, mpmath.mpf(params.mp) * y), rel=1e-12, abs=0)

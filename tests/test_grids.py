@@ -5,11 +5,12 @@ bounds."""
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special
 
-from obflab import analytic_obf, analytic_olbf, numerics
+from obflab import analytic_obf, analytic_olbf, grids, numerics
 from obflab.analytic_obf import ObfParams, obf_marginal_pdf_grid, obf_mean_sum_rate, obf_sinr_grid
 from obflab.analytic_olbf import (
     OlbfParams,
@@ -18,7 +19,7 @@ from obflab.analytic_olbf import (
     olbf_mean_sum_rate,
     olbf_sinr_grid,
 )
-from obflab.grids import CHEB_CAP, CHEB_TOL, MASS_TOL, DistributionGrid
+from obflab.grids import CHEB_CAP, CHEB_TOL, MASS_TOL, DistributionGrid, MaxNormLaw
 from obflab.numerics import QuadratureError
 
 P15 = 10 ** 1.5
@@ -66,6 +67,43 @@ def test_tabulate_finds_a_peak_between_its_first_points():
     grid = obf_sinr_grid(1, ObfParams(M=3, K=10, P=10 ** 2.5, r=3))
     assert grid.n == 2048
     assert grid.mass == pytest.approx(1.0, rel=1e-12, abs=0)
+
+
+def _mp_rank1_rate(M, K, c):
+    """E[ln(1 + y_1)] = int (1 - P(M, c e^x)^K) e^x/(1 + e^x) dx in 40-digit mpmath,
+    with P(M, X) = 1 - e^-X sum_{j<M} X^j/j! and the range split around the law's bulk."""
+    with mpmath.workdps(40):
+        c = mpmath.mpf(c)
+
+        def integrand(x):
+            y = mpmath.exp(x)
+            X, term, head = c * y, mpmath.mpf(1), mpmath.mpf(1)
+            for j in range(1, M):
+                term = term * X / j
+                head += term
+            return (1 - (1 - mpmath.exp(-X) * head) ** K) * y / (1 + y)
+
+        mid = math.log((M + math.log(K)) / float(c))
+        cuts = (-60.0 + min(0.0, mid), -20, -8, -4, -2, -1, -0.5, 0, 0.5, 1, 2, 4)
+        return float(mpmath.quad(integrand, [mid + d for d in cuts]))
+
+
+@pytest.mark.parametrize("snr_db", [-10, 15, 40, 60])
+@pytest.mark.parametrize("K", [2, 10, 1000])
+@pytest.mark.parametrize("M", [2, 3, 4, 6])
+def test_rank1_rate_vs_mpmath(M, K, snr_db):
+    # the rank-1 tables refused at 40 dB; at M=6, K=1000 steps of 1/8 and
+    # 1/16 still differ by 5e-6, so the rule halves its step three times there
+    c = M / 10.0 ** (snr_db / 10.0)
+    assert MaxNormLaw(M, K, c).mean_log1p() == pytest.approx(_mp_rank1_rate(M, K, c),
+                                                             rel=1e-12, abs=0)
+
+
+def test_rank1_rate_raises_when_unresolved(monkeypatch):
+    # at M=6, K=1000, 60 dB the first two steps disagree: with no third the rate is unresolved
+    monkeypatch.setattr(grids, "_RATE_FLOOR", grids._RATE_STEP / 2)
+    with pytest.raises(QuadratureError, match="rate not resolved"):
+        MaxNormLaw(6, 1000, 6e-6).mean_log1p()
 
 
 def test_mean_sum_rate_pins():

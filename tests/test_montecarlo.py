@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from obflab import batch, channel, grids, montecarlo, schedulers
-from obflab.analytic_obf import ObfParams
+from obflab import analytic_obf, analytic_olbf, batch, channel, cli, grids, montecarlo, schedulers
+from obflab.analytic_obf import ObfParams, obf_mean_sum_rate
+from obflab.analytic_olbf import OlbfParams, olbf_mean_sum_rate
 from obflab.channel import SystemParams, draw_channel_batch, substream
 from obflab.montecarlo import (
     CHUNK,
@@ -409,6 +410,25 @@ def test_scheme_table_looks_names_up_when_called(monkeypatch):
         for _, mass in calls:
             assert isinstance(mass, float) and abs(mass - 1.0) <= 1e-3, (scheme, mass)
         assert report.analytic_mean_sum_rate is not None
+
+
+def test_no_package_path_tabulates_rank_1(monkeypatch, capsys):
+    # rank 1 is the closed-form grids.MaxNormLaw: the analysis, both sum
+    # rates and `analytic --sum-rate` look tables up for ranks 2 and up only
+    ranks = []
+    for module, name in ((montecarlo, "obf_sinr_grid"), (montecarlo, "olbf_sinr_grid"),
+                         (analytic_obf, "obf_sinr_grid"), (analytic_olbf, "olbf_sinr_grid")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda n, ap, real=real: ranks.append(n) or real(n, ap))
+    for scheme in ("adaptive-obf", "olbf"):
+        report = attach_analysis(run_experiment(_config(scheme=scheme, M=3, K=4, trials=500)))
+        assert report.analytic_mean_sum_rate is not None
+    obf_mean_sum_rate(ObfParams(M=3, K=10, P=P15, r=3))
+    olbf_mean_sum_rate(OlbfParams(M=3, K=10, P=P15))
+    for scheme in ("obf", "olbf"):
+        assert cli.main(["analytic", "--scheme", scheme, "--m", "3", "--k", "10",
+                         "--snr-db", "15", "--sum-rate"]) == 0
+    assert sorted(set(ranks)) == [2, 3]
 
 
 def test_report_validation():
