@@ -32,14 +32,15 @@ The chain of results implemented here:
   whose B_l follow from those of k - 1 (``_Chain._B``).  Every term of
   phi_n and I_n is nonnegative, so nothing cancels at close or small y.
 
-Each closed form has one body: ``_Chain`` reads G_p off one
+The scheme's part is its candidacy region, the chain: ``_Chain`` gives I_n
+as its ``cdf(n)`` and phi_k as its ``phi(k)``, reading G_p off one
 ``numerics.lower_gamma_ladder`` per pair of points, over whole node
 tensors on the grids and over one call's floats in the scalar API
-(``obf_phi``, ``obf_selection_cdf``).  ``_scheduled`` is the one body of
-the joint density: ``obf_joint_pdf_scheduled`` calls it one point at a
-time and ``obf_marginal_pdf_grid``, the only marginal density, on the
-node tensors of ``numerics.marginal_grid``.  Its adaptive-quadrature
-reference is a test oracle (``tests/oracles.py``).
+(``obf_phi``, ``obf_selection_cdf``).  ``grids.scheduled`` is the product:
+it runs one point at a time for ``obf_joint_pdf_scheduled`` and on the
+node tensors of ``numerics.marginal_grid`` for ``obf_marginal_pdf_grid``,
+the only marginal density.  Its adaptive-quadrature reference is a test
+oracle (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grids import DistributionGrid, rank_law
-from .numerics import check_rank, inner_rule, lower_gamma_ladder, lower_gamma_moment, marginal_grid
+from .grids import DistributionGrid, mean_sum_rate, scheduled
+from .numerics import inner_rule, lower_gamma_ladder, lower_gamma_moment, marginal_grid
 
 __all__ = [
     "ObfParams",
@@ -82,8 +83,8 @@ class ObfParams:
             raise ValueError(f"P must be positive and finite, got {self.P}")
 
     @property
-    def rp(self) -> float:
-        """Per-user inverse SNR r/P."""
+    def c(self) -> float:
+        """Inverse per-stream SNR r/P."""
         return self.r / self.P
 
 
@@ -101,11 +102,11 @@ def obf_x_to_v(xs, params: ObfParams) -> np.ndarray:
         raise ValueError("components must be nonnegative")
     total = xs.sum()
     vs = np.empty(params.r)
-    vs[0] = total / params.rp
+    vs[0] = total / params.c
     head = 0.0
     for n in range(1, params.r):
         head += xs[n - 1]
-        vs[n] = (total - head) / (head + params.rp)
+        vs[n] = (total - head) / (head + params.c)
     return vs
 
 
@@ -121,13 +122,13 @@ def obf_v_to_x(vs, params: ObfParams) -> tuple[np.ndarray, float]:
         raise ValueError("expected r components")
     if np.any(np.diff(vs) > 0) or vs[-1] < 0:
         raise ValueError("need v_1 >= v_2 >= ... >= v_r >= 0")
-    rp = params.rp
-    scale = rp * (1.0 + vs[0])
+    c = params.c
+    scale = c * (1.0 + vs[0])
     xs = np.empty(params.r)
     for n in range(params.r - 1):
         xs[n] = scale * (vs[n] - vs[n + 1]) / ((1.0 + vs[n]) * (1.0 + vs[n + 1]))
     xs[-1] = scale * vs[-1] / (1.0 + vs[-1])
-    det = rp ** params.r * (1.0 + vs[0]) ** (params.r - 1) / np.prod((1.0 + vs[1:]) ** 2)
+    det = c ** params.r * (1.0 + vs[0]) ** (params.r - 1) / np.prod((1.0 + vs[1:]) ** 2)
     return xs, float(det)
 
 
@@ -144,8 +145,8 @@ def obf_unordered_pdf(vs, params: ObfParams) -> float:
         raise ValueError("need 1 <= n <= r")
     if vs[-1] < 0 or np.any(np.diff(vs) > 0):
         return 0.0
-    M, rp = params.M, params.rp
-    val = rp ** M * math.exp(-vs[0] * rp) / math.gamma(M - n + 1)
+    M, c = params.M, params.c
+    val = c ** M * math.exp(-vs[0] * c) / math.gamma(M - n + 1)
     if val == 0.0:  # e^(-v_1 r/P) is 0, and the powers of 1 + v below may overflow
         return 0.0
     val *= (1.0 + vs[0]) ** (M - 1)
@@ -162,13 +163,8 @@ def _check_ordered(ys) -> np.ndarray:
     return ys
 
 
-def _I1(y, params: ObfParams):
-    """I_1(y) = Pr(v_1 <= y) = P(M, (r/P) y), the regularised lower incomplete gamma."""
-    return lower_gamma_ladder(params.M, params.rp * y)[params.M]
-
-
 class _Chain:
-    """phi_k and I_n at ys = (y_1, ..., y_n) as nonnegative sums of G_p.
+    """The chain region at ys = (y_1, ..., y_n): phi_k and I_n as nonnegative sums of G_p.
 
     ``gaps`` are the steps y_1 - y_2, ..., y_{n-1} - y_n.  In t = y/(1 + y)
     the t-gap of y_a >= y_b is (y_a - y_b)/(u_a u_b), with u = 1 + y, and
@@ -204,12 +200,12 @@ class _Chain:
         if i <= self.far:
             return 0.0
         if (i, j) not in self._pairs:
-            M, c = self.params.M, self.params.rp
+            M, c = self.params.M, self.params.c
             lowest = j if i == len(self.ys) else 1
             self._pairs[i, j] = (np.exp(-c * self.ys[i - 1]), 1.0 / self.u[i - 1],
                                  lower_gamma_ladder(M, c * self._ydiff(i, j), lowest))
         e, o, P = self._pairs[i, j]
-        return lower_gamma_moment(p, self.params.M, self.params.rp, e, o, P)
+        return lower_gamma_moment(p, self.params.M, self.params.c, e, o, P)
 
     def _B(self, k: int) -> list:
         """B_1, ..., B_{k-1} with J_k(s) = G_{k-1}(s; t_k) + sum_l (t_k - s)^l/l! B_l.
@@ -246,17 +242,17 @@ class _Chain:
         """phi_k(y_1..y_k) = t_k^(M-k)/(M-k)! J_{k-1}(t_k)/u_k^2, and the gamma density at k = 1."""
         if k <= self.far:
             return 0.0
-        M, rp, y = self.params.M, self.params.rp, self.ys[k - 1]
+        M, c, y = self.params.M, self.params.c, self.ys[k - 1]
         if k == 1:
-            return rp ** M * y ** (M - 1) / math.gamma(M) * np.exp(-y * rp)
+            return c ** M * y ** (M - 1) / math.gamma(M) * np.exp(-y * c)
         u = self.u[k - 1]
         return (y / u) ** (M - k) / math.factorial(M - k) * self._J(k - 1, k) / u ** 2
 
-    def cdf(self):
+    def cdf(self, n: int):
         """I_n = P(M, c y_n) + sum_{k<n} t_n^(M-k)/(M-k)! J_k(t_n)."""
-        n, M, y = len(self.ys), self.params.M, self.ys[-1]
-        t = y / self.u[-1]
-        total = _I1(y, self.params)
+        M, y = self.params.M, self.ys[n - 1]
+        t = y / self.u[n - 1]
+        total = lower_gamma_ladder(M, self.params.c * y)[M]  # I_1 = P(M, c y_n)
         for k in range(1, n):
             total = total + t ** (M - k) / math.factorial(M - k) * self._J(k, n)
         return total
@@ -264,7 +260,7 @@ class _Chain:
 
 def _far(y, params: ObfParams):
     """Where e^(-c y) is 0 in floats: there every density factor that reads y is 0."""
-    return np.exp(-params.rp * y) == 0
+    return np.exp(-params.c * y) == 0
 
 
 def _point(ys, params: ObfParams) -> tuple[list, list, int]:
@@ -307,23 +303,14 @@ def obf_selection_cdf(n: int, ys, params: ObfParams) -> float:
     exponent K-n.  I_1 is a regularised lower incomplete gamma, and
     I_n = P(M, c y_n) + sum_{k<n} t_n^(M-k)/(M-k)! J_k(t_n).
     """
-    return float(_scalar_chain(n, ys, params).cdf())
-
-
-def _scheduled(ys, gaps, params: ObfParams):
-    """K!/(K-n)! I_n^(K-n) phi_1 ... phi_n at ys = (y_1, ..., y_n), multiplied in that order."""
-    n, chain = len(ys), _Chain(ys, gaps, params)
-    val = math.perm(params.K, n) * chain.cdf() ** (params.K - n)
-    for k in range(1, n + 1):
-        val = val * chain.phi(k)
-    return val
+    return float(_scalar_chain(n, ys, params).cdf(n))
 
 
 def obf_joint_pdf_scheduled(ys, params: ObfParams) -> float:
     """Joint density of the first n scheduled users' SINRs at ys = (y_1..y_n).
 
-    Validates once; the product is the same, factor for factor, as that of
-    ``obf_selection_cdf`` and ``obf_phi``.
+    Validates once; ``grids.scheduled`` multiplies the point's chain, the
+    same factors as ``obf_selection_cdf`` and ``obf_phi``.
     """
     ys = np.asarray(ys, dtype=float)
     if not 1 <= ys.size <= params.r:
@@ -331,27 +318,27 @@ def obf_joint_pdf_scheduled(ys, params: ObfParams) -> float:
     if ys[-1] < 0 or np.any(np.diff(ys) > 0):
         return 0.0
     ys, gaps, far = _point(ys, params)
-    return 0.0 if far else float(_scheduled(ys, gaps, params))  # far: phi_1 is 0
+    return 0.0 if far else float(scheduled(_Chain(ys, gaps, params), len(ys)))  # far: phi_1 is 0
 
 
 def obf_marginal_pdf_grid(n: int, ys, params: ObfParams) -> np.ndarray:
     """Marginal density of the n-th scheduled SINR on a whole grid at once.
 
-    ``numerics.marginal_grid`` integrates ``_scheduled`` with ``INNER_NODES``
-    Gauss-Legendre nodes per free variable on the rational maps
-    y_{k-1} = y_k + sigma t/(1-t), in place of adaptive subdivision.  The
-    scale sigma = P/r is the per-stream SNR, the spread of each step, so the
-    nodes follow the density as the SNR grows; at M=3, K=10 the tabulated
-    marginals of ranks 2-3 have |mass - 1| below 1e-8 at 15 and 25 dB.  The
-    body reads the steps themselves as its gaps, so each ladder spans the
-    free axes only.
+    ``numerics.marginal_grid`` integrates ``grids.scheduled`` of the chain
+    with ``INNER_NODES`` Gauss-Legendre nodes per free variable on the
+    rational maps y_{k-1} = y_k + sigma t/(1-t), in place of adaptive
+    subdivision.  The scale sigma = P/r is the per-stream SNR, the spread of
+    each step, so the nodes follow the density as the SNR grows; at M=3,
+    K=10 the tabulated marginals of ranks 2-3 have |mass - 1| below 1e-8 at
+    15 and 25 dB.  The chain reads the steps themselves as its gaps, so each
+    ladder spans the free axes only.
     """
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     if np.any(ys < 0):
         raise ValueError("grid points must be nonnegative")
     far = _far(ys, params)  # the density is 0 there; they are integrated at y = 0 and zeroed
     t, wt = inner_rule()
-    sigma = 1.0 / params.rp
+    sigma = 1.0 / params.c
     axes = [[-1 if i == ax else 1 for i in range(n)] for ax in range(1, n)]
     steps = [(sigma * t / (1.0 - t)).reshape(shape) for shape in axes]
     weights = [(sigma * wt / (1.0 - t) ** 2).reshape(shape) for shape in axes]
@@ -364,7 +351,7 @@ def obf_marginal_pdf_grid(n: int, ys, params: ObfParams) -> np.ndarray:
         yield (yk, steps[::-1]), weights
 
     pdf = marginal_grid(n, params.r, np.where(far, 0.0, ys), pieces,
-                        lambda v: _scheduled(*v, params))
+                        lambda v: scheduled(_Chain(*v, params), n))
     return np.where(far, 0.0, pdf)
 
 
@@ -377,9 +364,5 @@ def obf_sinr_grid(n: int, params: ObfParams) -> DistributionGrid:
 
 
 def obf_mean_sum_rate(params: ObfParams) -> float:
-    """Average sum rate sum_n E[ln(1 + y_n)] in nats, read off each rank's ``grids.rank_law``.
-
-    A rank above ``MAX_ANALYTIC_RANK`` raises before any table is built.
-    """
-    check_rank(params.r, params.r)
-    return sum(rank_law(n, params, obf_sinr_grid).mean_log1p() for n in range(1, params.r + 1))
+    """Average sum rate in nats: ``grids.mean_sum_rate`` over ``obf_sinr_grid``."""
+    return mean_sum_rate(params, obf_sinr_grid)

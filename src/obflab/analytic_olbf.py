@@ -45,12 +45,12 @@ F_1 = P(M, c t_1/(1 - t_1)).  The test oracles (``tests/oracles.py``)
 check F_n by integrating the cross-section density over z_1, and the grid
 marginals by adaptive quadrature.
 
-``_Corners`` is the one body of the closed forms, and ``_scheduled`` the
-one body of the joint density.  They take numbers or arrays alike, so
+The scheme's part is its candidacy region, the box of the tails:
+``_Corners`` is the one body of F_n (``cdf(n)``) and xi_k (``phi(k)``),
+and ``grids.scheduled`` is the product.  Both take numbers or arrays, so
 the grid evaluator runs them on the node tensors of
-``numerics.marginal_grid`` and the scalar API (``olbf_xi``,
-``olbf_cdf_z``, ``olbf_joint_pdf_t``) one point at a time, on the same
-Gamma route.
+``numerics.marginal_grid`` and the scalar API (``olbf_xi``, ``olbf_cdf_z``,
+``olbf_joint_pdf_t``) one point at a time, on one Gamma route.
 
 Actual SINRs are recovered through y = t/(1-t).
 """
@@ -63,8 +63,8 @@ from functools import lru_cache
 from itertools import combinations
 import numpy as np
 
-from .grids import DistributionGrid, rank_law
-from .numerics import check_rank, inner_rule, lower_gamma_ladder, lower_gamma_moment, marginal_grid
+from .grids import DistributionGrid, mean_sum_rate, scheduled
+from .numerics import inner_rule, lower_gamma_ladder, lower_gamma_moment, marginal_grid
 
 __all__ = [
     "OlbfParams",
@@ -79,10 +79,6 @@ __all__ = [
     "olbf_sinr_grid",
     "olbf_mean_sum_rate",
 ]
-
-# A z-CDF in [-_CDF_CLAMP, 0) is cancellation in the subset sums and counts
-# as 0; one below that raises.
-_CDF_CLAMP = 1e-9
 
 
 @dataclass(frozen=True)
@@ -105,7 +101,7 @@ class OlbfParams:
         return self.M
 
     @property
-    def mp(self) -> float:
+    def c(self) -> float:
         """Inverse per-beam SNR M/P."""
         return self.M / self.P
 
@@ -123,8 +119,8 @@ def olbf_x_to_v(xs, params: OlbfParams) -> np.ndarray:
         raise ValueError("components must be nonnegative")
     total = xs.sum()
     vs = np.empty(params.M)
-    vs[0] = total / params.mp
-    vs[1:] = xs[1:] / (total - xs[1:] + params.mp)
+    vs[0] = total / params.c
+    vs[1:] = xs[1:] / (total - xs[1:] + params.c)
     return vs
 
 
@@ -138,12 +134,12 @@ def olbf_v_to_x(vs, params: OlbfParams) -> tuple[np.ndarray, float]:
     vs = np.asarray(vs, dtype=float)
     if vs.ndim != 1 or vs.size != params.M:
         raise ValueError("expected M components")
-    mp = params.mp
-    scale = mp * (1.0 + vs[0])
+    c = params.c
+    scale = c * (1.0 + vs[0])
     xs = np.empty(params.M)
     xs[1:] = scale * vs[1:] / (1.0 + vs[1:])
-    xs[0] = mp * vs[0] - xs[1:].sum()
-    det = mp ** params.M * (1.0 + vs[0]) ** (params.M - 1) / np.prod((1.0 + vs[1:]) ** 2)
+    xs[0] = c * vs[0] - xs[1:].sum()
+    det = c ** params.M * (1.0 + vs[0]) ** (params.M - 1) / np.prod((1.0 + vs[1:]) ** 2)
     return xs, float(det)
 
 
@@ -163,8 +159,8 @@ def olbf_unordered_pdf_z(zs, params: OlbfParams) -> float:
     slack = zs[0] - zs[1:].sum()
     if slack < 0:
         return 0.0
-    M, mp = params.M, params.mp
-    val = math.exp(-mp * zs[0] / (1.0 - zs[0])) * mp ** M / (1.0 - zs[0]) ** (M + 1)
+    M, c = params.M, params.c
+    val = math.exp(-c * zs[0] / (1.0 - zs[0])) * c ** M / (1.0 - zs[0]) ** (M + 1)
     return float(val * slack ** (M - n) / math.gamma(M - n + 1))
 
 
@@ -173,13 +169,13 @@ def _z1_pdf_vec(t1: np.ndarray, params: OlbfParams) -> np.ndarray:
 
     1 - t_1 is taken as inf at t_1 = 1, giving the limit 0.
     """
-    M, mp = params.M, params.mp
+    M, c = params.M, params.c
     om = np.where(t1 < 1.0, 1.0 - t1, np.inf)
-    return np.exp(-mp * t1 / om) * mp ** M / om ** (M + 1) * t1 ** (M - 1) / math.gamma(M)
+    return np.exp(-c * t1 / om) * c ** M / om ** (M + 1) * t1 ** (M - 1) / math.gamma(M)
 
 
 class _Corners:
-    """F_n and xi_k at ts = (t_1, ..., t_n) as subset sums of G_p.
+    """The box region at ts = (t_1, ..., t_n): F_n and xi_k as subset sums of G_p.
 
     A subset J of the indices 1..n-1 (t_2..t_n) is a corner of the box of
     the tails; its G_p reads sigma_J = sum_{j in J} t_j.  Each corner gets
@@ -197,7 +193,7 @@ class _Corners:
         Where sigma >= t_1, X = 0 and o is set to 1, so every G_p is 0.  At
         t_1 = 1, X = inf and both orders are 1.
         """
-        t1, M, c = self.ts[0], self.params.M, self.params.mp
+        t1, M, c = self.ts[0], self.params.M, self.params.c
         below = sigma < t1
         o = np.where(below, 1.0 - sigma, 1.0)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -208,7 +204,7 @@ class _Corners:
         """G_p(sigma_J; t_1) for p = M - 1 or M - 2."""
         if J not in self._at:
             self._at[J] = self._corner(sum(self.ts[j] for j in J))
-        return lower_gamma_moment(p, self.params.M, self.params.mp, *self._at[J])
+        return lower_gamma_moment(p, self.params.M, self.params.c, *self._at[J])
 
     def _sum(self, p: int, head: tuple, free: tuple):
         """sum over subsets S of free of (-1)^|S| G_p(sigma_{head + S}; t_1)."""
@@ -218,8 +214,10 @@ class _Corners:
                 total = total + (-1) ** size * self._G(p, tuple(sorted(head + S)))
         return total
 
-    def xi(self, k: int):
-        """xi_k(t_1..t_k), k >= 2."""
+    def phi(self, k: int):
+        """xi_k(t_1..t_k): the density of z_1 at k = 1, a subset sum of G_{M-2} above."""
+        if k == 1:
+            return _z1_pdf_vec(self.ts[0], self.params)
         return self._sum(self.params.M - 2, (k - 1,), tuple(range(1, k - 1)))
 
     def cdf(self, n: int):
@@ -243,9 +241,7 @@ def olbf_xi(k: int, ts, params: OlbfParams) -> float:
         raise ValueError("need len(ts) == k and 1 <= k <= M")
     if np.any(ts < 0) or np.any(ts[1:] > ts[0]) or ts[0] > 1.0:
         raise ValueError("need 0 <= t_i <= t_1 <= 1")
-    if k == 1:
-        return float(_z1_pdf_vec(ts[0], params))
-    return float(_Corners(ts, params).xi(k))
+    return float(_Corners(ts, params).phi(k))
 
 
 def olbf_cdf_z(ts, params: OlbfParams) -> float:
@@ -263,23 +259,6 @@ def olbf_cdf_z(ts, params: OlbfParams) -> float:
     return float(_Corners(ts, params).cdf(n))
 
 
-def _scheduled(ts, params: OlbfParams):
-    """K!/(K-n)! F_n^(K-n) xi_1 ... xi_n at ts = (t_1, ..., t_n), from one ``_Corners``.
-
-    F_n in [-``_CDF_CLAMP``, 0) is cancellation and counts as 0; below that
-    it raises ``ArithmeticError``.
-    """
-    n, K = len(ts), params.K
-    c = _Corners(ts, params)
-    F = c.cdf(n)
-    if np.any(F < -_CDF_CLAMP):
-        raise ArithmeticError(f"z-CDF evaluated to {np.min(F)}, beyond roundoff")
-    val = math.perm(K, n) * np.maximum(F, 0.0) ** (K - n) * _z1_pdf_vec(ts[0], params)
-    for k in range(2, n + 1):
-        val = val * c.xi(k)
-    return val
-
-
 def olbf_joint_pdf_t(ts, params: OlbfParams) -> float:
     """Joint density of the first n scheduled transformed SINRs at ts."""
     ts = np.asarray(ts, dtype=float)
@@ -287,17 +266,17 @@ def olbf_joint_pdf_t(ts, params: OlbfParams) -> float:
         raise ValueError("need 1 <= n <= M")
     if np.any(ts < 0) or np.any(ts[1:] > ts[0]) or ts[0] > 1.0:
         return 0.0
-    return float(_scheduled([float(t) for t in ts], params))
+    return float(scheduled(_Corners([float(t) for t in ts], params), ts.size))
 
 
 def olbf_marginal_pdf_t_grid(n: int, ss, params: OlbfParams) -> np.ndarray:
     """Marginal density of the n-th scheduled transformed SINR on a grid.
 
-    ``numerics.marginal_grid`` integrates ``_scheduled`` with ``INNER_NODES``
-    Gauss-Legendre nodes per free variable.  t_1 is mapped on the SINR
-    axis, y_1 = s/(1 - s) + sigma u/(1 - u) and t_1 = y_1/(1 + y_1), at the
-    per-beam SNR sigma = P/M, so the nodes follow the density as the SNR
-    grows.  At rank 3, t_2 lies on [0, t_1 - s] and [t_1 - s, t_1], split at
+    ``numerics.marginal_grid`` integrates ``grids.scheduled`` of the box, with
+    ``INNER_NODES`` Gauss-Legendre nodes per free variable.  t_1 is mapped on
+    the SINR axis, y_1 = s/(1 - s) + sigma u/(1 - u) and t_1 = y_1/(1 + y_1),
+    at the per-beam SNR sigma = P/M, so the nodes follow the density as the
+    SNR grows.  At rank 3, t_2 lies on [0, t_1 - s] and [t_1 - s, t_1], split at
     the kink t_2 = t_1 - s.  Each corner of the tails gets its P(M, X) once
     per node tensor.  s = 1 gives t_1 = 1 and weight 0: the density is 0 there.
     """
@@ -316,12 +295,13 @@ def olbf_marginal_pdf_t_grid(n: int, ss, params: OlbfParams) -> np.ndarray:
         axis1 = (-1,) + (1,) * (n - 2)
         # with q = 1 - s and a = q sigma u/(1 - u), 1 + y_1 = (1 + a)/q, so
         # t_1 - s = q a/(1 + a) and dt_1/du = sigma (q/((1 - u)(1 + a)))^2:
-        # nothing is infinite at s = 1
+        # nothing is infinite at s = 1.  Once a > 2^53, s + gap can round one
+        # ulp above 1, so t_1 is held at 1
         u1, w1 = u.reshape(axis1), wu.reshape(axis1)
         q = 1.0 - s
         a = q * sigma * u1 / (1.0 - u1)
         gap = q * a / (1.0 + a)
-        t1 = s + gap
+        t1 = np.minimum(s + gap, 1.0)
         jac = sigma * w1 * (q / ((1.0 - u1) * (1.0 + a))) ** 2
         if n == 2:
             yield [t1, s], [jac]
@@ -329,7 +309,7 @@ def olbf_marginal_pdf_t_grid(n: int, ss, params: OlbfParams) -> np.ndarray:
         for start, width in ((0.0, gap), (gap, s)):
             yield [t1, start + width * u, s], [jac * width, wu]
 
-    return marginal_grid(n, params.M, ss, pieces, lambda ts: _scheduled(ts, params))
+    return marginal_grid(n, params.M, ss, pieces, lambda ts: scheduled(_Corners(ts, params), n))
 
 
 def olbf_marginal_pdf_sinr_grid(n: int, ys, params: OlbfParams) -> np.ndarray:
@@ -349,9 +329,5 @@ def olbf_sinr_grid(n: int, params: OlbfParams) -> DistributionGrid:
 
 
 def olbf_mean_sum_rate(params: OlbfParams) -> float:
-    """Average sum rate sum_n E[ln(1 + y_n)] in nats, read off each rank's ``grids.rank_law``.
-
-    A rank above ``MAX_ANALYTIC_RANK`` raises before any table is built.
-    """
-    check_rank(params.M, params.M)
-    return sum(rank_law(n, params, olbf_sinr_grid).mean_log1p() for n in range(1, params.M + 1))
+    """Average sum rate in nats: ``grids.mean_sum_rate`` over ``olbf_sinr_grid``."""
+    return mean_sum_rate(params, olbf_sinr_grid)

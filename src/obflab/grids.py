@@ -1,4 +1,8 @@
-"""The scheduled SINRs' laws: closed form at rank 1, Chebyshev tables above.
+"""The scheduled SINRs' laws: one selection product, closed form at rank 1, tables above.
+
+Greedy selection turns a scheme's candidacy region (its ``params``, CDF
+``cdf(n)`` and step densities ``phi(k)``) into the joint density
+K!/(K-n)! F_n^(K-n) phi_1 ... phi_n, the one product ``scheduled``.
 
 The first SINR, the largest of K users' Gamma(M)/c norms (c = r/P), has the
 exact law ``MaxNormLaw``.  A higher rank's marginal density is tabulated on
@@ -7,7 +11,8 @@ points of the 2nd kind, doubled until the coefficients show it resolved to
 ``CHEB_TOL``.  The KS CDF, the mass (not renormalised, so its distance from
 1 is the density's own error) and the mean sum rate all read that one
 series; a table whose mass is off 1 by more than ``MASS_TOL`` is refused.
-``rank_law`` gives rank 1 its law and a higher rank its cached table.
+``rank_law`` gives rank 1 its law and a higher rank its cached table;
+``mean_sum_rate`` sums the ranks' rates through it.
 """
 
 from __future__ import annotations
@@ -18,9 +23,10 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import QuadratureError, lower_gamma_ladder
+from .numerics import QuadratureError, check_rank, lower_gamma_ladder
 
-__all__ = ["DistributionGrid", "MaxNormLaw", "rank_law", "CHEB_TOL", "CHEB_CAP", "MASS_TOL"]
+__all__ = ["DistributionGrid", "MaxNormLaw", "rank_law", "scheduled", "mean_sum_rate", "CHEB_TOL",
+           "CHEB_CAP", "MASS_TOL"]
 
 # A table is resolved once the largest of its last four coefficients is
 # below CHEB_TOL, both absolutely and relative to its largest sample, so
@@ -39,6 +45,7 @@ _CDF_LOOKUP = 2 ** 16
 # MaxNormLaw's rate rule: its first and least step in ln y, and its span, which leaves
 # out e^-40 of the rate below y = e^-40 min(1, 1/c), and 1 - F ~ 0 past c y = 2(M + ln K) + 40.
 _RATE_STEP, _RATE_FLOOR, _RATE_TAIL = 2.0 ** -2, 2.0 ** -10, 40.0
+_CDF_CLAMP = 1e-9  # scheduled's roundoff bound on F_n
 
 
 def _chebyshev_points(n: int) -> np.ndarray:
@@ -170,6 +177,29 @@ class MaxNormLaw:
         raise QuadratureError(f"rate not resolved at h >= {_RATE_FLOOR}", rate, error)
 
 
+def scheduled(region, n: int):
+    """K!/(K-n)! F_n^(K-n) phi_1 ... phi_n of a candidacy region, multiplied in that order.
+
+    F_n in [-``_CDF_CLAMP``, 0) is cancellation and counts as 0; below that
+    it raises ``ArithmeticError``.
+    """
+    F, K = region.cdf(n), region.params.K
+    low = np.min(F)
+    if low < -_CDF_CLAMP:
+        raise ArithmeticError(f"selection CDF evaluated to {low}, beyond roundoff")
+    # only a negative F needs the clamped copy, and OBF's I_n never is one
+    val = math.perm(K, n) * (F if low >= 0 else np.maximum(F, 0.0)) ** (K - n)
+    for k in range(1, n + 1):
+        val = val * region.phi(k)
+    return val
+
+
 def rank_law(n: int, params, table: Callable):
-    """The n-th SINR's law: ``MaxNormLaw`` at c = r/P for n = 1, else ``table(n, params)``."""
-    return MaxNormLaw(params.M, params.K, params.r / params.P) if n == 1 else table(n, params)
+    """The n-th SINR's law: ``MaxNormLaw`` at ``params.c`` for n = 1, else ``table(n, params)``."""
+    return MaxNormLaw(params.M, params.K, params.c) if n == 1 else table(n, params)
+
+
+def mean_sum_rate(params, table: Callable) -> float:
+    """sum_n E[ln(1 + y_n)] in nats off each ``rank_law``; a rank above the cap raises first."""
+    check_rank(params.r, params.r)
+    return sum(rank_law(n, params, table).mean_log1p() for n in range(1, params.r + 1))

@@ -142,12 +142,12 @@ def obf_marginal_pdf(n: int, y: float, params: ObfParams) -> float:
 
 def _z1_pdf(t1: float, params: OlbfParams) -> float:
     """Marginal density of z_1 (scaled total channel power)."""
-    M, mp = params.M, params.mp
+    M, c = params.M, params.c
     if not 0.0 <= t1 < 1.0:
         return 0.0
     return (
-        math.exp(-mp * t1 / (1.0 - t1))
-        * mp ** M
+        math.exp(-c * t1 / (1.0 - t1))
+        * c ** M
         / (1.0 - t1) ** (M + 1)
         * t1 ** (M - 1)
         / math.gamma(M)
@@ -196,8 +196,8 @@ def _cross_section(z1: float, tails, params: OlbfParams) -> float:
             rem = z1 - math.fsum(S)
             acc += (-1) ** size * rem ** (M - 1)
     return (
-        math.exp(-params.mp * z1 / (1.0 - z1))
-        * params.mp ** M
+        math.exp(-params.c * z1 / (1.0 - z1))
+        * params.c ** M
         / (1.0 - z1) ** (M + 1)
         * acc
         / math.gamma(M)

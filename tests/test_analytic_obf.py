@@ -153,10 +153,10 @@ def test_phi3_closed_vs_quadrature_oracle(M):
 def test_phi1_is_scaled_gamma_density():
     params = _params(M=3)
     rng = np.random.default_rng(51)
-    rp = params.rp
+    c = params.c
     for _ in range(20):
         y = float(rng.uniform(0.05, 8.0))
-        want = rp ** 3 * y ** 2 * math.exp(-rp * y) / math.gamma(3)
+        want = c ** 3 * y ** 2 * math.exp(-c * y) / math.gamma(3)
         assert obf_phi(1, [y], params) == pytest.approx(want, rel=1e-12)
 
 
@@ -205,7 +205,7 @@ def test_I4_closed_vs_quadrature_of_phi4(M):
 def _I2_mpmath(y1, y2, params):
     # I_2 = int_0^{y2} phi_2 at 30 digits
     with mpmath.workdps(30):
-        M, c = params.M, mpmath.mpf(params.rp)
+        M, c = params.M, mpmath.mpf(params.c)
         g1 = mpmath.gammainc(M, c * (1 + mpmath.mpf(y1)))
 
         def phi2(a):
@@ -259,7 +259,7 @@ def test_selection_cdf_rank1_closed_form():
     rng = np.random.default_rng(91)
     for _ in range(20):
         y = float(rng.uniform(0.05, 10.0))
-        want = 1.0 - upper_incomplete_gamma(3, params.rp * y) / math.gamma(3)
+        want = 1.0 - upper_incomplete_gamma(3, params.c * y) / math.gamma(3)
         assert obf_selection_cdf(1, [y], params) == pytest.approx(want, rel=1e-12)
 
 
@@ -311,12 +311,12 @@ def test_mean_sum_rate_single_user_reference():
 
 def test_mean_sum_rate_rank1_vs_direct_quadrature():
     params = ObfParams(M=3, K=10, P=P15, r=1)
-    rp = params.rp
+    c = params.c
 
     def integrand(u):
         y = u / (1.0 - u)
-        F = 1.0 - upper_incomplete_gamma(3, rp * y) / math.gamma(3)
-        f = rp ** 3 * y ** 2 * math.exp(-rp * y) / math.gamma(3)
+        F = 1.0 - upper_incomplete_gamma(3, c * y) / math.gamma(3)
+        f = c ** 3 * y ** 2 * math.exp(-c * y) / math.gamma(3)
         return 10.0 * F ** 9 * f * math.log1p(y) / (1.0 - u) ** 2
 
     want, _ = integrate.quad(integrand, 0.0, 1.0, epsrel=1e-10, limit=200)

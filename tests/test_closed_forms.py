@@ -25,7 +25,7 @@ import pytest
 from obflab import analytic_obf as obf
 from obflab import analytic_olbf as olbf
 from obflab import numerics
-from obflab.grids import MaxNormLaw
+from obflab.grids import MaxNormLaw, scheduled
 
 P15 = 10.0 ** 1.5
 
@@ -48,7 +48,7 @@ def test_obf_scalar_api_matches_ladder_route(M):
     for n in range(2, M + 1):
         chain = obf._Chain(columns[:n], gaps[:n - 1], params)
         _close([obf.obf_phi(n, y[:n], params) for y in ys], chain.phi(n))
-        _close([obf.obf_selection_cdf(n, y[:n], params) for y in ys], chain.cdf())
+        _close([obf.obf_selection_cdf(n, y[:n], params) for y in ys], chain.cdf(n))
 
 
 def _mp_obf_phi3_I3(ys, params):
@@ -104,25 +104,24 @@ def test_olbf_scalar_api_matches_ladder_route(M):
     params = olbf.OlbfParams(M=M, K=10, P=P15)
     ts = _olbf_points(M, np.random.default_rng(310 + M))
     corners = olbf._Corners(list(ts.T), params)
-    for n in range(2, M + 1):
-        _close([olbf.olbf_xi(n, t[:n], params) for t in ts], corners.xi(n))
     for n in range(1, M + 1):
+        _close([olbf.olbf_xi(n, t[:n], params) for t in ts], corners.phi(n))
         _close([olbf.olbf_cdf_z(t[:n], params) for t in ts], corners.cdf(n))
 
 
 @pytest.mark.parametrize("M", [3, 4])
 def test_joint_pdfs_match_the_ladder_route(M):
-    # each scheme's joint density has one body, _scheduled, which the scalar
-    # API runs one point at a time and the grids on arrays
+    # both schemes' joint densities have one body, grids.scheduled of their
+    # region, which the scalar API runs one point at a time and the grids on arrays
     oparams = obf.ObfParams(M=M, K=10, P=P15, r=M)
     ys, columns, gaps = _obf_columns(M, 360 + M)
     lparams = olbf.OlbfParams(M=M, K=10, P=P15)
     ts = _olbf_points(M, np.random.default_rng(370 + M))  # both branches
     for n in range(1, M + 1):
         _close([obf.obf_joint_pdf_scheduled(y[:n], oparams) for y in ys],
-               obf._scheduled(columns[:n], gaps[:n - 1], oparams))
+               scheduled(obf._Chain(columns[:n], gaps[:n - 1], oparams), n))
         _close([olbf.olbf_joint_pdf_t(t[:n], lparams) for t in ts],
-               olbf._scheduled(list(ts.T[:n]), lparams))
+               scheduled(olbf._Corners(list(ts.T[:n]), lparams), n))
 
 
 def test_olbf_scalar_api_reads_no_gamma_order_below_one(monkeypatch):
@@ -152,7 +151,7 @@ def test_olbf_scalar_api_reads_no_gamma_order_below_one(monkeypatch):
                 obf.obf_selection_cdf(n, y[:n], oparams)
                 obf.obf_joint_pdf_scheduled(y[:n], oparams)
         obf.obf_marginal_pdf_grid(min(M, 3), [0.3], oparams)
-        MaxNormLaw(M, 10, lparams.mp).cdf_at(np.array([0.3, 3.0]))
+        MaxNormLaw(M, 10, lparams.c).cdf_at(np.array([0.3, 3.0]))
         assert orders and set(orders) == {M}, (M, sorted(set(orders)))
 
 
@@ -300,7 +299,7 @@ def test_rank1_cdfs_vs_mpmath(M, t):
     # up to half its value at t = 0.0025
     params = olbf.OlbfParams(M=M, K=10, P=P15)
     with mpmath.workdps(50):
-        want = 1.0 if t == 1.0 else _P(M, params.mp * mpmath.mpf(t) / (1 - mpmath.mpf(t)))
+        want = 1.0 if t == 1.0 else _P(M, params.c * mpmath.mpf(t) / (1 - mpmath.mpf(t)))
     assert olbf.olbf_cdf_z([t], params) == pytest.approx(want, rel=1e-12, abs=0)
     if t == 1.0:
         return
@@ -308,6 +307,6 @@ def test_rank1_cdfs_vs_mpmath(M, t):
     y = t / (1.0 - t)
     rank1 = obf.ObfParams(M=M, K=10, P=P15, r=1)
     assert obf.obf_selection_cdf(1, [y], rank1) == pytest.approx(
-        _P(M, mpmath.mpf(rank1.rp) * y), rel=1e-12, abs=0)
-    assert float(MaxNormLaw(M, 1, params.mp).cdf_at(y)) == pytest.approx(
-        _P(M, mpmath.mpf(params.mp) * y), rel=1e-12, abs=0)
+        _P(M, mpmath.mpf(rank1.c) * y), rel=1e-12, abs=0)
+    assert float(MaxNormLaw(M, 1, params.c).cdf_at(y)) == pytest.approx(
+        _P(M, mpmath.mpf(params.c) * y), rel=1e-12, abs=0)

@@ -11,7 +11,13 @@ import pytest
 from scipy import integrate, special
 
 from obflab import analytic_obf, analytic_olbf, grids, numerics
-from obflab.analytic_obf import ObfParams, obf_marginal_pdf_grid, obf_mean_sum_rate, obf_sinr_grid
+from obflab.analytic_obf import (
+    ObfParams,
+    obf_joint_pdf_scheduled,
+    obf_marginal_pdf_grid,
+    obf_mean_sum_rate,
+    obf_sinr_grid,
+)
 from obflab.analytic_olbf import (
     OlbfParams,
     olbf_joint_pdf_t,
@@ -60,13 +66,38 @@ def test_tabulate_refuses_a_resolved_table_off_its_mass():
     assert grid.mass == pytest.approx(1.0 + MASS_TOL / 2, rel=1e-12, abs=0)
 
 
+def _rank1_table(M, K, P):
+    """The exact rank-1 density K P(M, c y)^(K-1) c^M y^(M-1) e^(-c y)/Gamma(M), c = M/P,
+    tabulated on u = y/(1+y) by ``DistributionGrid.tabulate``, and its ``MaxNormLaw``."""
+    c = M / P
+
+    def pdf(u):
+        y = u / (1.0 - u)
+        return (K * special.gammainc(M, c * y) ** (K - 1) * c ** M * y ** (M - 1)
+                * np.exp(-c * y) / math.gamma(M) / (1.0 - u) ** 2)
+
+    return DistributionGrid.tabulate(pdf), MaxNormLaw(M, K, c)
+
+
 def test_tabulate_finds_a_peak_between_its_first_points():
     # at 25 dB the rank-1 density sits within 0.01 of u = 1, and the first
     # 17 points see at most 2e-8 of it: a table that stopped there would
     # carry no mass
-    grid = obf_sinr_grid(1, ObfParams(M=3, K=10, P=10 ** 2.5, r=3))
+    grid, _ = _rank1_table(3, 10, 10 ** 2.5)
     assert grid.n == 2048
     assert grid.mass == pytest.approx(1.0, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("snr_db, n", [(15, 512), (25, 2048)])
+def test_rank1_table_and_max_norm_law_agree(snr_db, n):
+    # two integrators of one law: the self-sizing table of its density and
+    # MaxNormLaw's exact CDF and trapezoid rate
+    P = 10 ** (snr_db / 10)
+    grid, law = _rank1_table(3, 10, P)
+    assert grid.n == n and grid.error <= CHEB_TOL
+    y = np.concatenate([np.linspace(0.0, 200.0, 2001), P * np.linspace(0.0, 10.0, 2001)])
+    assert np.allclose(grid.cdf_at(y), law.cdf_at(y), rtol=0, atol=1e-6)
+    assert grid.mean_log1p() == pytest.approx(law.mean_log1p(), rel=1e-13, abs=0)
 
 
 def _mp_rank1_rate(M, K, c):
@@ -149,6 +180,14 @@ def test_olbf_grid_at_its_endpoints(n):
     assert values[1] == 0.0
 
 
+@pytest.mark.parametrize("M, n", [(2, 2), (3, 2), (3, 3)])
+def test_olbf_grid_holds_t1_at_one_at_high_snr(M, n):
+    # at 150 dB, s + gap rounded t_1 one ulp above 1, and 1 - t_1 < 0 made
+    # lower_gamma_ladder raise ValueError
+    values = olbf_marginal_pdf_t_grid(n, np.linspace(0.0, 1.0, 101), OlbfParams(M=M, K=10, P=1e15))
+    assert np.all(np.isfinite(values)) and np.all(values >= 0)
+
+
 @pytest.mark.parametrize("module, name, rate, params", [
     (analytic_obf, "obf_sinr_grid", obf_mean_sum_rate, ObfParams(M=4, K=10, P=10.0, r=4)),
     (analytic_olbf, "olbf_sinr_grid", olbf_mean_sum_rate, OlbfParams(M=4, K=10, P=10.0)),
@@ -181,31 +220,37 @@ def test_grid_rank_out_of_range_raises(error, call):
         call()
 
 
-def test_olbf_cdf_roundoff_counts_as_zero_and_beyond_raises(monkeypatch):
-    # F_n below 1e-3 is replaced by a constant: -1e-12 is roundoff and must
-    # give exactly what 0 gives; -1e-8 is not, on the grid as at one point
-    params = OlbfParams(M=3, K=10, P=P15)
-    ss = np.array([0.05, 0.3, 0.6, 0.9])
-    cdf = analytic_olbf._Corners.cdf
+@pytest.mark.parametrize("region, grid, points, joint", [
+    (analytic_olbf._Corners, lambda n, ss: olbf_marginal_pdf_t_grid(n, ss, OlbfParams(3, 10, P15)),
+     [0.05, 0.3, 0.6, 0.9], lambda: olbf_joint_pdf_t([0.3, 0.1, 0.05], OlbfParams(3, 10, P15))),
+    (analytic_obf._Chain, lambda n, ys: obf_marginal_pdf_grid(n, ys, ObfParams(3, 10, P15, 3)),
+     [0.5, 3.0, 10.0, 30.0],
+     lambda: obf_joint_pdf_scheduled([1.0, 0.5, 0.2], ObfParams(3, 10, P15, 3))),
+], ids=["olbf", "obf"])
+def test_cdf_roundoff_counts_as_zero_and_beyond_raises(region, grid, points, joint, monkeypatch):
+    # grids.scheduled holds both regions' cancellation rule.  F_n below 1e-3
+    # is replaced by a constant: -1e-12 is roundoff and must give exactly
+    # what 0 gives; -1e-8 is not, on the grid as at one point
+    cdf = region.cdf
 
     def patched(value):
         def low_to(self, n):
             F = cdf(self, n)
             return np.where(F < 1e-3, value, F)
 
-        monkeypatch.setattr(analytic_olbf._Corners, "cdf", low_to)
+        monkeypatch.setattr(region, "cdf", low_to)
 
     for n in (2, 3):
         patched(0.0)
-        want = olbf_marginal_pdf_t_grid(n, ss, params)
+        want = grid(n, points)
         assert np.all(want > 0)
         patched(-1e-12)
-        assert np.array_equal(olbf_marginal_pdf_t_grid(n, ss, params), want)
+        assert np.array_equal(grid(n, points), want)
         patched(-1e-8)
         with pytest.raises(ArithmeticError):
-            olbf_marginal_pdf_t_grid(n, ss, params)
+            grid(n, points)
     with pytest.raises(ArithmeticError):
-        olbf_joint_pdf_t([0.3, 0.1, 0.05], params)
+        joint()
 
 
 def _olbf_log_rate(n, params):
@@ -239,7 +284,7 @@ def test_mean_sum_rate_matches_adaptive_quadrature(rate, log_rate, params):
     (obf_sinr_grid, ObfParams(M=3, K=10, P=P15, r=3)),
 ], ids=["olbf", "obf"])
 def test_tables_are_resolved(grid, params):
-    for n in (1, 2, 3):
+    for n in (2, 3):
         g = grid(n, params)
         assert g.error <= CHEB_TOL
         assert g.mass == pytest.approx(1.0, abs=1e-6)
@@ -258,10 +303,12 @@ def test_cdf_at_reads_the_series_exact_ends(M):
     # -2.2e-16 and 1.7e-16 and `analytic` could print a negative CDF
     for db in (0.0, 15.0, 25.0):
         P = 10.0 ** (db / 10.0)
-        for n in range(1, M + 1):
-            for g in (obf_sinr_grid(n, ObfParams(M=M, K=10, P=P, r=M)),
-                      olbf_sinr_grid(n, OlbfParams(M=M, K=10, P=P))):
-                assert g.cdf_at([0.0, 1e300, np.inf]).tolist() == [0.0, g.mass, g.mass]
+        tables = [_rank1_table(M, 10, P)[0]]
+        for n in range(2, M + 1):
+            tables += [obf_sinr_grid(n, ObfParams(M=M, K=10, P=P, r=M)),
+                       olbf_sinr_grid(n, OlbfParams(M=M, K=10, P=P))]
+        for g in tables:
+            assert g.cdf_at([0.0, 1e300, np.inf]).tolist() == [0.0, g.mass, g.mass]
 
 
 def _obf_density(n, u, params):

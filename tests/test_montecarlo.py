@@ -414,21 +414,37 @@ def test_scheme_table_looks_names_up_when_called(monkeypatch):
 
 def test_no_package_path_tabulates_rank_1(monkeypatch, capsys):
     # rank 1 is the closed-form grids.MaxNormLaw: the analysis, both sum
-    # rates and `analytic --sum-rate` look tables up for ranks 2 and up only
-    ranks = []
-    for module, name in ((montecarlo, "obf_sinr_grid"), (montecarlo, "olbf_sinr_grid"),
-                         (analytic_obf, "obf_sinr_grid"), (analytic_olbf, "olbf_sinr_grid")):
+    # rates and `analytic --sum-rate` look tables up for ranks 2 and up only.
+    # The benchmark rebinds montecarlo's names and expects r - 1 tables per
+    # `sim`: each attach_analysis looks ranks 2..r up there once each, and
+    # no mean rate adds a lookup through them
+    looked_up = {"obf_sinr_grid": [], "olbf_sinr_grid": []}  # through montecarlo's names
+    elsewhere = []  # through the analytic modules' names
+
+    def spy(module, name, seen):
         real = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda n, ap, real=real: ranks.append(n) or real(n, ap))
-    for scheme in ("adaptive-obf", "olbf"):
+        monkeypatch.setattr(module, name, lambda n, ap: seen.append(n) or real(n, ap))
+
+    for name, seen in looked_up.items():
+        spy(montecarlo, name, seen)
+    spy(analytic_obf, "obf_sinr_grid", elsewhere)
+    spy(analytic_olbf, "olbf_sinr_grid", elsewhere)
+    for scheme, kind in (("adaptive-obf", "obf"), ("olbf", "olbf")):
+        for seen in looked_up.values():
+            seen.clear()
         report = attach_analysis(run_experiment(_config(scheme=scheme, M=3, K=4, trials=500)))
         assert report.analytic_mean_sum_rate is not None
+        assert looked_up == {name: [2, 3] if name == f"{kind}_sinr_grid" else []
+                             for name in looked_up}, scheme
+    for seen in looked_up.values():
+        seen.clear()
     obf_mean_sum_rate(ObfParams(M=3, K=10, P=P15, r=3))
     olbf_mean_sum_rate(OlbfParams(M=3, K=10, P=P15))
     for scheme in ("obf", "olbf"):
         assert cli.main(["analytic", "--scheme", scheme, "--m", "3", "--k", "10",
                          "--snr-db", "15", "--sum-rate"]) == 0
-    assert sorted(set(ranks)) == [2, 3]
+    assert looked_up == {"obf_sinr_grid": [], "olbf_sinr_grid": []}
+    assert sorted(set(elsewhere)) == [2, 3]
 
 
 def test_report_validation():

@@ -144,8 +144,8 @@ PUBLIC = {
         "draw_channel_blocks", "substream", "null_space_basis", "null_space_basis_batch",
     ],
     "obflab.cli": ["RunManifest", "main", "read_report_csv"],
-    "obflab.grids": ["DistributionGrid", "MaxNormLaw", "rank_law", "CHEB_TOL", "CHEB_CAP",
-                     "MASS_TOL"],
+    "obflab.grids": ["DistributionGrid", "MaxNormLaw", "rank_law", "scheduled", "mean_sum_rate",
+                     "CHEB_TOL", "CHEB_CAP", "MASS_TOL"],
     "obflab.montecarlo": [
         "SCHEMES", "SCHEME_TABLE", "Scheme", "Analytic", "ExperimentConfig", "ExperimentReport",
         "run_experiment", "worker_count", "ks_distance", "attach_analysis",
@@ -168,11 +168,12 @@ def test_public_surface_is_pinned(module):
 
 
 # names deleted because nothing but their own tests read them, the fixed
-# point count per grid block that numerics.GRID_BLOCK_BYTES replaced, and the
-# rank-1 CDF that grids.MaxNormLaw replaced; every test file but this one is
-# searched too
+# point count per grid block that numerics.GRID_BLOCK_BYTES replaced, the
+# rank-1 CDF that grids.MaxNormLaw replaced, and the two schemes' names for
+# the inverse per-stream SNR that params.c replaced; every test file but
+# this one is searched too
 _DELETED = ("write_report_csv", "runtime_seconds", "draw_channels", "v_to_z", "z_to_v",
-            "n_scheduled", "GRID_CHUNK", "_max_norm_cdf")
+            "n_scheduled", "GRID_CHUNK", "_max_norm_cdf", "params.rp", "params.mp")
 TESTS = Path(__file__).resolve().parent
 DEMOS = TESTS.parent / "demos"
 _SEARCHED = [*sorted(SRC.glob("*.py")), *sorted(DEMOS.glob("*.py")),
