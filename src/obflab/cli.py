@@ -11,8 +11,9 @@ Three subcommands:
 
 Each subcommand first checks its flags and returns the job that does the
 work; ``main`` turns a ``ValueError`` raised by the checks into exit 2,
-before any file or directory is made, and a ``QuadratureError`` raised by
-the job into exit 4.
+before any file or directory is made, and, raised by the job, a
+``NotImplementedError`` (a rank above the analytic laws' cap) into exit 3
+and a ``QuadratureError`` into exit 4.
 
 Artifacts are UTF-8 CSV (or JSON for ``sim --format json``).  Every
 artifact embeds its RunManifest as a leading comment line (``_artifact``
@@ -39,7 +40,7 @@ import numpy as np
 from . import __version__, textfmt
 from .channel import SystemParams
 from .grids import rank_law
-from .numerics import MAX_ANALYTIC_RANK, QuadratureError
+from .numerics import QuadratureError
 from .montecarlo import (
     SCHEME_TABLE,
     SCHEMES,
@@ -152,7 +153,7 @@ def read_report_csv(path: Path) -> tuple[dict, ExperimentReport]:
         seed=manifest["seed"],
         force_r=cfg.get("force_r"),
     )
-    r = config.effective_r
+    r = config.params.r
     if columns.shape[0] != trials * r:
         raise ValueError(f"CSV holds {columns.shape[0]} rows, not {trials} trials x {r} ranks")
     users = columns[:, 0].astype(np.int64).reshape(trials, r)
@@ -262,13 +263,6 @@ def cmd_analytic(args):
     grid = None if args.sum_rate else _parse_grid(args.grid)
 
     def job() -> int:
-        if rank > MAX_ANALYTIC_RANK:
-            print(
-                f"numeric fallback: the analytic laws cover user ranks 1-{MAX_ANALYTIC_RANK} "
-                f"only; rank {rank} is not tabulated by this command",
-                file=sys.stderr,
-            )
-            return 3
         if args.sum_rate:
             rate = analytic.mean_sum_rate(params)
             print(repr(rate / LN2 if args.bits else rate))
@@ -295,11 +289,9 @@ def cmd_analytic(args):
 
 
 def _run_fixed_r(scheme, M, K, P, r, trials, seed, threads) -> ExperimentReport:
-    """Run with r SINRs per trial, r forced where the scheme takes force_r."""
-    config = ExperimentConfig(
-        params=SystemParams(M=M, K=K, P=P, r=r), scheme=scheme, trials=trials,
-        seed=seed, force_r=r if SCHEME_TABLE[scheme].forceable else None,
-    )
+    """Run with r SINRs per trial."""
+    config = ExperimentConfig(params=SystemParams(M=M, K=K, P=P, r=r), scheme=scheme,
+                              trials=trials, seed=seed)
     return run_experiment(config, threads=threads)
 
 
@@ -452,9 +444,9 @@ def main(argv=None) -> int:
         return 2
     try:
         return job()
-    except QuadratureError as exc:  # an analytic table unresolved or off its mass
+    except (NotImplementedError, QuadratureError) as exc:  # rank over the cap; table unresolved
         print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return 3 if isinstance(exc, NotImplementedError) else 4
 
 
 if __name__ == "__main__":

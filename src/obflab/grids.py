@@ -11,8 +11,9 @@ points of the 2nd kind, doubled until the coefficients show it resolved to
 ``CHEB_TOL``.  The KS CDF, the mass (not renormalised, so its distance from
 1 is the density's own error) and the mean sum rate all read that one
 series; a table whose mass is off 1 by more than ``MASS_TOL`` is refused.
-``rank_law`` gives rank 1 its law and a higher rank its cached table;
-``mean_sum_rate`` sums the ranks' rates through it.
+``rank_laws`` gives rank 1 its law and ranks 2..r their cached tables once
+``numerics.check_rank`` has refused an r above the cap; the analysis of a
+run and ``mean_sum_rate`` read every rank through it, ``rank_law`` one rank.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ import numpy as np
 
 from .numerics import QuadratureError, check_rank, lower_gamma_ladder
 
-__all__ = ["DistributionGrid", "MaxNormLaw", "rank_law", "scheduled", "mean_sum_rate", "CHEB_TOL",
-           "CHEB_CAP", "MASS_TOL"]
+__all__ = ["DistributionGrid", "MaxNormLaw", "rank_law", "rank_laws", "scheduled", "mean_sum_rate",
+           "CHEB_TOL", "CHEB_CAP", "MASS_TOL"]
 
 # A table is resolved once the largest of its last four coefficients is
 # below CHEB_TOL, both absolutely and relative to its largest sample, so
@@ -199,7 +200,12 @@ def rank_law(n: int, params, table: Callable):
     return MaxNormLaw(params.M, params.K, params.c) if n == 1 else table(n, params)
 
 
-def mean_sum_rate(params, table: Callable) -> float:
-    """sum_n E[ln(1 + y_n)] in nats off each ``rank_law``; a rank above the cap raises first."""
+def rank_laws(params, table: Callable) -> list:
+    """The ``rank_law`` of each rank 1..r; ``check_rank`` refuses an r above the cap first."""
     check_rank(params.r, params.r)
-    return sum(rank_law(n, params, table).mean_log1p() for n in range(1, params.r + 1))
+    return [rank_law(n, params, table) for n in range(1, params.r + 1)]
+
+
+def mean_sum_rate(params, table: Callable) -> float:
+    """sum_n E[ln(1 + y_n)] in nats off each of the ``rank_laws``."""
+    return sum(law.mean_log1p() for law in rank_laws(params, table))

@@ -20,6 +20,8 @@ started.
 
 What the harness knows of each scheme sits in one ``Scheme`` record of
 ``SCHEME_TABLE``; the code below reads the record, never the scheme name.
+Every scheme records ``params.r`` SINRs per trial: ``ExperimentConfig``
+refuses any other ``force_r``, and an r other than M for a scheme of all M beams.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Callable, Optional
 
 import numpy as np
@@ -39,8 +40,8 @@ from . import batch as _batch
 from . import channel as _channel
 from . import schedulers as _sched
 from .channel import BeamformerMatrix, ChannelSet, SystemParams, draw_channel_blocks, substream
-from .grids import rank_law
-from .numerics import MAX_ANALYTIC_RANK, QuadratureError
+from .grids import rank_laws
+from .numerics import QuadratureError
 from .analytic_obf import ObfParams, obf_marginal_pdf_grid, obf_mean_sum_rate, obf_sinr_grid
 from .analytic_olbf import (
     OlbfParams, olbf_marginal_pdf_sinr_grid, olbf_mean_sum_rate, olbf_sinr_grid,
@@ -64,32 +65,36 @@ CHUNK = 4096  # trials per RNG substream; fixed so worker count cannot matter
 _AUDIT_STRIDE = 1000
 
 
+def _audited(start: int, stop: int) -> range:
+    """The audited trials among trials start..stop-1: those with t = 0 mod ``_AUDIT_STRIDE``."""
+    return range(start + -start % _AUDIT_STRIDE, stop, _AUDIT_STRIDE)
+
+
 @dataclass(frozen=True)
 class Analytic:
     """A scheme's closed forms; the members take what ``params`` builds."""
 
     params: Callable         # (M, K, P, r) -> ObfParams or OlbfParams
-    grid: Callable           # (n, params) -> n-th SINR DistributionGrid, n >= 2 (rank_law), cached
+    grid: Callable           # (n, params) -> n-th SINR DistributionGrid, n >= 2 (rank_laws), cached
     pdf: Callable            # (n, ys, params) -> n-th marginal pdf at the SINRs ys
     mean_sum_rate: Callable  # params -> mean sum rate in nats
 
 
 @dataclass(frozen=True)
 class Scheme:
-    """One scheme's samples per trial, batch kernel, scalar audit and analysis.
+    """One scheme's batch kernel, scalar audit and analysis.
 
     The callables look kernels, schedulers and closed forms up by module
     attribute when called, so a rebound name (a tracer, a test double) runs.
     """
 
-    samples: Callable                    # ExperimentConfig -> SINRs per trial
     kernel: Callable                     # (H, P, r, rng) -> (users, sinrs, rates)
     oracle: Optional[Callable] = None    # (ChannelSet, P, r) -> scalar ScheduleOutcome
     orthonormal: bool = False            # the oracle's W has orthonormal columns
     check: Optional[Callable] = None     # sinrs -> None, the audit where no oracle exists
     analytic: Optional[Analytic] = None  # None: no closed forms
     forceable: bool = False              # takes ExperimentConfig.force_r
-    min_m: int = 1                       # fewest antennas the scheme is defined for
+    all_beams: bool = False              # serves all M beams, so needs M >= 2 and r = M
 
 
 # random selection has no scalar counterpart tied to the same RNG draws;
@@ -127,26 +132,23 @@ _OLBF = Analytic(
     mean_sum_rate=lambda ap: olbf_mean_sum_rate(ap),
 )
 
-_R_SAMPLES, _M_SAMPLES = attrgetter("params.r"), attrgetter("params.M")
-
 SCHEME_TABLE = {
     "adaptive-obf": Scheme(
-        lambda c: c.params.r if c.force_r is None else c.force_r,
         lambda H, P, r, rng: _batch.batch_adaptive_obf(H, P, r),
         oracle=lambda ch, P, r: _sched.adaptive_obf(ch, P, force_r=r),
         orthonormal=True, analytic=_OBF, forceable=True,
     ),
-    "olbf": Scheme(_M_SAMPLES, lambda H, P, r, rng: _batch.batch_olbf(H, P),
+    "olbf": Scheme(lambda H, P, r, rng: _batch.batch_olbf(H, P),
                    oracle=lambda ch, P, r: _sched.olbf(ch, P), orthonormal=True, analytic=_OLBF,
-                   min_m=2),
-    "zfs": Scheme(_R_SAMPLES, lambda H, P, r, rng: _batch.batch_zfs(H, P, r),
+                   all_beams=True),
+    "zfs": Scheme(lambda H, P, r, rng: _batch.batch_zfs(H, P, r),
                   oracle=lambda ch, P, r: _sched.zfs_schedule(ch, P, r)),
-    "zfdp": Scheme(_R_SAMPLES, lambda H, P, r, rng: _batch.batch_zfdp(H, P, r),
+    "zfdp": Scheme(lambda H, P, r, rng: _batch.batch_zfdp(H, P, r),
                    oracle=lambda ch, P, r: _sched.greedy_zfdp_schedule(ch, P, r)),
-    "random-obf": Scheme(_R_SAMPLES, lambda H, P, r, rng: _batch.batch_random_obf(H, P, r, rng),
+    "random-obf": Scheme(lambda H, P, r, rng: _batch.batch_random_obf(H, P, r, rng),
                          check=_check_nonnegative),
-    "random-olbf": Scheme(_M_SAMPLES, lambda H, P, r, rng: _batch.batch_random_olbf(H, P, rng),
-                          check=_check_olbf_region, min_m=2),
+    "random-olbf": Scheme(lambda H, P, r, rng: _batch.batch_random_olbf(H, P, rng),
+                          check=_check_olbf_region, all_beams=True),
 }
 
 SCHEMES = tuple(SCHEME_TABLE)
@@ -167,20 +169,19 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.seed < 0:  # numpy's SeedSequence takes no negative entropy
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        M, r = self.params.M, self.params.r
         if self.force_r is not None and not self.spec.forceable:
             raise ValueError("force_r applies to adaptive-obf only")
-        if self.params.M < self.spec.min_m:
-            # the OLBF beam set needs a null space next to the first user's beam
-            raise ValueError(f"{self.scheme} needs M >= {self.spec.min_m}, got M={self.params.M}")
+        if self.force_r not in (None, r):
+            raise ValueError(f"force_r = {self.force_r} contradicts r = {r}")
+        if self.spec.all_beams and M < 2:  # the beam set needs a null space beside user 1's
+            raise ValueError(f"{self.scheme} needs M >= 2, got M={M}")
+        if self.spec.all_beams and r != M:
+            raise ValueError(f"{self.scheme} serves all M = {M} beams, so r must be {M}, not {r}")
 
     @property
     def spec(self) -> Scheme:
         return SCHEME_TABLE[self.scheme]
-
-    @property
-    def effective_r(self) -> int:
-        """Number of SINR samples recorded per trial."""
-        return self.spec.samples(self)
 
 
 @dataclass
@@ -220,14 +221,13 @@ def _run_chunk(config: ExperimentConfig, chunk_index: int, users: np.ndarray, si
     p = config.params
     rng = substream(config.seed, chunk_index)
     picks = rng.spawn(1)[0]
-    first = -chunk_index * CHUNK % _AUDIT_STRIDE  # local index of the chunk's first audited trial
-    want = np.arange(first, rates.size, _AUDIT_STRIDE)
+    start = chunk_index * CHUNK
+    want = np.array(_audited(start, start + rates.size), dtype=np.int64) - start  # local rows
     audited = np.empty((want.size, p.K, p.M), dtype=complex)
     step = max(1, _channel.BLOCK_ENTRIES // (p.K * p.M))
     for lo, H in draw_channel_blocks(p.K, p.M, rng, rates.size, step):
         rows = slice(lo, lo + len(H))
-        users[rows], sinrs[rows], rates[rows] = config.spec.kernel(H, p.P, config.effective_r,
-                                                                   picks)
+        users[rows], sinrs[rows], rates[rows] = config.spec.kernel(H, p.P, p.r, picks)
         mine = (want >= lo) & (want < rows.stop)
         audited[mine] = H[want[mine] - lo]
     return audited
@@ -239,7 +239,7 @@ def _audit_trial(config: ExperimentConfig, H_row: np.ndarray, users, sinrs) -> N
     if spec.oracle is None:
         spec.check(sinrs)
         return
-    out = spec.oracle(ChannelSet(H=H_row), config.params.P, config.effective_r)
+    out = spec.oracle(ChannelSet(H=H_row), config.params.P, config.params.r)
     if tuple(out.users) != tuple(int(u) for u in users):
         raise AssertionError("batch kernel disagrees with scalar scheduler")
     if not np.allclose(out.sinrs, sinrs, rtol=1e-9, atol=1e-12):
@@ -281,8 +281,8 @@ def run_experiment(config: ExperimentConfig, threads: Optional[int] = None,
     n_chunks = (config.trials + CHUNK - 1) // CHUNK
     threads = min(worker_count(threads), n_chunks)
 
-    users = np.empty((config.trials, config.effective_r), dtype=np.int64)
-    sinrs = np.empty((config.trials, config.effective_r))
+    users = np.empty((config.trials, config.params.r), dtype=np.int64)
+    sinrs = np.empty((config.trials, config.params.r))
     rates = np.empty(config.trials)
 
     def rows(c):
@@ -296,9 +296,7 @@ def run_experiment(config: ExperimentConfig, threads: Optional[int] = None,
     try:
         for c, audited in enumerate(pool.map(work, range(n_chunks))):
             done = rows(c)
-            # the chunk's audited rows are those of its trials t = 0 mod 1000
-            first = done.start + -done.start % _AUDIT_STRIDE
-            for t, H_row in zip(range(first, done.stop, _AUDIT_STRIDE), audited, strict=True):
+            for t, H_row in zip(_audited(done.start, done.stop), audited, strict=True):
                 _audit_trial(config, H_row, users[t], sinrs[t])
             if on_chunk is not None:
                 on_chunk(done.start, users[done], sinrs[done], rates[done])
@@ -354,24 +352,23 @@ def ks_distance(samples, cdf: Callable) -> float:
 def attach_analysis(report: ExperimentReport) -> ExperimentReport:
     """Fill in per-user KS distances and the analytic mean sum rate.
 
-    Supported for the schemes with closed forms, adaptive-obf and olbf, up
-    to ``MAX_ANALYTIC_RANK`` samples per trial; other reports are returned
-    unchanged.  Rank 1 is compared with the exact ``grids.MaxNormLaw``,
-    ranks 2..r with their cached tables, which the mean sum rate reads too.
-    A law or table that cannot be resolved, or a table whose mass is off 1 by
-    more than ``grids.MASS_TOL``, leaves both fields None, with a warning.
+    Supported for the schemes with closed forms, adaptive-obf and olbf;
+    other reports are returned unchanged.  ``grids.rank_laws`` gives rank 1
+    the exact ``grids.MaxNormLaw`` and ranks 2..r their cached tables, which
+    the mean sum rate reads too.  A rank above the cap (refused before any
+    table), a law or table that cannot be resolved, or a table off its mass
+    by more than ``grids.MASS_TOL`` leaves both fields None, with a warning.
     """
     config = report.config
     analytic = config.spec.analytic
-    r = config.effective_r
-    if analytic is None or r > MAX_ANALYTIC_RANK:
+    if analytic is None:
         return report
     p = config.params
-    ap = analytic.params(p.M, p.K, p.P, r)
+    ap = analytic.params(p.M, p.K, p.P, p.r)
     try:
-        cdfs = [rank_law(n, ap, analytic.grid).cdf_at for n in range(1, r + 1)]
+        cdfs = [law.cdf_at for law in rank_laws(ap, analytic.grid)]
         mean_rate = analytic.mean_sum_rate(ap)
-    except QuadratureError as exc:
+    except (QuadratureError, NotImplementedError) as exc:
         warnings.warn(f"analysis skipped: {exc}", RuntimeWarning, stacklevel=2)
         return report
     report.ks_per_user = tuple(ks_distance(report.sinrs[:, j], cdf) for j, cdf in enumerate(cdfs))

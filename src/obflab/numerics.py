@@ -18,7 +18,7 @@ Gauss-Legendre nodes on [0, 1]) to each free variable of a scheme's joint
 density, which maps the nodes onto its free SINRs at the scale of the
 per-stream SNR.  It takes the grid points in blocks sized from the rank,
 so that one node tensor of a block stays within ``GRID_BLOCK_BYTES`` at
-every rank.  ``check_rank`` holds the rank cap ``MAX_ANALYTIC_RANK``.
+every rank.  ``check_rank`` alone compares a rank with the cap ``MAX_ANALYTIC_RANK``.
 
 Everything here is a pure function of its arguments; ``inner_rule`` is
 computed once.
@@ -140,7 +140,7 @@ def check_rank(n: int, r: int) -> None:
     if not 1 <= n <= r:
         raise ValueError(f"need 1 <= n <= r = {r}, got n = {n}")
     if n > MAX_ANALYTIC_RANK:
-        raise NotImplementedError(f"grid marginals implemented for n <= {MAX_ANALYTIC_RANK}")
+        raise NotImplementedError(f"analytic laws cover ranks 1-{MAX_ANALYTIC_RANK}, not rank {n}")
 
 
 def marginal_grid(

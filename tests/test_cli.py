@@ -577,26 +577,55 @@ def test_analytic_olbf_rejects_r_below_m(tmp_path, capsys):
     assert captured.err.startswith("error: OLBF serves all M = 3 beams")
 
 
-def test_analytic_rank_above_three_notice(capsys):
+_RANK_CAP_ERROR = "error: analytic laws cover ranks 1-3, not rank 4\n"
+
+
+def test_analytic_rank_above_three_notice(tmp_path, capsys):
+    out = tmp_path / "pdf.csv"
     code = run_main([
         "analytic", "--scheme", "obf", "--m", "4", "--k", "10",
-        "--snr-db", "10", "--r", "4", "--user-rank", "4",
+        "--snr-db", "10", "--r", "4", "--user-rank", "4", "--out", str(out),
     ])
     assert code == 3
-    assert "numeric fallback" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", _RANK_CAP_ERROR)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_analytic_ranks_below_the_cap_answer_at_m4(rank, tmp_path, capsys):
+    out = tmp_path / "pdf.csv"
+    assert run_main([
+        "analytic", "--scheme", "obf", "--m", "4", "--k", "10", "--snr-db", "10", "--r", "4",
+        "--user-rank", str(rank), "--grid", "0:10:5", "--out", str(out),
+    ]) == 0
+    assert len(out.read_text().splitlines()) == 2 + 5
 
 
 @pytest.mark.parametrize("scheme", ["obf", "olbf"])
-def test_analytic_sum_rate_above_rank_three_notice(scheme, capsys):
-    # the sum rate needs every rank's table, and rank 4 has none
+def test_analytic_sum_rate_above_rank_three_notice(scheme, tmp_path, capsys, monkeypatch):
+    # the sum rate needs every rank's law, and rank 4 has none
+    monkeypatch.chdir(tmp_path)
     code = run_main([
         "analytic", "--scheme", scheme, "--m", "4", "--k", "10",
         "--snr-db", "10", "--sum-rate",
     ])
     assert code == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "numeric fallback" in captured.err
+    assert capsys.readouterr() == ("", _RANK_CAP_ERROR)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags,message", [
+    pytest.param([], "--user-rank is required unless --sum-rate is given", id="no-rank"),
+    pytest.param(["--user-rank", "0"], "user rank must lie in 1..3", id="rank-0"),
+    pytest.param(["--user-rank", "4"], "user rank must lie in 1..3", id="rank-r-plus-1"),
+])
+def test_analytic_rank_usage_errors(flags, message, tmp_path, capsys):
+    out = tmp_path / "pdf.csv"
+    code = run_main(["analytic", "--scheme", "obf", "--m", "3", "--k", "10", "--snr-db", "15",
+                     *flags, "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
 
 
 def test_analytic_bad_grid_exit_code(capsys):
@@ -633,7 +662,8 @@ def test_sim_csv_does_not_depend_on_blas_threads(tmp_path):
     args = ["sim", "--scheme", "olbf", "--m", "4", "--k", "100", "--snr-db", "15",
             "--trials", "9000", "--seed", "3", "--threads", "2"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert run_main(args + ["--out", str(a)]) == 0
+    with pytest.warns(RuntimeWarning, match="analytic laws cover ranks 1-3, not rank 4"):
+        assert run_main(args + ["--out", str(a)]) == 0
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

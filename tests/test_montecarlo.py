@@ -25,7 +25,7 @@ P15 = 10.0 ** 1.5
 
 def _config(scheme="adaptive-obf", M=2, K=4, P=10.0, trials=1000, seed=1, force_r=None):
     return ExperimentConfig(
-        params=SystemParams(M=M, K=K, P=P, r=M),
+        params=SystemParams(M=M, K=K, P=P, r=M if force_r is None else force_r),
         scheme=scheme,
         trials=trials,
         seed=seed,
@@ -40,7 +40,22 @@ def test_config_validation():
         _config(trials=0)
     with pytest.raises(ValueError):
         _config(scheme="olbf", force_r=2)
-    assert _config(scheme="adaptive-obf", force_r=2).effective_r == 2
+    assert _config(scheme="adaptive-obf", force_r=2).params.r == 2
+
+
+@pytest.mark.parametrize("scheme", ["olbf", "random-olbf"])
+def test_config_refuses_r_other_than_m_for_all_beam_schemes(scheme):
+    # these schemes serve all M beams; SystemParams(M=3, r=2) ran with 3 SINRs per trial
+    with pytest.raises(ValueError, match=f"{scheme} serves all M = 3 beams, so r must be 3, not 2"):
+        ExperimentConfig(params=SystemParams(M=3, K=6, P=10.0, r=2), scheme=scheme, trials=10,
+                         seed=1)
+
+
+def test_config_refuses_force_r_other_than_r():
+    # force_r = 2 beside r = 3 ran with 2 SINRs per trial
+    with pytest.raises(ValueError, match="force_r = 2 contradicts r = 3"):
+        ExperimentConfig(params=SystemParams(M=3, K=6, P=10.0, r=3), scheme="adaptive-obf",
+                         trials=10, seed=1, force_r=2)
 
 
 def test_empirical_distribution_sorts_and_validates():
@@ -126,6 +141,48 @@ def test_audit_sees_each_audited_trials_own_channels(monkeypatch):
     assert (1, 904) in local  # chunk 1's first audited trial, t = 5000
 
 
+def _swap_first_users(users, sinrs):
+    users[:, [0, 1]] = users[:, [1, 0]]
+
+
+def _perturb_one_sinr(users, sinrs):
+    sinrs[:, 1] *= 1.0 + 1e-6
+
+
+def _negate_one_sinr(users, sinrs):
+    sinrs[:, 0] = -sinrs[:, 0]
+
+
+def _leave_olbf_region(users, sinrs):
+    sinrs[:, 1:] = sinrs[:, :1]  # z_2 + z_3 = 2 z_1 > z_1
+
+
+@pytest.mark.parametrize("scheme,kernel,corrupt,message", [
+    pytest.param("zfdp", "batch_zfdp", _swap_first_users,
+                 "batch kernel disagrees with scalar scheduler", id="swapped-users"),
+    pytest.param("zfdp", "batch_zfdp", _perturb_one_sinr,
+                 "batch SINRs disagree with scalar scheduler", id="perturbed-sinr"),
+    pytest.param("random-obf", "batch_random_obf", _negate_one_sinr,
+                 "negative SINR sample", id="negative-sinr"),
+    pytest.param("random-olbf", "batch_random_olbf", _leave_olbf_region,
+                 "transformed samples left their region", id="left-olbf-region"),
+])
+def test_audit_refuses_a_corrupted_kernel(monkeypatch, scheme, kernel, corrupt, message):
+    # the scheme table looks kernels up when called, so a double that breaks
+    # one invariant of the batch output must fail the run's audit
+    real = getattr(batch, kernel)
+
+    def double(*args):
+        users, sinrs, rates = real(*args)
+        users, sinrs = users.copy(), sinrs.copy()
+        corrupt(users, sinrs)
+        return users, sinrs, rates
+
+    monkeypatch.setattr(batch, kernel, double)
+    with pytest.raises(AssertionError, match=message):
+        run_experiment(_config(scheme=scheme, M=3, K=6, trials=1500, seed=4))
+
+
 def test_run_memory_does_not_grow_with_the_channels():
     # only the outputs and the audited channel rows outlive a chunk, so six
     # more chunks cost their users, SINRs and rates (1.7 MiB) plus at most
@@ -177,7 +234,7 @@ def test_blocked_chunks_match_one_kernel_call(monkeypatch, scheme, block_entries
         rows = slice(c * CHUNK, min((c + 1) * CHUNK, trials))
         H = draw_channel_batch(p.K, p.M, substream(config.seed, c), rows.stop - rows.start)
         picks = substream(config.seed, c).spawn(1)[0]
-        users, sinrs, rates = spec.kernel(H, p.P, config.effective_r, picks)
+        users, sinrs, rates = spec.kernel(H, p.P, p.r, picks)
         assert np.array_equal(report.users[rows], users), c
         assert np.array_equal(report.sinrs[rows].view(np.uint64), sinrs.view(np.uint64)), c
         assert np.array_equal(report.sum_rates[rows].view(np.uint64), rates.view(np.uint64)), c
@@ -220,7 +277,7 @@ def test_chunk_peak_memory_is_about_its_channels(scheme):
     # one kernel call on the whole chunk at 1.8 to 5.2 times
     config = ExperimentConfig(params=SystemParams(M=4, K=100, P=P15, r=4), scheme=scheme,
                               trials=CHUNK, seed=22)
-    r = config.effective_r
+    r = config.params.r
     users, sinrs, rates = np.empty((CHUNK, r), dtype=np.int64), np.empty((CHUNK, r)), np.empty(CHUNK)
     tracemalloc.start()
     try:
@@ -337,18 +394,30 @@ def test_attach_analysis_fills_ks_and_mean():
     )
 
 
-@pytest.mark.parametrize("scheme,M,force_r", [
-    pytest.param("zfs", 3, None, id="zfs"),
-    pytest.param("zfdp", 3, None, id="zfdp"),
-    pytest.param("random-obf", 3, None, id="random-obf"),
-    pytest.param("random-olbf", 3, None, id="random-olbf"),
-    # rank 4 lies beyond the closed forms
-    pytest.param("adaptive-obf", 4, 4, id="adaptive-obf-r4"),
-    pytest.param("olbf", 4, None, id="olbf-m4"),
-])
-def test_attach_analysis_skips_unsupported(scheme, M, force_r):
-    config = _config(scheme=scheme, M=M, K=6, trials=100, seed=2, force_r=force_r)
+@pytest.mark.parametrize("scheme", ["zfs", "zfdp", "random-obf", "random-olbf"])
+def test_attach_analysis_skips_unsupported(scheme):
+    config = _config(scheme=scheme, M=3, K=6, trials=100, seed=2)
     report = attach_analysis(run_experiment(config))
+    assert report.ks_per_user is None
+    assert report.analytic_mean_sum_rate is None
+
+
+@pytest.mark.parametrize("scheme,force_r", [
+    pytest.param("adaptive-obf", 4, id="adaptive-obf-r4"),
+    pytest.param("olbf", None, id="olbf-m4"),
+])
+def test_attach_analysis_refuses_rank_4_before_any_table(monkeypatch, scheme, force_r):
+    # rank 4 lies beyond the closed forms: the cap refuses it, with a warning,
+    # as an unresolved table is refused, and before any table is looked up
+    looked_up = []
+    for module in (montecarlo, analytic_obf, analytic_olbf):
+        for name in ("obf_sinr_grid", "olbf_sinr_grid"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, lambda *args: looked_up.append(args))
+    report = run_experiment(_config(scheme=scheme, M=4, K=6, trials=100, seed=2, force_r=force_r))
+    with pytest.warns(RuntimeWarning, match="analysis skipped: analytic laws cover ranks 1-3"):
+        attach_analysis(report)
+    assert looked_up == []
     assert report.ks_per_user is None
     assert report.analytic_mean_sum_rate is None
 
@@ -372,7 +441,7 @@ def test_same_seed_rates_are_pinned(scheme, force_r):
                      force_r=force_r)
     report = run_experiment(config)
     assert report.mean_sum_rate == pytest.approx(PINNED_RATES[scheme, force_r], rel=1e-9, abs=0)
-    assert report.sinrs.shape[1] == config.effective_r
+    assert report.sinrs.shape[1] == config.params.r
 
 
 def test_scheme_table_looks_names_up_when_called(monkeypatch):

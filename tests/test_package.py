@@ -55,6 +55,14 @@ def test_no_scalar_incomplete_gamma_in_the_package(path):
     assert not found, f"{path.name} names {found}"
 
 
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_numerics_names_the_rank_cap(path):
+    # numerics.check_rank is the one comparison with the cap; every other
+    # module asks it, through grids.rank_laws or marginal_grid
+    names = set(_names(ast.parse(path.read_text(encoding="utf-8"))))
+    assert path.name == "numerics.py" or "MAX_ANALYTIC_RANK" not in names, path.name
+
+
 # numpy's bit generators and the calls that build one
 _BIT_GENERATORS = {"BitGenerator", "MT19937", "PCG64", "PCG64DXSM", "Philox", "SFC64",
                    "RandomState", "default_rng"}
@@ -144,8 +152,8 @@ PUBLIC = {
         "draw_channel_blocks", "substream", "null_space_basis", "null_space_basis_batch",
     ],
     "obflab.cli": ["RunManifest", "main", "read_report_csv"],
-    "obflab.grids": ["DistributionGrid", "MaxNormLaw", "rank_law", "scheduled", "mean_sum_rate",
-                     "CHEB_TOL", "CHEB_CAP", "MASS_TOL"],
+    "obflab.grids": ["DistributionGrid", "MaxNormLaw", "rank_law", "rank_laws", "scheduled",
+                     "mean_sum_rate", "CHEB_TOL", "CHEB_CAP", "MASS_TOL"],
     "obflab.montecarlo": [
         "SCHEMES", "SCHEME_TABLE", "Scheme", "Analytic", "ExperimentConfig", "ExperimentReport",
         "run_experiment", "worker_count", "ks_distance", "attach_analysis",
@@ -169,11 +177,14 @@ def test_public_surface_is_pinned(module):
 
 # names deleted because nothing but their own tests read them, the fixed
 # point count per grid block that numerics.GRID_BLOCK_BYTES replaced, the
-# rank-1 CDF that grids.MaxNormLaw replaced, and the two schemes' names for
-# the inverse per-stream SNR that params.c replaced; every test file but
-# this one is searched too
+# rank-1 CDF that grids.MaxNormLaw replaced, the two schemes' names for
+# the inverse per-stream SNR that params.c replaced, the per-scheme rules
+# for the samples per trial and the antennas that SystemParams.r and
+# Scheme.all_beams replaced, and the rank-cap notice of a fallback that
+# never existed; every test file but this one is searched too
 _DELETED = ("write_report_csv", "runtime_seconds", "draw_channels", "v_to_z", "z_to_v",
-            "n_scheduled", "GRID_CHUNK", "_max_norm_cdf", "params.rp", "params.mp")
+            "n_scheduled", "GRID_CHUNK", "_max_norm_cdf", "params.rp", "params.mp",
+            "effective_r", "_R_SAMPLES", "_M_SAMPLES", "min_m", "numeric fallback")
 TESTS = Path(__file__).resolve().parent
 DEMOS = TESTS.parent / "demos"
 _SEARCHED = [*sorted(SRC.glob("*.py")), *sorted(DEMOS.glob("*.py")),
